@@ -2,7 +2,7 @@
 
 Pipeline: a domain is given by its exterior conformal map (geometry), the
 Faber basis of the map is built by recurrence (faber), Gram matrices of the
-equilibrium weight come from spectral quadrature (moments), Cholesky
+equilibrium weight are finite sums of Laurent coefficients (moments), Cholesky
 orthonormalization yields the polynomials and their leading coefficients
 (orthopoly), reproducing kernels and their boundary scaling limits live in
 kernels, and determinantal statistics (correlations, gap probabilities, the
@@ -32,7 +32,6 @@ from .moments import (
     MomentTable,
     epsilon_table,
     exterior_gram,
-    exterior_gram_series,
     interior_gram,
     moments,
 )

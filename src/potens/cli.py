@@ -214,16 +214,12 @@ def cmd_poly(cfg: StudyConfig) -> None:
     emap = cfg.domain.map
     if cfg.srule != "cn":
         s = cfg.s_for(max(degrees))
-        table = moments(emap, max(degrees), s,
-                        angular_nodes=cfg.nodes_angular, radial_nodes=cfg.nodes_radial)
-        polys = orthonormalize(table)
+        polys = orthonormalize(moments(emap, max(degrees), s))
         get = lambda n: (polys.kappas[n], s, polys.mono_coeffs[n, : n + 1])
     else:
         def get(n):
             s = cfg.s_for(n)
-            t = moments(emap, n, s, angular_nodes=cfg.nodes_angular,
-                        radial_nodes=cfg.nodes_radial)
-            p = orthonormalize(t)
+            p = orthonormalize(moments(emap, n, s))
             return p.kappas[n], s, p.mono_coeffs[n, : n + 1]
     for n in degrees:
         exact, s, coeffs = get(n)
@@ -245,8 +241,7 @@ def cmd_scaling(cfg: StudyConfig) -> None:
     for n in ns:
         s = cfg.s_for(n)
         ell = cfg.ell_for(n)
-        polys = orthonormalize(moments(emap, n - 1, s, angular_nodes=cfg.nodes_angular,
-                                       radial_nodes=cfg.nodes_radial))
+        polys = orthonormalize(moments(emap, n - 1, s))
         for a in cfg.a_list:
             for b in cfg.b_list:
                 ratio = scaled_ratio(polys, n, theta, a, b, weighted=cfg.weighted)
@@ -301,8 +296,7 @@ def cmd_gap(cfg: StudyConfig) -> None:
     n = cfg.n_list[0] if cfg.n_list else cfg.nmax
     s = cfg.s_for(n)
     emap = cfg.domain.map
-    polys = orthonormalize(moments(emap, n - 1, s, angular_nodes=cfg.nodes_angular,
-                                   radial_nodes=cfg.nodes_radial))
+    polys = orthonormalize(moments(emap, n - 1, s))
     res = gap_probability(polys, n, DiskRegion(cfg.center, cfg.radius),
                           n_rad=cfg.nodes_radial or 48, n_ang=cfg.nodes_angular or 128)
     rows = ["kind,index,value"]
@@ -350,8 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--b", default=None)
         p.add_argument("--seed", default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--nodes-angular", dest="nodes_angular", default=None)
-        p.add_argument("--nodes-radial", dest="nodes_radial", default=None)
+        p.add_argument("--nodes-angular", dest="nodes_angular", default=None,
+                       help="gap only: angular nodes of the gap-region quadrature (default 128)")
+        p.add_argument("--nodes-radial", dest="nodes_radial", default=None,
+                       help="gap only: radial nodes of the gap-region quadrature (default 48)")
         p.add_argument("--tol", default=None)
         p.add_argument("--weighted", action="store_true", default=None)
         p.add_argument("--levels", default=None)

@@ -4,38 +4,33 @@ The inner product splits into an interior and an exterior piece,
 
     m[k, j] = int_D F_j conj(F_k) dA + int_O F_j conj(F_k) |Phi|^{-2s} dA,
 
-and both reduce to low-dimensional spectrally accurate rules:
+and for a finite Laurent map both are finite sums of the Laurent
+coefficients held by FaberBasis.  Let A hold the rows of F_j(phi(w)) phi'(w)
+and G the rows of G_k(phi(w)) with G_k' = F_k, power p at column p + offset.
 
-* interior: the Cauchy-Green identity turns the area integral into a contour
-  integral (1/2i) oint F_j conj(G_k) dz with G_k' = F_k, evaluated by the
-  trapezoidal rule in the boundary parameter.  For finite Laurent maps the
-  integrand is a trigonometric polynomial, so the rule is exact once the node
-  count clears its bandwidth.
+* interior: the Cauchy-Green identity turns the area integral into the
+  contour integral (1/2i) oint F_j conj(G_k) dz over |w| = 1, whose angle
+  average keeps only matching powers: m_D[k, j] = pi sum_p conj(G[k, p]) A[j, p-1].
 
-* exterior: transplanted to the w-plane the integrand is a Laurent polynomial
-  in w times the radial weight r^(1-2s) dr.  The angle is again trapezoidal;
-  the radial factor is absorbed into a Gauss-Jacobi rule in y = r^(-2)
-  (weight y^(s-n_max-2)), which integrates the remaining polynomial exactly.
-  For s - n_max beyond the reach of Jacobi weights a mapped Gauss-Laguerre
-  rule takes over; for s > 1e6 the exterior part is identically negligible at
-  double precision and is skipped (flagged on the table).
+* exterior: in the w-plane the integrand is a Laurent polynomial times the
+  radial weight r^(1-2s) dr.  The angle average again pairs equal powers, and
+  the radial integral of r^(2p+1-2s) over r > 1 is exactly 1/(2s-2p-2), so
+  m_O[k, j] = 2 pi sum_p conj(A[k, p]) A[j, p] / (2s-2p-2).
+
+Neither sum truncates or samples anything, so every s >= n_max + 2 is
+handled alike, up to s = inf where the exterior part vanishes.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_genlaguerre, roots_jacobi
 
 from .errors import ConvergenceError
 from .faber import FaberBasis
 from .geometry import ExteriorMap
-
-_JACOBI_BETA_MAX = 700.0
-_LARGE_S_CUTOFF = 1e6
 
 
 @dataclass(frozen=True)
@@ -46,9 +41,7 @@ class MomentTable:
     entries: np.ndarray
     interior_part: np.ndarray
     exterior_part: np.ndarray
-    angular_nodes: int
-    radial_nodes: int
-    exterior_skipped: bool = False
+    basis: FaberBasis
 
 
 @dataclass(frozen=True)
@@ -66,158 +59,38 @@ class EpsilonTable:
     i_o: np.ndarray
 
 
-def default_angular_nodes(n_max: int, tail: int) -> int:
-    need = 2 * ((n_max + 3) * (tail + 1) + 8)
-    return max(256, 1 << int(math.ceil(math.log2(need))))
-
-
-def default_radial_nodes(n_max: int, tail: int) -> int:
-    return (n_max + (n_max + 1) * tail) // 2 + 6
-
-
-def _grid_values(series: np.ndarray, offset: int, n_theta: int, radius: float = 1.0,
-                 scale_power: int = 0) -> np.ndarray:
-    """Evaluate rows of a Laurent coefficient table on a circle |w| = radius.
-
-    Returns values of sum_p c_p r^(p - scale_power) e^(i p theta) on the
-    uniform angle grid, one row per series, via FFT.  The scale power keeps
-    every intermediate bounded for large radii.
-    """
-    n_series, width = series.shape
-    powers = np.arange(width) - offset
-    if radius == 1.0:
-        radial = np.ones(width)
-    else:
-        radial = np.exp(np.log(radius) * (powers - scale_power))
-    spec = np.zeros((n_series, n_theta), dtype=complex)
-    cols = np.mod(powers, n_theta)
-    np.add.at(spec.T, cols, (series * radial).T)
-    return n_theta * np.fft.ifft(spec, axis=1)
-
-
-def interior_gram(basis: FaberBasis, angular_nodes: int | None = None) -> np.ndarray:
+def interior_gram(basis: FaberBasis) -> np.ndarray:
     """int_D F_j conj(F_k) dA for all j, k up to the basis degree."""
-    n_max = basis.n_max
-    m = default_angular_nodes(n_max, basis.map.tail_length) if angular_nodes is None else angular_nodes
-    tau = np.exp(2j * np.pi * np.arange(m) / m)
-    outer = _grid_values(basis.outer_series_all(), basis.offset, m)        # F_j(phi) phi'
-    anti = np.stack([basis.antiderivative_series(k) for k in range(n_max + 1)])
-    anti_v = _grid_values(anti, basis.offset, m)                           # G_k(phi)
-    gram = (np.pi / m) * (np.conj(anti_v) @ (outer * tau).T)
+    outer = basis.outer_series_all()                                   # F_j(phi) phi'
+    anti = np.stack([basis.antiderivative_series(k)                    # G_k(phi)
+                     for k in range(basis.n_max + 1)])
+    gram = np.pi * (np.conj(anti[:, 1:]) @ outer[:, :-1].T)
     asym = np.max(np.abs(gram - gram.conj().T))
     if asym > 1e-8 * max(1.0, np.max(np.abs(gram))):
-        raise ConvergenceError("interior contour quadrature lost Hermitian symmetry",
+        raise ConvergenceError("interior contour sum lost Hermitian symmetry",
                                estimates=(gram, None))
     return 0.5 * (gram + gram.conj().T)
 
 
-def _radial_rule(n_max: int, s: float, radial_nodes: int):
-    """Nodes y_i in (0,1] and weights for (1/2) int_0^1 g(y) y^(s-n_max-2) dy."""
-    beta = s - n_max - 2
-    if beta < 0:
-        raise ValueError(f"s={s} too small: need s >= n_max + 2 = {n_max + 2}")
-    if beta <= _JACOBI_BETA_MAX:
-        x, v = roots_jacobi(radial_nodes, 0.0, beta)
-        y = 0.5 * (x + 1.0)
-        w = 0.5 * v * np.exp(-(beta + 1.0) * math.log(2.0))
-    else:
-        # Laplace substitution y = exp(-t/(beta+1)) turns the weight into e^-t
-        t, lam = roots_genlaguerre(max(radial_nodes, 96), 0.0)
-        y = np.exp(-t / (beta + 1.0))
-        w = 0.5 * lam / (beta + 1.0)
-    return y, w
-
-
-def exterior_gram(basis: FaberBasis, s: float,
-                  angular_nodes: int | None = None,
-                  radial_nodes: int | None = None) -> np.ndarray:
-    """int_O F_j conj(F_k) |Phi|^{-2s} dA, computed in the w-plane."""
+def exterior_gram(basis: FaberBasis, s: float) -> np.ndarray:
+    """int_O F_j conj(F_k) |Phi|^{-2s} dA, summed over the Laurent modes."""
     n_max = basis.n_max
-    tail = basis.map.tail_length
     if not np.isfinite(s):
         return np.zeros((n_max + 1, n_max + 1), dtype=complex)
     if s < n_max + 2:
         raise ValueError(f"s={s} too small: need s >= n_max + 2 = {n_max + 2}")
-    m_ang = default_angular_nodes(n_max, tail) if angular_nodes is None else angular_nodes
-    m_rad = default_radial_nodes(n_max, tail) if radial_nodes is None else radial_nodes
-
-    y, w_rad = _radial_rule(n_max, s, m_rad)
-    outer = basis.outer_series_all()
-    width = outer.shape[1]
-    powers = np.arange(width) - basis.offset
-    cols = np.mod(powers, m_ang)
-    gram = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    for yi, wi in zip(y, w_rad):
-        ri = 1.0 / math.sqrt(yi)
-        # scaled values F_j(phi(w)) phi'(w) r^{-n_max}; the two r^{-n_max}
-        # factors of a product pair reassemble the y^{n_max} of the rule.
-        # Angle sum done in aliased Fourier space (Parseval), which matches
-        # the m_ang-point trapezoidal rule on the circle exactly.
-        radial = np.exp(math.log(ri) * (powers - n_max))
-        spec = np.zeros((n_max + 1, m_ang), dtype=complex)
-        np.add.at(spec.T, cols, (outer * radial).T)
-        gram += wi * (np.conj(spec) @ spec.T)
-    return 2.0 * np.pi * gram
-
-
-def exterior_gram_series(basis: FaberBasis, s: float) -> np.ndarray:
-    """Closed-form exterior Gram from the Laurent coefficients.
-
-    Per angular mode p the radial integral is 1/(2s-2p-2) exactly; this path
-    shares no quadrature with exterior_gram and serves as its cross-check.
-    """
-    n_max = basis.n_max
-    if not np.isfinite(s):
-        return np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    outer = basis.outer_series_all()
+    # F_n(phi) phi' = w^n + O(1/w): powers above n_max carry no coefficient
+    outer = basis.outer_series_all()[:, : basis.offset + n_max + 1]
     powers = np.arange(outer.shape[1]) - basis.offset
-    denom = 2.0 * s - 2.0 * powers - 2.0
-    live = np.abs(outer).max(axis=0) > 0
-    if np.any(denom[live] <= 0):
-        raise ValueError("exterior integral diverges: s too small for this degree")
-    scaled = outer / np.where(live, denom, 1.0)
-    return 2.0 * np.pi * np.conj(outer) @ scaled.T
+    return 2.0 * np.pi * np.conj(outer) @ (outer / (2.0 * s - 2.0 * powers - 2.0)).T
 
 
-def moments(emap: ExteriorMap, n_max: int, s: float,
-            angular_nodes: int | None = None,
-            radial_nodes: int | None = None,
-            basis: FaberBasis | None = None,
-            verify: bool = False,
-            verify_tol: float = 1e-11) -> MomentTable:
+def moments(emap: ExteriorMap, n_max: int, s: float) -> MomentTable:
     """Assemble the full moment table m[k, j]; s may be inf (interior only)."""
-    if basis is None:
-        basis = FaberBasis(emap, n_max)
-    tail = emap.tail_length
-    m_ang = default_angular_nodes(n_max, tail) if angular_nodes is None else angular_nodes
-    m_rad = default_radial_nodes(n_max, tail) if radial_nodes is None else radial_nodes
-
-    def assemble(ma, mr):
-        interior = interior_gram(basis, ma)
-        skipped = False
-        if not np.isfinite(s):
-            exterior = np.zeros_like(interior)
-        elif s > _LARGE_S_CUTOFF:
-            exterior = np.zeros_like(interior)
-            skipped = True
-        else:
-            exterior = exterior_gram(basis, s, ma, mr)
-        return interior, exterior, skipped
-
-    interior, exterior, skipped = assemble(m_ang, m_rad)
-    entries = interior + exterior
-    if verify:
-        i2, e2, _ = assemble(2 * m_ang, 2 * m_rad)
-        delta = np.max(np.abs((i2 + e2) - entries))
-        if delta > verify_tol:
-            raise ConvergenceError(
-                f"moment quadrature did not stabilize under node doubling (delta={delta:.3e})",
-                estimates=(entries, i2 + e2),
-            )
-        entries, interior, exterior = i2 + e2, i2, e2
-        m_ang, m_rad = 2 * m_ang, 2 * m_rad
-    return MomentTable(emap, n_max, float(s), entries, interior, exterior,
-                       m_ang, m_rad, skipped)
+    basis = FaberBasis(emap, n_max)
+    interior = interior_gram(basis)
+    exterior = exterior_gram(basis, s)
+    return MomentTable(emap, n_max, float(s), interior + exterior, interior, exterior, basis)
 
 
 def epsilon_table(mom: MomentTable) -> EpsilonTable:
@@ -238,16 +111,6 @@ def epsilon_table(mom: MomentTable) -> EpsilonTable:
 
 
 # -- closed forms (cross-checks and fast reference values) ---------------------
-
-def disk_interior_moment(k: int) -> float:
-    return np.pi / (k + 1)
-
-
-def disk_exterior_moment(k: int, s: float) -> float:
-    if not np.isfinite(s):
-        return 0.0
-    return np.pi / (s - k - 1)
-
 
 def disk_moment(k: int, s: float) -> float:
     if not np.isfinite(s):
@@ -277,11 +140,11 @@ def ellipse_epsilon(n: int, q: float, s: float) -> float:
 
 # -- persistence ---------------------------------------------------------------
 
-def cache_key(emap: ExteriorMap, n_max: int, s: float, angular_nodes: int, radial_nodes: int) -> str:
+def cache_key(emap: ExteriorMap, n_max: int, s: float) -> str:
     h = hashlib.sha256()
     h.update(np.float64(emap.cap).tobytes())
     h.update(np.asarray(emap.laurent_coeffs, dtype=complex).tobytes())
-    h.update(f"|{n_max}|{s!r}|{angular_nodes}|{radial_nodes}".encode())
+    h.update(f"|{n_max}|{s!r}".encode())
     return h.hexdigest()
 
 
@@ -298,7 +161,7 @@ def export_csv(mom: MomentTable, path) -> None:
 def save_cache(mom: MomentTable, path) -> None:
     np.savez(
         path,
-        key=cache_key(mom.map, mom.n_max, mom.s, mom.angular_nodes, mom.radial_nodes),
+        key=cache_key(mom.map, mom.n_max, mom.s),
         cap=mom.map.cap,
         coeffs=np.asarray(mom.map.laurent_coeffs, dtype=complex),
         n_max=mom.n_max,
@@ -306,9 +169,6 @@ def save_cache(mom: MomentTable, path) -> None:
         entries=mom.entries,
         interior=mom.interior_part,
         exterior=mom.exterior_part,
-        angular_nodes=mom.angular_nodes,
-        radial_nodes=mom.radial_nodes,
-        exterior_skipped=mom.exterior_skipped,
     )
 
 
@@ -316,11 +176,9 @@ def load_cache(path, emap: ExteriorMap | None = None) -> MomentTable:
     data = np.load(path, allow_pickle=False)
     if emap is None:
         emap = ExteriorMap(float(data["cap"]), tuple(data["coeffs"]))
-    key = cache_key(emap, int(data["n_max"]), float(data["s"]),
-                    int(data["angular_nodes"]), int(data["radial_nodes"]))
-    if key != str(data["key"]):
+    n_max = int(data["n_max"])
+    if cache_key(emap, n_max, float(data["s"])) != str(data["key"]):
         raise ValueError("cache file does not match the requested domain/parameters")
-    return MomentTable(emap, int(data["n_max"]), float(data["s"]),
+    return MomentTable(emap, n_max, float(data["s"]),
                        data["entries"], data["interior"], data["exterior"],
-                       int(data["angular_nodes"]), int(data["radial_nodes"]),
-                       bool(data["exterior_skipped"]))
+                       FaberBasis(emap, n_max))

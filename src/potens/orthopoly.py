@@ -45,27 +45,26 @@ class OrthoPolySet:
         return self.eval_all(z, n)[n]
 
 
-def orthonormalize(mom: MomentTable, basis: FaberBasis | None = None) -> OrthoPolySet:
+def orthonormalize(mom: MomentTable) -> OrthoPolySet:
     """Cholesky-orthonormalize the Faber basis against the moment table."""
-    basis = basis if basis is not None else FaberBasis(mom.map, mom.n_max)
     gram = np.conj(mom.entries)  # [j, k] = <F_j, F_k>
     try:
         chol = scipy.linalg.cholesky(gram, lower=True)
     except scipy.linalg.LinAlgError:
         raise ValueError(
             f"moment table is not positive definite (first bad pivot at index "
-            f"{_first_bad_pivot(gram)}); check the quadrature or increase s"
+            f"{_first_bad_pivot(gram)}); check the moment table or increase s"
         ) from None
     n = mom.n_max
     coeffs = scipy.linalg.solve_triangular(chol, np.eye(n + 1), lower=True)
     fmono = np.zeros((n + 1, n + 1), dtype=complex)
-    for j, mono in enumerate(basis.mono):
+    for j, mono in enumerate(mom.basis.mono):
         fmono[j, : j + 1] = mono
     mono_coeffs = coeffs @ fmono
     kappas = np.real(np.diag(mono_coeffs)).copy()
     if np.any(kappas <= 0):
         raise ValueError("leading coefficients must be positive; factorization failed")
-    return OrthoPolySet(mom.map, mom.s, n, basis, mom, coeffs, mono_coeffs, kappas)
+    return OrthoPolySet(mom.map, mom.s, n, mom.basis, mom, coeffs, mono_coeffs, kappas)
 
 
 def _first_bad_pivot(gram: np.ndarray) -> int:
@@ -75,13 +74,12 @@ def _first_bad_pivot(gram: np.ndarray) -> int:
     return gram.shape[0] - 1
 
 
-def orthopoly_det(mom: MomentTable, n: int, basis: FaberBasis | None = None) -> np.ndarray:
+def orthopoly_det(mom: MomentTable, n: int) -> np.ndarray:
     """Monomial coefficients of pi_n by the bordered-determinant construction.
 
     Cross-check path only: numerically inferior to the Cholesky route but
     algebraically independent of it.
     """
-    basis = basis if basis is not None else FaberBasis(mom.map, mom.n_max)
     m = mom.entries
     d_prev = 1.0 if n == 0 else np.linalg.det(m[:n, :n]).real
     d_cur = np.linalg.det(m[: n + 1, : n + 1]).real
@@ -91,7 +89,7 @@ def orthopoly_det(mom: MomentTable, n: int, basis: FaberBasis | None = None) -> 
     for j in range(n + 1):
         minor = np.delete(rows, j, axis=1)
         cof = (-1) ** (n + j) * (np.linalg.det(minor) if n else 1.0)
-        out[: j + 1] += scale * cof * basis.mono[j]
+        out[: j + 1] += scale * cof * mom.basis.mono[j]
     return out
 
 

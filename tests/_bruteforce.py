@@ -4,14 +4,17 @@ Nothing here shares a code path with the library pipeline: interior moments
 come from genuine 2-D quadrature (radial rays over a star-shaped core plus a
 conformal collar), exterior moments from a mapped Gauss-Legendre rule, and
 orthonormalization from classical Gram-Schmidt on raw monomials, and the
-disk kernel gap from exact rational arithmetic.
+disk kernel gap from exact rational arithmetic.  The Faber-basis Gram
+oracle (gram_quadrature) reads the same Laurent series as the library but
+integrates them by sampling: a trapezoidal rule in the angle times a
+Gauss-Jacobi rule in the radius, instead of the library's exact mode sums.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.special import roots_jacobi, roots_legendre
 
 from potens.geometry import ExteriorMap
 
@@ -131,3 +134,67 @@ def disk_kernel_gap(n: int, s, r2) -> float:
     tail = x ** n * (n + 1 - n * x) / (1 - x) ** 2
     head = sum((k + 1) ** 2 * x ** k for k in range(n)) / Fraction(s)
     return float(tail + head) / math.pi
+
+
+def _default_angular_nodes(n_max: int, tail: int) -> int:
+    need = 2 * ((n_max + 3) * (tail + 1) + 8)
+    return max(256, 1 << int(math.ceil(math.log2(need))))
+
+
+def _default_radial_nodes(n_max: int, tail: int) -> int:
+    return (n_max + (n_max + 1) * tail) // 2 + 6
+
+
+def _circle_values(series: np.ndarray, offset: int, n_theta: int, radial=None) -> np.ndarray:
+    """Rows of a Laurent table (power p at column p + offset), each column
+    scaled by radial[col], sampled at the n_theta-th roots of unity via FFT."""
+    n_series, width = series.shape
+    scaled = series if radial is None else series * radial
+    spec = np.zeros((n_series, n_theta), dtype=complex)
+    np.add.at(spec.T, np.mod(np.arange(width) - offset, n_theta), scaled.T)
+    return n_theta * np.fft.ifft(spec, axis=1)
+
+
+def interior_quadrature(basis, n_ang: int | None = None) -> np.ndarray:
+    """int_D F_j conj(F_k) dA by the Cauchy-Green contour integral
+    (1/2i) oint F_j conj(G_k) dz, trapezoidal in the boundary angle."""
+    n_max = basis.n_max
+    m = _default_angular_nodes(n_max, basis.map.tail_length) if n_ang is None else n_ang
+    tau = np.exp(2j * np.pi * np.arange(m) / m)
+    outer = _circle_values(basis.outer_series_all(), basis.offset, m)
+    anti = np.stack([basis.antiderivative_series(k) for k in range(n_max + 1)])
+    anti_v = _circle_values(anti, basis.offset, m)
+    return (np.pi / m) * (np.conj(anti_v) @ (outer * tau).T)
+
+
+def exterior_quadrature(basis, s: float, n_ang: int | None = None,
+                        n_rad: int | None = None) -> np.ndarray:
+    """int_O F_j conj(F_k) |Phi|^{-2s} dA in the w-plane: trapezoidal in the
+    angle times Gauss-Jacobi in y = r^-2 with weight y^(s - n_max - 2)."""
+    n_max = basis.n_max
+    if not np.isfinite(s):
+        return np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    tail = basis.map.tail_length
+    m = _default_angular_nodes(n_max, tail) if n_ang is None else n_ang
+    nr = _default_radial_nodes(n_max, tail) if n_rad is None else n_rad
+    beta = s - n_max - 2
+    x, v = roots_jacobi(nr, 0.0, beta)
+    y = 0.5 * (x + 1.0)
+    w_rad = 0.5 * v * np.exp(-(beta + 1.0) * math.log(2.0))
+    outer = basis.outer_series_all()
+    powers = np.arange(outer.shape[1]) - basis.offset
+    gram = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    for yi, wi in zip(y, w_rad):
+        # F_j(phi) phi' r^{-n_max} on |w| = r; the two r^{-n_max} factors of
+        # a product reassemble the y^{n_max} the Jacobi weight left out
+        radial = np.exp(-0.5 * math.log(yi) * (powers - n_max))
+        vals = _circle_values(outer, basis.offset, m, radial)
+        gram += (wi / m) * (np.conj(vals) @ vals.T)
+    return 2.0 * np.pi * gram
+
+
+def gram_quadrature(basis, s: float, n_ang: int | None = None,
+                    n_rad: int | None = None) -> np.ndarray:
+    """m[k, j] = <F_j, F_k> under P_K^{-2s} by the tensor quadrature above;
+    the default node counts clear the bandwidth of finite Laurent maps."""
+    return interior_quadrature(basis, n_ang) + exterior_quadrature(basis, s, n_ang, n_rad)

@@ -35,7 +35,7 @@ from potens.pointprocess import (
     sine_corr,
 )
 
-from _bruteforce import disk_kernel_gap, gram_schmidt_polys, monomial_gram
+from _bruteforce import disk_kernel_gap, gram_quadrature, gram_schmidt_polys, monomial_gram
 
 
 def _report(num, ok, detail=""):
@@ -284,12 +284,15 @@ def test_criterion_11_invariant_suite():
     resid = reproducing_check(polys, 10, p, 0.4 + 0.2j)
     details.append(f"reproducing residual {resid:.2e}")
 
-    # moment-table stability under node doubling
+    # sampled moment table stable under node doubling and equal to the exact sums
     stab_ok = True
     for emap2 in (disk_map(), ellipse_map(0.5), ExteriorMap(1.0, (0j, 0.2, 0.1j))):
-        m1 = moments(emap2, 8, 20.0, angular_nodes=256)
-        m2 = moments(emap2, 8, 20.0, angular_nodes=512)
-        stab_ok = stab_ok and float(np.max(np.abs(m1.entries - m2.entries))) <= 1e-11
+        m = moments(emap2, 8, 20.0)
+        q1 = gram_quadrature(m.basis, 20.0, 256)
+        q2 = gram_quadrature(m.basis, 20.0, 512)
+        stab_ok = (stab_ok and float(np.max(np.abs(q1 - q2))) <= 1e-11
+                   and float(np.max(np.abs(q1 - m.entries))) <= 1e-11
+                   and float(np.max(np.abs(q2 - m.entries))) <= 1e-11)
     details.append(f"node-doubling stable: {stab_ok}")
 
     ok = psd_ok and chain_ok and resid <= 1e-8 and stab_ok

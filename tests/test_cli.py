@@ -101,6 +101,21 @@ def test_gap_general_domain_term_decay(capsys):
     assert "radial_oracle" not in out
 
 
+def test_node_flags_reach_gap_region_only(capsys):
+    # the node flags size the gap-region quadrature; the moment table ignores them
+    code = cli.main(["gap", "--domain", "ellipse", "--q", "0.5", "--N", "20", "--s", "40",
+                     "--center=1.3", "--radius", "0.4",
+                     "--nodes-angular", "16", "--nodes-radial", "4"])
+    assert code == 0, capsys.readouterr().err
+    capsys.readouterr()
+    args = ["scaling", "--domain", "ellipse", "--q", "0.5", "--N", "60", "--srule", "cn",
+            "--s", "2", "--a", "0.3+0.2i", "--b", "-0.1"]
+    plain = run_cli(args, capsys)
+    flagged = run_cli(args + ["--nodes-angular", "128", "--nodes-radial", "8"], capsys)
+    assert plain[0] == flagged[0] == 0
+    assert plain[1] == flagged[1]
+
+
 def test_levelsets(capsys):
     code, out = run_cli(["levelsets", "--domain", "disk", "--levels", "1,2", "--bins", "8"], capsys)
     assert code == 0

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from potens.errors import ConvergenceError
 from potens.faber import FaberBasis
+from potens.geometry import ExteriorMap
 from potens.moments import (
     cache_key,
     disk_moment,
@@ -15,14 +17,13 @@ from potens.moments import (
     epsilon_table,
     export_csv,
     exterior_gram,
-    exterior_gram_series,
     interior_gram,
     load_cache,
     moments,
     save_cache,
 )
 
-from _bruteforce import remainder_product_integral
+from _bruteforce import exterior_quadrature, gram_quadrature, remainder_product_integral
 
 
 def test_disk_interior_diagonal(disk):
@@ -72,25 +73,29 @@ def test_s_too_small_rejected(disk):
 
 
 def test_node_doubling_stability(disk, ellipse_half, custom_map):
+    # the exact sums agree with the sampled tensor rule at 256 and 512 nodes
     for emap in (disk, ellipse_half, custom_map):
         basis = FaberBasis(emap, 8)
-        a = interior_gram(basis, 256) + exterior_gram(basis, 20.0, 256, None)
-        b = interior_gram(basis, 512) + exterior_gram(basis, 20.0, 512, None)
-        assert np.max(np.abs(a - b)) <= 1e-11
+        exact = interior_gram(basis) + exterior_gram(basis, 20.0)
+        for n_ang in (256, 512):
+            assert np.max(np.abs(exact - gram_quadrature(basis, 20.0, n_ang))) <= 1e-11
 
 
 def test_undersampled_nodes_raise(ellipse_half):
-    with pytest.raises(ConvergenceError) as info:
-        moments(ellipse_half, 20, 30.0, angular_nodes=16, verify=True)
-    assert info.value.estimates is not None
+    # 16 angular nodes alias the degree-20 Laurent modes; the default count does not
+    m = moments(ellipse_half, 20, 30.0)
+    assert np.max(np.abs(gram_quadrature(m.basis, 30.0, 16) - m.entries)) > 1e-6
+    assert np.max(np.abs(gram_quadrature(m.basis, 30.0) - m.entries)) <= 1e-11
 
 
 def test_large_s_flag_and_infinity(disk):
-    m = moments(disk, 2, 2e6)
-    assert m.exterior_skipped
-    assert m.entries[1, 1] == pytest.approx(math.pi / 2, abs=1e-9)
+    # the exterior part pi/(s-k-1) is kept at every finite s, however large
+    for s in (9.9e5, 1.01e6, 2e6):
+        m = moments(disk, 2, s)
+        for k in range(3):
+            assert m.entries[k, k].real == pytest.approx(disk_moment(k, s), rel=1e-12)
     m = moments(disk, 2, np.inf)
-    assert not m.exterior_skipped
+    assert not np.any(m.exterior_part)
     assert np.allclose(np.diag(m.entries), [math.pi / (k + 1) for k in range(3)])
 
 
@@ -107,8 +112,34 @@ def test_quadrature_vs_series_cross_check(custom_map, ellipse_quarter):
     for emap in (custom_map, ellipse_quarter):
         basis = FaberBasis(emap, 9)
         a = exterior_gram(basis, 16.0)
-        b = exterior_gram_series(basis, 16.0)
+        b = exterior_quadrature(basis, 16.0)
         assert np.max(np.abs(a - b)) < 1e-12
+
+
+@st.composite
+def _random_maps(draw):
+    cap = draw(st.floats(0.5, 2.0))
+    tail = draw(st.integers(0, 3))
+    parts = st.floats(-0.3, 0.3)
+    coeffs = [complex(draw(parts), draw(parts)) * cap for _ in range(tail + 1)]
+    emap = ExteriorMap(cap, tuple(coeffs))
+    try:
+        emap.validate()
+    except ValueError:
+        assume(False)
+    return emap
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(emap=_random_maps(), n=st.integers(0, 12), excess=st.floats(0.0, 40.0))
+def test_gram_matches_quadrature_on_random_maps(emap, n, excess):
+    s = n + 2 + excess
+    m = moments(emap, n, s)
+    scale = np.max(np.abs(m.entries))
+    assert np.max(np.abs(m.entries - m.entries.conj().T)) <= 1e-14 * scale
+    assert np.min(np.linalg.eigvalsh(m.entries)) > 0
+    oracle = gram_quadrature(m.basis, s)
+    assert np.max(np.abs(m.entries - oracle)) <= 1e-11 * scale
 
 
 def test_epsilon_disk_zero(disk):
@@ -168,5 +199,5 @@ def test_cache_round_trip(tmp_path, custom_map, ellipse_half):
     assert again.map == m.map
     with pytest.raises(ValueError):
         load_cache(path, emap=ellipse_half)
-    assert cache_key(custom_map, 4, 12.0, m.angular_nodes, m.radial_nodes) \
-        != cache_key(custom_map, 5, 12.0, m.angular_nodes, m.radial_nodes)
+    assert again.basis.n_max == 4
+    assert cache_key(custom_map, 4, 12.0) != cache_key(custom_map, 5, 12.0)

@@ -18,7 +18,7 @@ from potens.orthopoly import (
     sigma_model,
 )
 
-from _bruteforce import gram_schmidt_polys, monomial_gram
+from _bruteforce import gram_quadrature, gram_schmidt_polys, monomial_gram
 
 
 def test_disk_examples(disk):
@@ -45,11 +45,10 @@ def test_gram_identity(custom_map):
 def test_orthonormality_under_requadrature(ellipse_half):
     mom = moments(ellipse_half, 8, 20.0)
     polys = orthonormalize(mom)
-    mom2 = moments(ellipse_half, 8, 20.0,
-                   angular_nodes=2 * mom.angular_nodes,
-                   radial_nodes=2 * mom.radial_nodes)
+    # sampled Gram at twice the oracle's default node counts (256, 14)
+    requad = gram_quadrature(mom.basis, 20.0, 512, 28)
     c = polys.faber_coeffs
-    resid = c @ np.conj(mom2.entries) @ c.conj().T - np.eye(9)
+    resid = c @ np.conj(requad) @ c.conj().T - np.eye(9)
     assert np.max(np.abs(resid)) <= 1e-9
 
 
@@ -68,8 +67,7 @@ def test_non_positive_definite_reports_index(disk):
     m = moments(disk, 3, 10.0)
     bad = m.entries.copy()
     bad[2, 2] = -1.0
-    broken = MomentTable(m.map, m.n_max, m.s, bad, m.interior_part, m.exterior_part,
-                         m.angular_nodes, m.radial_nodes)
+    broken = MomentTable(m.map, m.n_max, m.s, bad, m.interior_part, m.exterior_part, m.basis)
     with pytest.raises(ValueError, match="index 2"):
         orthonormalize(broken)
 
