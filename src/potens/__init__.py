@@ -36,7 +36,6 @@ from .moments import (
     moments,
 )
 from .orthopoly import (
-    AsymptoticPrediction,
     ClosedForm,
     OrthoPolySet,
     closed_form,
@@ -67,13 +66,11 @@ from .kernels import (
     weighted_kernel,
 )
 from .pointprocess import (
-    CorrelationRequest,
     DiskRegion,
     EigenConfiguration,
     GapResult,
     RadialHistogram,
     corr_fn,
-    correlation,
     empirical_r1,
     expected_count_outside,
     export_configuration_csv,

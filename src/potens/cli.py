@@ -47,20 +47,18 @@ class StudyConfig:
     srule: str = "fixed"       # fixed | cn | inf
     s_value: float | None = None
     ell: float | None = None
-    thetas: tuple = (0.0,)
+    theta: float = 0.0
     a_list: tuple = (0j,)
     b_list: tuple = (0j,)
     seed: int = 1
     out: str | None = None
     nodes_angular: int | None = None
     nodes_radial: int | None = None
-    tol: float = 1e-11
     weighted: bool = False
     levels: tuple = (1.0, 1.25, 1.5, 2.0, 3.0)
     center: complex = 0j
     radius: float = 0.5
     bins: int = 64
-    count: int = 1
 
     def s_for(self, n: int) -> float:
         if self.srule == "inf":
@@ -86,14 +84,14 @@ class StudyConfig:
         if self.srule == "inf" or self.s_value is not None:
             for n in self.n_list or (self.nmax,):
                 s = self.s_for(n)
-                if np.isfinite(s) and n > math.floor(s - 1):
+                if s != math.inf and not n <= s - 1:
                     raise ConfigError(f"pair (N={n}, s={s}) violates N <= floor(s-1)")
         return self
 
 
 _CONFIG_KEYS = ("domain", "q", "nmax", "N", "s", "srule", "ell", "theta", "a", "b",
-                "seed", "out", "nodes-angular", "nodes-radial", "tol", "weighted",
-                "levels", "center", "radius", "bins", "count")
+                "seed", "out", "nodes-angular", "nodes-radial", "weighted",
+                "levels", "center", "radius", "bins")
 
 
 def config_to_text(cfg: StudyConfig) -> str:
@@ -106,7 +104,7 @@ def config_to_text(cfg: StudyConfig) -> str:
         lines.append(f"s={_fmt(cfg.s_value)}")
     if cfg.ell is not None:
         lines.append(f"ell={_fmt(cfg.ell)}")
-    lines.append("theta=" + ",".join(_fmt(t) for t in cfg.thetas))
+    lines.append(f"theta={_fmt(cfg.theta)}")
     lines.append("a=" + ",".join(format_complex(a) for a in cfg.a_list))
     lines.append("b=" + ",".join(format_complex(b) for b in cfg.b_list))
     lines.append(f"seed={cfg.seed}")
@@ -116,13 +114,11 @@ def config_to_text(cfg: StudyConfig) -> str:
         lines.append(f"nodes-angular={cfg.nodes_angular}")
     if cfg.nodes_radial:
         lines.append(f"nodes-radial={cfg.nodes_radial}")
-    lines.append(f"tol={_fmt(cfg.tol)}")
     lines.append(f"weighted={int(cfg.weighted)}")
     lines.append("levels=" + ",".join(_fmt(v) for v in cfg.levels))
     lines.append(f"center={format_complex(cfg.center)}")
     lines.append(f"radius={_fmt(cfg.radius)}")
     lines.append(f"bins={cfg.bins}")
-    lines.append(f"count={cfg.count}")
     return "\n".join(lines) + "\n"
 
 
@@ -145,20 +141,18 @@ def config_from_pairs(pairs: dict) -> StudyConfig:
             srule=pairs.get("srule", "fixed"),
             s_value=None if s_raw in (None, "", "inf") else float(s_raw),
             ell=None if pairs.get("ell") in (None, "") else float(pairs["ell"]),
-            thetas=tuple(float(t) for t in pairs.get("theta", "0").split(",") if t),
+            theta=float(pairs.get("theta", 0.0)),
             a_list=tuple(parse_complex(t) for t in pairs.get("a", "0").split(",") if t),
             b_list=tuple(parse_complex(t) for t in pairs.get("b", "0").split(",") if t),
             seed=int(pairs.get("seed", 1)),
             out=pairs.get("out") or None,
             nodes_angular=int(pairs["nodes-angular"]) if pairs.get("nodes-angular") else None,
             nodes_radial=int(pairs["nodes-radial"]) if pairs.get("nodes-radial") else None,
-            tol=float(pairs.get("tol", 1e-11)),
             weighted=pairs.get("weighted", "0") in ("1", "true", "True"),
             levels=tuple(float(t) for t in pairs.get("levels", "1,1.25,1.5,2,3").split(",") if t),
             center=parse_complex(pairs.get("center", "0")),
             radius=float(pairs.get("radius", 0.5)),
             bins=int(pairs.get("bins", 64)),
-            count=int(pairs.get("count", 1)),
         )
         if s_raw == "inf" and pairs.get("srule") in (None, "", "fixed"):
             cfg = replace(cfg, srule="inf")
@@ -169,7 +163,8 @@ def config_from_pairs(pairs: dict) -> StudyConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def config_from_text(text: str) -> StudyConfig:
+def _pairs_from_text(text: str) -> dict:
+    """key=value lines of a config file; blank lines and # comments skipped."""
     pairs = {}
     for line in text.splitlines():
         line = line.strip()
@@ -177,12 +172,14 @@ def config_from_text(text: str) -> StudyConfig:
             continue
         key, _, value = line.partition("=")
         key = key.strip()
-        if key == "domain":
-            value = line.partition("=")[2]
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         pairs[key] = value.strip()
-    return config_from_pairs(pairs)
+    return pairs
+
+
+def config_from_text(text: str) -> StudyConfig:
+    return config_from_pairs(_pairs_from_text(text))
 
 
 # -- output ------------------------------------------------------------------------
@@ -235,7 +232,7 @@ def cmd_poly(cfg: StudyConfig) -> None:
 
 def cmd_scaling(cfg: StudyConfig) -> None:
     ns = list(cfg.n_list) if cfg.n_list else [cfg.nmax]
-    theta = cfg.thetas[0]
+    theta = cfg.theta
     emap = cfg.domain.map
     rows = ["N,a,b,ratio_re,ratio_im,predictor_re,predictor_im,abs_err"]
     for n in ns:
@@ -339,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s", default=None, help="weight exponent, rule constant, or inf")
         p.add_argument("--srule", default=None, choices=("fixed", "cn", "inf"))
         p.add_argument("--ell", default=None)
-        p.add_argument("--theta", default=None, help="comma list of boundary angles")
+        p.add_argument("--theta", default=None, help="boundary angle")
         p.add_argument("--a", default=None, help="comma list of complex offsets (a+bi)")
         p.add_argument("--b", default=None)
         p.add_argument("--seed", default=None)
@@ -348,13 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="gap only: angular nodes of the gap-region quadrature (default 128)")
         p.add_argument("--nodes-radial", dest="nodes_radial", default=None,
                        help="gap only: radial nodes of the gap-region quadrature (default 48)")
-        p.add_argument("--tol", default=None)
         p.add_argument("--weighted", action="store_true", default=None)
         p.add_argument("--levels", default=None)
         p.add_argument("--center", default=None)
         p.add_argument("--radius", default=None)
         p.add_argument("--bins", default=None)
-        p.add_argument("--count", default=None)
     return parser
 
 
@@ -386,12 +381,8 @@ def main(argv=None) -> int:
     try:
         pairs = {}
         if ns.config:
-            for line in open(ns.config).read().splitlines():
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                pairs[key.strip()] = value.strip()
+            with open(ns.config) as fh:
+                pairs = _pairs_from_text(fh.read())
         pairs.update(_namespace_pairs(ns))
         cfg = config_from_pairs(pairs)
     except ConfigError as exc:

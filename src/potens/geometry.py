@@ -95,6 +95,10 @@ class ExteriorMap:
             wk = wk / w
         return out
 
+    def is_disk(self) -> bool:
+        """phi is the identity: K is the closed unit disk."""
+        return self.cap == 1.0 and all(c == 0 for c in self.laurent_coeffs)
+
     def boundary_point(self, theta):
         """z = phi(e^{i theta}), the canonical boundary parameterization."""
         return self._phi_raw(np.exp(1j * np.asarray(theta, dtype=float)))
@@ -186,7 +190,7 @@ class DomainSpec:
         return DomainSpec("custom", None, emap)
 
     def is_disk(self) -> bool:
-        return self.map.cap == 1.0 and all(c == 0 for c in self.map.laurent_coeffs)
+        return self.map.is_disk()
 
 
 def parse_complex(text: str) -> complex:

@@ -7,8 +7,9 @@ The scaling family interpolates two extreme local kernels,
     H_l = (3-3l)/(3-2l) H_0 + l/(3-2l) H_1,
 
 with H_l(0) = 1.  Near t = 0 both numerators start at order t^2 (resp. t^3),
-so the closed forms are evaluated with the leading cancellations removed
-symbolically; below |t| = 1e-4 a plain Taylor branch takes over.
+so for |t| < 1 each H is its Taylor series, 2 sum (i+1)/(i+2)! t^i and
+6 sum (i+1)/(i+3)! t^i, cut after 20 terms; for |t| >= 1 the closed forms
+lose at most a few bits.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from .geometry import BOUNDARY_TOL, INSIDE, DomainSpec, ExteriorMap, big_phi_eva
 from .moments import moments
 from .orthopoly import OrthoPolySet, orthonormalize
 
-_DIAG_SWITCH = 1e-8
-_TAYLOR_RADIUS = 1e-4
+# Taylor coefficients of H_0 and H_1; at |t| < 1 the first omitted term is
+# below 1e-19 of the value
+_H0_SERIES = tuple(2 * (i + 1) / math.factorial(i + 2) for i in range(20))
+_H1_SERIES = tuple(6 * (i + 1) / math.factorial(i + 3) for i in range(20))
 
 
 def _as_map(domain) -> ExteriorMap:
@@ -108,12 +111,15 @@ def weighted_kernel(polys: OrthoPolySet, N: int, z: complex, u: complex) -> comp
 # -- boundary asymptotics --------------------------------------------------------
 
 def kernel_asymptotic(emap: ExteriorMap, N: int, s: float, z: complex, u: complex) -> complex:
-    """Leading-order kernel near the boundary, in closed form.
+    """Leading-order kernel near the boundary.
 
-    Valid for z, u within O(1/N) of the curve (closure of the exterior).  At
-    Phi(z) conj(Phi(u)) close to 1 the closed form is a 0/0 expression and
-    the evaluation switches to the finite geometric-type sum, which is the
-    same quantity without cancellation.
+    Valid for z, u within O(1/N) of the curve (closure of the exterior).  With
+    x = Phi(z) conj(Phi(u)) it is the N-term sum
+
+        Phi'(z) conj(Phi'(u)) / pi * sum_{n<N} ((n+1) - (n+1)^2/s) x^n,
+
+    summed directly: its geometric closed form divides by (1-x)^3 and loses
+    about eps/|1-x|^2 of relative accuracy as x approaches 1.
     """
     wz = big_phi_eval(emap, z)
     wu = big_phi_eval(emap, u)
@@ -124,14 +130,8 @@ def kernel_asymptotic(emap: ExteriorMap, N: int, s: float, z: complex, u: comple
     pref = dz * np.conj(du) / math.pi
     up = wz * np.conj(wu)
     sinv = 0.0 if not np.isfinite(s) else 1.0 / s
-    if abs(1.0 - up) < _DIAG_SWITCH:
-        n = np.arange(N)
-        body = np.sum(((n + 1) - sinv * (n + 1) ** 2) * up ** n)
-        return pref * body
-    g = 1.0 - up
-    first = (1.0 - (N + 1) * sinv) * (-(N + 1) * up ** N / g + (1.0 - up ** (N + 1)) / g ** 2)
-    second = sinv * ((N + 2) * (1.0 + up ** (N + 1)) / g ** 2 - 2.0 * (1.0 - up ** (N + 2)) / g ** 3)
-    return pref * (first + second)
+    n = np.arange(N)
+    return pref * np.sum(((n + 1) - sinv * (n + 1) ** 2) * up ** n)
 
 
 def boundary_diag_asymptotic(emap: ExteriorMap, N: int, s: float, theta: float) -> float:
@@ -156,7 +156,7 @@ def bergman_kernel(domain, z: complex, u: complex, tol: float = 1e-8,
     emap = _as_map(domain)
     if big_phi_eval(emap, z) != INSIDE or big_phi_eval(emap, u) != INSIDE:
         raise ValueError("Bergman kernel arguments must lie in the interior domain")
-    if isinstance(domain, DomainSpec) and domain.is_disk() or _is_disk(emap):
+    if emap.is_disk():
         return (1.0 / math.pi) / (1.0 - z * np.conj(u)) ** 2
     n = n_start
     prev = None
@@ -170,53 +170,25 @@ def bergman_kernel(domain, z: complex, u: complex, tol: float = 1e-8,
     raise ConvergenceError(f"Bergman kernel series did not stabilize to {tol} by degree {n_max}")
 
 
-def _is_disk(emap: ExteriorMap) -> bool:
-    return emap.cap == 1.0 and all(c == 0 for c in emap.laurent_coeffs)
-
-
 # -- scaling limit machinery --------------------------------------------------------
 
-def _expm1_tail(tau: complex) -> complex:
-    """e^tau - 1 - tau - tau^2/2, series-accurate for small |tau|."""
-    if abs(tau) < 1.0:
-        term = tau * tau * tau / 6.0
-        out = term
-        k = 4
-        while abs(term) > 1e-20 * max(1.0, abs(out)) and k < 60:
-            term *= tau / k
-            out += term
-            k += 1
-        return out
-    return cmath.exp(tau) - 1.0 - tau - tau * tau / 2.0
-
-
-def _h0_series(tau: complex) -> complex:
-    # 2 sum_{i>=0} (i+1)/(i+2)! tau^i
-    return sum(2.0 * (i + 1) / math.factorial(i + 2) * tau ** i for i in range(12))
-
-
-def _h0_direct(tau: complex) -> complex:
-    r = _expm1_tail(tau)
-    num = (tau - 1.0) * r + tau * tau / 2.0 + tau ** 3 / 2.0
-    return 2.0 * num / tau ** 2
+def _horner(coeffs, tau: complex) -> complex:
+    out = 0j
+    for c in reversed(coeffs):
+        out = out * tau + c
+    return out
 
 
 def _h0(tau: complex) -> complex:
-    return _h0_series(tau) if abs(tau) < _TAYLOR_RADIUS else _h0_direct(tau)
-
-
-def _h1_series(tau: complex) -> complex:
-    return sum(6.0 * (i + 1) / math.factorial(i + 3) * tau ** i for i in range(12))
-
-
-def _h1_direct(tau: complex) -> complex:
-    r = _expm1_tail(tau)
-    num = (tau - 2.0) * r + tau ** 3 / 2.0
-    return 6.0 * num / tau ** 3
+    if abs(tau) < 1.0:
+        return _horner(_H0_SERIES, tau)
+    return 2.0 * (cmath.exp(tau) * (tau - 1.0) + 1.0) / tau ** 2
 
 
 def _h1(tau: complex) -> complex:
-    return _h1_series(tau) if abs(tau) < _TAYLOR_RADIUS else _h1_direct(tau)
+    if abs(tau) < 1.0:
+        return _horner(_H1_SERIES, tau)
+    return 6.0 * (cmath.exp(tau) * (tau - 2.0) + tau + 2.0) / tau ** 3
 
 
 def h_limit(ell: float, tau: complex) -> complex:
@@ -259,7 +231,7 @@ def scaling_predictor(emap: ExteriorMap, theta: float, a: complex, b: complex,
     if ra == 0 or rb == 0:
         return None
     if ra < 0 and rb < 0:
-        return _h0(arg) if arg != 0 else 1.0 + 0j
+        return _h0(arg)
     return 0.0 + 0j
 
 

@@ -75,10 +75,10 @@ def interior_gram(basis: FaberBasis) -> np.ndarray:
 def exterior_gram(basis: FaberBasis, s: float) -> np.ndarray:
     """int_O F_j conj(F_k) |Phi|^{-2s} dA, summed over the Laurent modes."""
     n_max = basis.n_max
-    if not np.isfinite(s):
+    if s == np.inf:
         return np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    if s < n_max + 2:
-        raise ValueError(f"s={s} too small: need s >= n_max + 2 = {n_max + 2}")
+    if not s >= n_max + 2:
+        raise ValueError(f"s={s}: need s >= n_max + 2 = {n_max + 2} or s = inf")
     # F_n(phi) phi' = w^n + O(1/w): powers above n_max carry no coefficient
     outer = basis.outer_series_all()[:, : basis.offset + n_max + 1]
     powers = np.arange(outer.shape[1]) - basis.offset

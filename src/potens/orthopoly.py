@@ -166,23 +166,6 @@ def kappa_error_model(n: int, p: int | None = None, alpha: float | None = None,
     return float(n) ** (-2 * (p + alpha))
 
 
-@dataclass(frozen=True)
-class AsymptoticPrediction:
-    kappa_pred: float
-    exterior_value_pred: complex
-    sigma: float
-
-
-def predict(n: int, s: float, emap: ExteriorMap, z: complex,
-            analytic_rho: float | None = None) -> AsymptoticPrediction:
-    rho = analytic_rho
-    if rho is None:
-        rho = emap.univalence_radius
-    sigma = 0.0 if rho == 0 else rho ** n
-    return AsymptoticPrediction(kappa_asymptotic(n, s, emap),
-                                exterior_asymptotic(n, s, emap, z), sigma)
-
-
 # -- closed forms ----------------------------------------------------------------
 
 @dataclass(frozen=True)

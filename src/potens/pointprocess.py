@@ -78,33 +78,6 @@ class RadialHistogram:
     n_configs: int
 
 
-@dataclass(frozen=True)
-class CorrelationRequest:
-    """A correlation-function query: finite-N determinantal or scaled limit."""
-
-    order: int
-    points: tuple
-    N: int = 0
-    s: float = float("inf")
-    scaled: bool = False
-    ell: float = 0.0
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if len(self.points) != self.order:
-            raise ValueError("order must match the number of points")
-
-
-def correlation(request: CorrelationRequest, polys: OrthoPolySet | None = None,
-                emap: ExteriorMap | None = None) -> float:
-    """Dispatch a CorrelationRequest to the finite-N or scaled evaluator."""
-    if request.scaled:
-        return scaled_corr(request.ell, request.points, emap, request.theta)
-    if polys is None:
-        raise ValueError("finite-N correlations need the orthonormal polynomials")
-    return corr_fn(polys, request.N, request.points)
-
-
 def corr_fn(polys: OrthoPolySet, N: int, points) -> float:
     """n-point correlation det[K~(x_i, x_j)]; nonnegative up to rounding."""
     pts = np.asarray(points, dtype=complex).ravel()

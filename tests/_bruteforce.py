@@ -8,6 +8,8 @@ disk kernel gap from exact rational arithmetic.  The Faber-basis Gram
 oracle (gram_quadrature) reads the same Laurent series as the library but
 integrates them by sampling: a trapezoidal rule in the angle times a
 Gauss-Jacobi rule in the radius, instead of the library's exact mode sums.
+The boundary-limit oracles (h_limit_mp, kernel_sum_mp) evaluate the kernel
+formulas in mpmath at 50 correct digits.
 """
 
 import math
@@ -198,3 +200,32 @@ def gram_quadrature(basis, s: float, n_ang: int | None = None,
     """m[k, j] = <F_j, F_k> under P_K^{-2s} by the tensor quadrature above;
     the default node counts clear the bandwidth of finite Laurent maps."""
     return interior_quadrature(basis, n_ang) + exterior_quadrature(basis, s, n_ang, n_rad)
+
+
+def h_limit_mp(ell, tau) -> complex:
+    """H_ell(tau) from the closed forms of H_0 and H_1 in mpmath.
+
+    At small |tau| the numerators cancel about 3 |log10 |tau|| digits (H_1
+    starts at order tau^3), so 100 working digits keep at least 50 correct
+    down to |tau| = 1e-16.
+    """
+    import mpmath
+
+    with mpmath.workdps(100):
+        t = mpmath.mpc(tau)
+        l = mpmath.mpf(ell)
+        e = mpmath.exp(t)
+        h0 = 2 * (e * (t - 1) + 1) / t ** 2
+        h1 = 6 * (e * (t - 2) + t + 2) / t ** 3
+        return complex((3 - 3 * l) / (3 - 2 * l) * h0 + l / (3 - 2 * l) * h1)
+
+
+def kernel_sum_mp(N: int, s, up) -> complex:
+    """sum_{n<N} ((n+1) - (n+1)^2/s) up^n at 50 digits (s may be inf); up is
+    converted exactly."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        x = mpmath.mpc(up)
+        sinv = 0 if math.isinf(s) else 1 / mpmath.mpf(s)
+        return complex(mpmath.fsum(((n + 1) - (n + 1) ** 2 * sinv) * x ** n for n in range(N)))

@@ -144,7 +144,7 @@ def test_byte_identical_reruns(tmp_path):
 
 def test_config_round_trip(tmp_path):
     text = ("domain=kind=ellipse q=0.5\n" "N=4,8\n" "nmax=8\n" "srule=cn\n" "s=2\n"
-            "theta=0\n" "a=0.3+0.2i\n" "b=-0.1\n" "seed=3\n" "tol=1e-11\n")
+            "theta=0\n" "a=0.3+0.2i\n" "b=-0.1\n" "seed=3\n")
     cfg = cli.config_from_text(text)
     again = cli.config_from_text(cli.config_to_text(cfg))
     assert again == cfg
@@ -156,6 +156,26 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     code, out = run_cli(["poly", "--config", str(cfgfile), "--nmax", "2"], capsys)
     assert code == 0
     assert len(out.strip().splitlines()) == 1 + 3  # header + degrees 0..2
+
+
+def test_config_file_unknown_key_exits_2(tmp_path, capsys):
+    # a config file passes the same key check as config_from_text
+    cfgfile = tmp_path / "study.cfg"
+    cfgfile.write_text("domain=disk\nnmax=2\ns=25\nbogus=1\n")
+    with pytest.raises(cli.ConfigError):
+        cli.config_from_text(cfgfile.read_text())
+    assert cli.main(["poly", "--config", str(cfgfile)]) == 2
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_theta_is_one_angle_and_dead_flags_are_gone(capsys):
+    args = ["scaling", "--domain", "disk", "--N", "10", "--s", "20", "--a", "0.3"]
+    assert cli.main(args + ["--theta", "0.5"]) == 0
+    assert cli.main(args + ["--theta", "0,0.5"]) == 2
+    for flag in ("--tol", "--count"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + [flag, "1"])
+        assert exc.value.code == 2
 
 
 def test_exit_code_config_error(capsys):
@@ -180,4 +200,7 @@ def test_exit_code_nonconvergence(monkeypatch, capsys):
 def test_invalid_pairs_rejected_at_parse():
     with pytest.raises(cli.ConfigError):
         cli.config_from_pairs({"domain": "disk", "N": "30", "s": "20"})
+    for bad in ("nan", "-inf"):
+        with pytest.raises(cli.ConfigError):
+            cli.config_from_pairs({"domain": "disk", "N": "3", "s": bad})
     cli.config_from_pairs({"domain": "disk", "N": "19", "s": "20"})  # boundary case ok

@@ -5,10 +5,8 @@ import pytest
 
 from potens.geometry import phi_eval
 from potens.kernels import (
-    _h0_direct,
-    _h0_series,
-    _h1_direct,
-    _h1_series,
+    _h0,
+    _h1,
     bergman_kernel,
     boundary_diag_asymptotic,
     christoffel_check,
@@ -25,6 +23,8 @@ from potens.kernels import (
 )
 from potens.moments import moments
 from potens.orthopoly import orthonormalize
+
+from _bruteforce import h_limit_mp, kernel_sum_mp
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ def test_kernel_asymptotic_closed_form_vs_sum(disk, ellipse_half):
 
 
 def test_kernel_asymptotic_diagonal_switch(disk):
-    # u-product within 1e-8 of 1 switches to the stable sum branch
+    # u-product within 1e-10 of 1: the sum has no 0/0 to resolve
     z = 1.0 + 0j
     u = (1.0 + 1e-10) + 0j
     val = kernel_asymptotic(disk, 10, 20.0, z, u)
@@ -103,6 +103,20 @@ def test_kernel_asymptotic_diagonal_switch(disk):
 def test_kernel_asymptotic_rejects_interior(disk):
     with pytest.raises(ValueError):
         kernel_asymptotic(disk, 5, 20.0, 0.2, 1.0)
+
+
+@pytest.mark.parametrize("s", [100.0, np.inf])
+def test_kernel_asymptotic_near_diagonal_sweep(disk, s):
+    # |1 - up| from 1e-12 to 1, where a geometric closed form would divide by
+    # (1 - up)^3; z = 1 makes up = conj(u) exact, and every direction keeps
+    # |u| >= 1 so u stays on the closure of the exterior
+    N = 50
+    for g in np.logspace(-12, 0, 25):
+        for alpha in np.linspace(0.5, 1.5, 5) * np.pi:
+            u = np.conj(1.0 - g * np.exp(1j * alpha))
+            val = kernel_asymptotic(disk, N, s, 1.0, u)
+            ref = kernel_sum_mp(N, s, np.conj(u)) / math.pi
+            assert abs(val - ref) <= 1e-14 * abs(ref), (g, alpha)
 
 
 def test_boundary_asymptotics_vs_pipeline_on_ellipse(ellipse_half):
@@ -169,10 +183,21 @@ def test_h_limit_values():
 
 
 def test_h_branch_agreement_at_crossover():
-    taus = [1e-4, 1e-4j, -1e-4, 1e-4 * np.exp(0.77j), 1e-4 * np.exp(2.3j)]
-    for t in taus:
-        assert abs(_h0_series(t) - _h0_direct(t)) <= 1e-12
-        assert abs(_h1_series(t) - _h1_direct(t)) <= 1e-12
+    # both sides of the |tau| = 1 switch between series and closed form
+    for r in (1 - 1e-9, 1.0, 1 + 1e-9):
+        for t in r * np.exp(2j * np.pi * np.arange(24) / 24):
+            assert abs(_h0(t) - h_limit_mp(0.0, t)) <= 1e-14 * abs(h_limit_mp(0.0, t))
+            assert abs(_h1(t) - h_limit_mp(1.0, t)) <= 1e-14 * abs(h_limit_mp(1.0, t))
+
+
+def test_h_limit_sweep_against_mpmath():
+    # |tau| = 10^(k/2), k = -28..4, which puts 1 and a point on each side of
+    # the series/closed-form switch into the sweep
+    directions = np.exp(2j * np.pi * np.arange(24) / 24)
+    for ell in (0.0, 0.5, 1.0):
+        for t in (m * d for m in np.logspace(-14, 2, 33) for d in directions):
+            ref = h_limit_mp(ell, t)
+            assert abs(h_limit(ell, t) - ref) <= 1e-14 * abs(ref), (ell, t)
 
 
 def test_tau_and_omega(disk, ellipse_half):

@@ -72,6 +72,13 @@ def test_s_too_small_rejected(disk):
         moments(disk, 10, 11.0)
 
 
+@pytest.mark.parametrize("s", [float("nan"), -np.inf])
+def test_non_finite_s_other_than_inf_rejected(disk, s):
+    # only s = +inf means the interior-only weight
+    with pytest.raises(ValueError):
+        moments(disk, 2, s)
+
+
 def test_node_doubling_stability(disk, ellipse_half, custom_map):
     # the exact sums agree with the sampled tensor rule at 256 and 512 nodes
     for emap in (disk, ellipse_half, custom_map):

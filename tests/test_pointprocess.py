@@ -154,18 +154,6 @@ def test_expected_count_outside():
     assert expected_count_outside(8, 12.0) == pytest.approx(3.0)
 
 
-def test_correlation_request_dispatch(polys_4_6):
-    from potens.pointprocess import CorrelationRequest, correlation
-    req = CorrelationRequest(order=1, points=(0.0,), N=4, s=6.0)
-    assert correlation(req, polys=polys_4_6) == pytest.approx(corr_fn(polys_4_6, 4, [0.0]))
-    scaled = CorrelationRequest(order=2, points=(0.3, -0.1), scaled=True, ell=0.5)
-    assert correlation(scaled) == pytest.approx(r2_limit(0.5, 0.3, -0.1))
-    with pytest.raises(ValueError):
-        CorrelationRequest(order=2, points=(0.3,))
-    with pytest.raises(ValueError):
-        correlation(req)
-
-
 def test_csv_exports(tmp_path):
     from potens.pointprocess import export_configuration_csv, export_histogram_csv
     conf = sample_disk(3, 5.0, 11)
