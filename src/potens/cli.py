@@ -381,8 +381,11 @@ def main(argv=None) -> int:
     try:
         pairs = {}
         if ns.config:
-            with open(ns.config) as fh:
-                pairs = _pairs_from_text(fh.read())
+            try:
+                with open(ns.config) as fh:
+                    pairs = _pairs_from_text(fh.read())
+            except OSError as exc:
+                raise ConfigError(f"cannot read config file: {exc}") from exc
         pairs.update(_namespace_pairs(ns))
         cfg = config_from_pairs(pairs)
     except ConfigError as exc:

@@ -6,10 +6,11 @@ numerical non-convergence with 3.
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative or quadrature procedure failed to stabilize.
+    """A numerical result failed to stabilize or missed its accuracy contract.
 
-    Attributes carry the evidence: ``last`` holds the final iterate (Newton
-    inversion) and ``estimates`` the last two quadrature estimates.
+    Attributes carry the evidence: ``last`` holds the rejected root of the
+    exterior-map inversion and ``estimates`` the rejected values (the
+    interior Gram matrix that lost Hermitian symmetry).
     """
 
     def __init__(self, message, last=None, estimates=None):

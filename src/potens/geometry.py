@@ -11,14 +11,15 @@ capacity of K.  The exponentiated equilibrium potential is then simply
 max(1, |Phi(z)|): identically 1 on K and growing like |z|/cap far away.
 
 Restricting boundaries to finite Laurent tails keeps every curve analytic by
-construction and makes univalence checkable on a grid.
+construction, makes univalence checkable on a grid, and turns phi(w) = z
+into a polynomial equation of degree m + 1, so Phi needs no iteration.
 """
 
 from __future__ import annotations
 
-import math
+import cmath
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,14 +38,11 @@ _DOMAIN_CHECK_SLACK = 1e-12
 class ExteriorMap:
     """Laurent data of phi, the conformal map from {|w|>1} onto ext(K).
 
-    ``laurent_coeffs`` stores (c_0, c_1, ..., c_m).  ``univalence_radius``
-    bounds from below the circle past which the Laurent extension of phi may
-    stop being univalent (0 for the disk, sqrt(q) for the ellipse family).
+    ``laurent_coeffs`` stores (c_0, c_1, ..., c_m).
     """
 
     cap: float
     laurent_coeffs: tuple
-    univalence_radius: float = field(default=-1.0)
 
     def __post_init__(self):
         if not (self.cap > 0):
@@ -56,10 +54,6 @@ class ExteriorMap:
         if not coeffs:
             coeffs = (0j,)
         object.__setattr__(self, "laurent_coeffs", coeffs)
-        if self.univalence_radius < 0:
-            object.__setattr__(self, "univalence_radius", _default_univalence_radius(self.cap, coeffs))
-        if not (0 <= self.univalence_radius < 1):
-            raise ValueError("univalence_radius must lie in [0, 1)")
 
     @property
     def tail_length(self) -> int:
@@ -132,39 +126,16 @@ class ExteriorMap:
                 raise ValueError("phi' vanishes on |w| >= 1: map is not conformal")
 
 
-def _default_univalence_radius(cap, coeffs):
-    # smallest r with sum_k k|c_k| r^{-k-1} = cap; below it phi' may vanish
-    tail = [abs(c) for c in coeffs[1:]]
-    if not any(tail):
-        return 0.0
-
-    def excess(r):
-        return sum(k * a / r ** (k + 1) for k, a in enumerate(tail, start=1)) - cap
-
-    if excess(1.0) >= 0:
-        # phi' has no guaranteed margin even at the unit circle; validate()
-        # decides whether the map is usable, here we only need a bound < 1
-        return 1.0 - 1e-12
-    lo, hi = 1e-9, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def disk_map() -> ExteriorMap:
     """Exterior map of the closed unit disk: the identity."""
-    return ExteriorMap(1.0, (0j,), 0.0)
+    return ExteriorMap(1.0, (0j,))
 
 
 def ellipse_map(q: float) -> ExteriorMap:
     """phi(w) = w + q/w; interpolates between the disk (q=0) and [-2,2] (q->1)."""
     if not (0 <= q < 1):
         raise ValueError("ellipse parameter q must lie in [0, 1)")
-    return ExteriorMap(1.0, (0j, complex(q)), math.sqrt(q))
+    return ExteriorMap(1.0, (0j, complex(q)))
 
 
 @dataclass(frozen=True)
@@ -265,75 +236,38 @@ def phi_prime_eval(emap: ExteriorMap, w: complex) -> complex:
     return complex(emap.phi_prime(complex(w)))
 
 
-def _winding_number(emap: ExteriorMap, z: complex, n_nodes: int = 512):
-    """Winding of the boundary curve around z; 1 inside, 0 outside, None if
-    z is too close to the curve to classify."""
-    tau = np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
-    vals = emap._phi_raw(tau)
-    if np.min(np.abs(vals - z)) < 1e-8 * (1.0 + abs(z)):
-        return None
-    wind = np.mean(tau * emap._phi_prime_raw(tau) / (vals - z))
-    return int(round(wind.real))
+def big_phi_eval(emap: ExteriorMap, z: complex):
+    """Invert phi as the root of a polynomial.
 
-
-def big_phi_eval(emap: ExteriorMap, z: complex, max_iter: int = 64, tol: float = BOUNDARY_TOL):
-    """Invert phi by damped Newton iteration.
-
-    Returns w = Phi(z) when z lies on or outside the boundary (|w| >= 1 - tol,
-    residual |phi(w) - z| <= 1e-12 (1+|z|)), the string ``"inside"`` when the
-    iteration converges to |w| < 1 - tol, and raises ConvergenceError (with
-    the last iterate attached) when z cannot be resolved.  Deep interior
-    points whose preimage falls below the pole-protection floor are settled
-    by a winding-number check of the boundary curve instead.
+    Multiplying phi(w) = z by w^m gives cap w^{m+1} + (c_0 - z) w^m + c_1
+    w^{m-1} + ... + c_m = 0.  phi is univalent on |w| > 1, so when z lies on
+    or outside the boundary exactly one root has |w| >= 1 and it is Phi(z);
+    when z lies inside K no root does.  Returns w = Phi(z) (residual
+    |phi(w) - z| <= 1e-12 (1+|z|)) or the string ``"inside"`` when the
+    largest root has |w| < 1 - BOUNDARY_TOL.  Raises ValueError for a
+    non-finite z or when two roots reach the closed exterior (phi is not
+    univalent), and ConvergenceError, with the root attached, when the
+    residual contract fails.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"Phi is defined for finite z only, got {z!r}")
     if emap.tail_length == 0:
         # phi is affine; invert exactly
         w = (z - emap.laurent_coeffs[0]) / emap.cap
-        return INSIDE if abs(w) < 1 - tol else w
-    target = 1e-12 * (1.0 + abs(z))
-    floor = max(1e-3, 0.5 * emap.univalence_radius)
-    base = z / emap.cap
-    starts = [
-        base * (1 + 1e-8j) if abs(base) > floor else floor * (1 + 1j),
-        1.25 * np.exp(1j * (np.angle(base) + 0.3)) * max(1.0, abs(base)),
-        0.9j,
-        -0.9j,
-        2.0,
-    ]
-    last = None
-    for w0 in starts:
-        w = complex(w0)
-        stalls = 0
-        for _ in range(max_iter):
-            if abs(w) < floor:
-                w = w * (floor / abs(w)) if abs(w) > 0 else complex(floor)
-                stalls += 1
-                if stalls > 3:
-                    break
-            f = complex(emap._phi_raw(np.asarray(w, dtype=complex))) - z
-            if abs(f) <= target:
-                if abs(w) < 1 - tol:
-                    return INSIDE
-                return w
-            fp = complex(emap._phi_prime_raw(np.asarray(w, dtype=complex)))
-            if abs(fp) < 1e-14:
-                w = w * (1 + 1e-3 + 1e-3j)
-                continue
-            step = f / fp
-            # damp so the iterate cannot crash into the Laurent pole at 0
-            for _ in range(60):
-                if abs(w - step) >= floor:
-                    break
-                step *= 0.5
-            w = w - step
-        last = w
-    wind = _winding_number(emap, z)
-    if wind == 1:
+        return INSIDE if abs(w) < 1 - BOUNDARY_TOL else w
+    c = emap.laurent_coeffs
+    roots = np.roots((emap.cap, c[0] - z) + c[1:])
+    roots = roots[np.argsort(np.abs(roots))]
+    w = complex(roots[-1])
+    if abs(w) < 1 - BOUNDARY_TOL:
         return INSIDE
-    raise ConvergenceError(
-        f"Newton inversion of phi did not converge at z={z!r}", last=last
-    )
+    if abs(roots[-2]) >= 1 - BOUNDARY_TOL:
+        raise ValueError(f"phi is not univalent: phi(w) = {z!r} has roots {roots.tolist()} "
+                         "on or outside the unit circle")
+    if abs(complex(emap._phi_raw(np.asarray(w))) - z) > 1e-12 * (1.0 + abs(z)):
+        raise ConvergenceError(f"inversion of phi missed the residual contract at z={z!r}", last=w)
+    return w
 
 
 def equilibrium_potential(emap: ExteriorMap, z: complex) -> float:

@@ -9,7 +9,9 @@ oracle (gram_quadrature) reads the same Laurent series as the library but
 integrates them by sampling: a trapezoidal rule in the angle times a
 Gauss-Jacobi rule in the radius, instead of the library's exact mode sums.
 The boundary-limit oracles (h_limit_mp, kernel_sum_mp) evaluate the kernel
-formulas in mpmath at 50 correct digits.
+formulas in mpmath at 50 correct digits.  The inside test of the exterior-map
+inversion is checked against the winding number of the boundary curve
+(winding_number), a trapezoidal contour integral instead of a polynomial root.
 """
 
 import math
@@ -229,3 +231,25 @@ def kernel_sum_mp(N: int, s, up) -> complex:
         x = mpmath.mpc(up)
         sinv = 0 if math.isinf(s) else 1 / mpmath.mpf(s)
         return complex(mpmath.fsum(((n + 1) - (n + 1) ** 2 * sinv) * x ** n for n in range(N)))
+
+
+def winding_number(emap: ExteriorMap, z: complex, n_nodes: int = 512):
+    """Winding of the boundary curve around z; 1 inside, 0 outside.
+
+    The argument principle oint phi'(w) / (phi(w) - z) dw / (2 pi i) is
+    summed by the trapezoidal rule on n_nodes and on 2 n_nodes points of
+    |w| = 1.  Returns None, undecided, when z lies within 1e-8 (1+|z|) of a
+    node or the two sums are not both within 1e-6 of the same integer,
+    which is what happens near the curve.
+    """
+    sums = []
+    for n in (n_nodes, 2 * n_nodes):
+        tau = np.exp(2j * np.pi * np.arange(n) / n)
+        vals = emap._phi_raw(tau)
+        if np.min(np.abs(vals - z)) < 1e-8 * (1.0 + abs(z)):
+            return None
+        sums.append(np.mean(tau * emap._phi_prime_raw(tau) / (vals - z)))
+    wind = round(sums[0].real)
+    if any(abs(v - wind) > 1e-6 for v in sums):
+        return None
+    return int(wind)

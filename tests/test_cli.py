@@ -101,6 +101,21 @@ def test_gap_general_domain_term_decay(capsys):
     assert "radial_oracle" not in out
 
 
+def test_gap_conjugate_centers_agree_on_thin_ellipse(capsys):
+    # the ellipse is symmetric under conjugation, so centers +-0.3i give the
+    # same gap probability; near the flat sides Phi must not take the root
+    # q/w inside the unit disk for the exterior one
+    values = []
+    for center in ("-0.3i", "0.3i"):
+        code, out = run_cli(["gap", "--domain", "ellipse", "--q", "0.9", "--N", "6",
+                             "--s", "12", "--radius", "0.25", "--nodes-radial", "12",
+                             "--nodes-angular", "32", f"--center={center}"], capsys)
+        assert code == 0
+        values += [float(l.split(",")[2]) for l in out.splitlines() if l.startswith("value,")]
+    assert len(values) == 2
+    assert values[0] == pytest.approx(values[1], rel=1e-12)
+
+
 def test_node_flags_reach_gap_region_only(capsys):
     # the node flags size the gap-region quadrature; the moment table ignores them
     code = cli.main(["gap", "--domain", "ellipse", "--q", "0.5", "--N", "20", "--s", "40",
@@ -166,6 +181,13 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
         cli.config_from_text(cfgfile.read_text())
     assert cli.main(["poly", "--config", str(cfgfile)]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    code = cli.main(["poly", "--config", str(tmp_path / "missing.cfg")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "missing.cfg" in err
 
 
 def test_theta_is_one_angle_and_dead_flags_are_gone(capsys):

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potens.errors import ConvergenceError
 from potens.geometry import (
@@ -19,6 +21,9 @@ from potens.geometry import (
     phi_eval,
     phi_prime_eval,
 )
+
+from _bruteforce import winding_number
+from test_moments import _random_maps
 
 
 def test_phi_eval_examples(ellipse_half, disk):
@@ -44,6 +49,8 @@ def test_big_phi_examples(disk, ellipse_half):
     assert big_phi_eval(disk, 3) == pytest.approx(3)
     assert big_phi_eval(ellipse_half, 1.5) == pytest.approx(1)
     assert big_phi_eval(ellipse_half, 0) == INSIDE
+    # just inside the curve the largest root has |w| = 1 - 3e-6
+    assert big_phi_eval(ellipse_half, 1.5 * (1 - 1e-6)) == INSIDE
     assert big_phi_eval(disk, 0) == INSIDE
 
 
@@ -56,7 +63,7 @@ def test_big_phi_residual_contract(custom_map):
 def test_round_trip_grid(ellipse_half, custom_map):
     thetas = 2 * np.pi * np.arange(64) / 64
     radii = np.array([1.0, 1.05, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0])
-    for emap in (ellipse_half, custom_map):
+    for emap in (ellipse_half, custom_map, ellipse_map(0.9)):
         for r in radii:
             for t in thetas:
                 w = r * np.exp(1j * t)
@@ -67,11 +74,12 @@ def test_round_trip_grid(ellipse_half, custom_map):
 
 def test_boundary_modulus_one(ellipse_half, custom_map):
     thetas = 2 * np.pi * np.arange(64) / 64
-    for emap in (ellipse_half, custom_map):
+    for emap in (ellipse_half, custom_map, ellipse_map(0.9)):
         z = emap.boundary_point(thetas)
         for zz in z:
             w = big_phi_eval(emap, zz)
-            assert w == INSIDE or abs(abs(w) - 1) < 1e-10
+            assert w != INSIDE
+            assert abs(abs(w) - 1) < 1e-12
 
 
 def test_equilibrium_potential(disk, ellipse_half, custom_map):
@@ -83,6 +91,10 @@ def test_equilibrium_potential(disk, ellipse_half, custom_map):
             assert equilibrium_potential(emap, complex(emap.boundary_point(t))) == pytest.approx(1.0, abs=1e-9)
         for z in (0.1 + 0.2j, 3.0, -2.5j, 0.0):
             assert equilibrium_potential(emap, z) >= 1.0
+    # z = phi(-1.05i) on the thin ellipse also has the root q/w inside the
+    # unit disk; P_K must come from the exterior root
+    thin = ellipse_map(0.9)
+    assert equilibrium_potential(thin, phi_eval(thin, -1.05j)) == pytest.approx(1.05, rel=1e-14)
 
 
 def test_potential_growth_at_infinity(disk, ellipse_half):
@@ -106,10 +118,59 @@ def test_invalid_maps_rejected():
         ExteriorMap(1.0, (0j, 2.0)).validate()  # phi' vanishes at |w| = sqrt(2)
 
 
-def test_newton_failure_carries_last_iterate(ellipse_half):
+def test_newton_failure_carries_last_iterate(ellipse_half, monkeypatch):
+    # a root that misses the residual contract is reported, not returned
+    true_roots = np.roots
+    returned = []
+
+    def perturbed(coeffs):
+        roots = true_roots(coeffs)
+        k = np.argmax(np.abs(roots))
+        roots[k] *= 1 + 1e-6
+        returned.append(complex(roots[k]))
+        return roots
+
+    monkeypatch.setattr(np, "roots", perturbed)
     with pytest.raises(ConvergenceError) as info:
-        big_phi_eval(ellipse_half, 5.0, max_iter=1)
-    assert info.value.last is not None
+        big_phi_eval(ellipse_half, 5.0)
+    assert returned and info.value.last == returned[-1]
+    assert abs(info.value.last - (2.5 + np.sqrt(5.75))) > 1e-6
+
+
+@pytest.mark.parametrize("z", [complex("inf"), complex("-inf"), complex("nan"),
+                               complex(1.0, float("inf")), complex(0.5, float("nan"))])
+def test_big_phi_rejects_non_finite(disk, ellipse_half, z):
+    for emap in (disk, ellipse_half):
+        with pytest.raises(ValueError):
+            big_phi_eval(emap, z)
+        with pytest.raises(ValueError):
+            equilibrium_potential(emap, z)
+
+
+def test_big_phi_rejects_non_univalent_map():
+    # phi(w) = w + 2/w skips validate(); phi(1) = phi(2) = 3
+    emap = ExteriorMap(1.0, (0j, 2.0))
+    with pytest.raises(ValueError, match="not univalent"):
+        big_phi_eval(emap, 3.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(emap=_random_maps(), r=st.floats(1.0, 4.0), t=st.floats(0.0, 2 * np.pi),
+       x=st.floats(-2.5, 2.5), y=st.floats(-2.5, 2.5))
+def test_inversion_on_random_maps(emap, r, t, x, y):
+    # exterior points phi(r e^{it}) round-trip
+    w = r * np.exp(1j * t)
+    z = phi_eval(emap, w)
+    back = big_phi_eval(emap, z)
+    assert back != INSIDE
+    assert abs(back - w) <= 1e-10 * r
+    assert abs(phi_eval(emap, back) - z) <= 1e-12 * (1 + abs(z))
+    # a point of the box around K is INSIDE exactly when the boundary curve
+    # winds around it, wherever the quadrature oracle can decide
+    z = emap.laurent_coeffs[0] + emap.cap * complex(x, y)
+    wind = winding_number(emap, z)
+    if wind is not None:
+        assert (big_phi_eval(emap, z) == INSIDE) == (wind == 1)
 
 
 def test_maps_are_immutable(disk):

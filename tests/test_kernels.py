@@ -75,24 +75,26 @@ def test_disk_diagonal_asymptotic_is_exact(disk, disk_polys):
     assert exact == pytest.approx(boundary_diag_asymptotic(disk, 10, 20.0, 0.0), rel=1e-13)
 
 
-def test_kernel_asymptotic_closed_form_vs_sum(disk, ellipse_half):
+def test_kernel_asymptotic_vs_pipeline_and_conformal_transfer(disk, ellipse_half):
     from potens.geometry import phi_prime_eval
-    for emap in (disk, ellipse_half):
-        for s in (20.0, np.inf):
-            for N in (5, 10):
-                wz, wu = 1.05 * np.exp(0.3j), 1.02 * np.exp(0.55j)
-                z, u = phi_eval(emap, wz), phi_eval(emap, wu)
-                up = wz * np.conj(wu)
-                n = np.arange(N)
-                sinv = 0.0 if not np.isfinite(s) else 1.0 / s
-                dz = 1 / phi_prime_eval(emap, wz)
-                du = 1 / phi_prime_eval(emap, wu)
-                direct = dz * np.conj(du) / math.pi * np.sum(((n + 1) - sinv * (n + 1) ** 2) * up ** n)
-                val = kernel_asymptotic(emap, N, s, z, u)
-                assert abs(val - direct) < 1e-12 * max(1.0, abs(direct))
+    wz, wu = 1.05 * np.exp(0.3j), 1.02 * np.exp(0.55j)
+    for s in (20.0, np.inf):
+        for N in (5, 10):
+            # on the disk the N-term sum is the finite kernel itself, since
+            # ||z^n||^2 = pi (1/(n+1) + 1/(s-n-1)) under |z|^{-2s} outside
+            exact = kernel_sum(orthonormalize(moments(disk, N - 1, s)), N, wz, wu)
+            val = kernel_asymptotic(disk, N, s, wz, wu)
+            assert abs(val - exact) <= 1e-12 * abs(exact)
+            # on the ellipse it is the disk sum at (Phi(z), Phi(u)) over
+            # phi'(Phi(z)) conj(phi'(Phi(u)))
+            z, u = phi_eval(ellipse_half, wz), phi_eval(ellipse_half, wu)
+            val = (kernel_asymptotic(ellipse_half, N, s, z, u)
+                   * phi_prime_eval(ellipse_half, wz) * np.conj(phi_prime_eval(ellipse_half, wu)))
+            ref = kernel_asymptotic(disk, N, s, wz, wu)
+            assert abs(val - ref) <= 1e-12 * abs(ref)
 
 
-def test_kernel_asymptotic_diagonal_switch(disk):
+def test_kernel_asymptotic_next_to_diagonal(disk):
     # u-product within 1e-10 of 1: the sum has no 0/0 to resolve
     z = 1.0 + 0j
     u = (1.0 + 1e-10) + 0j
