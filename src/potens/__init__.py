@@ -26,7 +26,7 @@ from .geometry import (
     phi_eval,
     phi_prime_eval,
 )
-from .faber import FaberBasis, FaberPolynomial, RemainderEval, faber_all, faber_oracle_coeffs, remainder_eval
+from .faber import FaberBasis, FaberPolynomial, RemainderEval, faber_all, remainder_eval
 from .moments import (
     EpsilonTable,
     MomentTable,
@@ -44,7 +44,6 @@ from .orthopoly import (
     kappa_asymptotic,
     kappa_error_model,
     orthonormalize,
-    orthopoly_det,
     sigma_model,
 )
 from .kernels import (

@@ -194,40 +194,6 @@ def faber_all(emap: ExteriorMap, n_max: int) -> list[FaberPolynomial]:
     return FaberBasis(emap, n_max).polynomials()
 
 
-def faber_oracle_coeffs(emap: ExteriorMap, n: int, n_nodes: int = 1024, radius: float = 2.0) -> np.ndarray:
-    """Independent brute-force coefficients of F_n; test oracle only.
-
-    Expands w^n / phi'(w) on |w| = radius by trapezoidal Fourier inversion and
-    solves for the combination of powers of phi matching all nonnegative
-    Laurent powers of w.  The negative-power mismatch is exactly the
-    remainder term, which never enters the solve.
-    """
-    theta = 2 * np.pi * np.arange(n_nodes) / n_nodes
-    w = radius * np.exp(1j * theta)
-    g = w ** n / emap._phi_prime_raw(w)
-    hat = np.fft.fft(g) / n_nodes
-    # Laurent coefficient of w^p with |p| < n_nodes/2
-    lau = np.array([hat[p % n_nodes] * radius ** (-p) for p in range(n + 1)])
-
-    m = emap.tail_length
-    # coefficient table of phi^j, exact polynomial algebra in w
-    powmat = np.zeros((n + 1, n + 1), dtype=complex)  # [p, j]
-    phi_ser = {1: complex(emap.cap), 0: complex(emap.laurent_coeffs[0])}
-    for k in range(1, m + 1):
-        phi_ser[-k] = complex(emap.laurent_coeffs[k])
-    cur = {0: 1.0 + 0j}
-    for j in range(n + 1):
-        for p, v in cur.items():
-            if 0 <= p <= n:
-                powmat[p, j] = v
-        nxt = {}
-        for p, v in cur.items():
-            for dq, cv in phi_ser.items():
-                nxt[p + dq] = nxt.get(p + dq, 0) + v * cv
-        cur = nxt
-    return np.linalg.solve(powmat, lau)
-
-
 def remainder_eval(emap: ExteriorMap, basis: FaberBasis, n: int, z: complex) -> RemainderEval:
     """E_n(z) for z on or outside the boundary.
 

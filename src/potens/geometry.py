@@ -45,9 +45,12 @@ class ExteriorMap:
     laurent_coeffs: tuple
 
     def __post_init__(self):
-        if not (self.cap > 0):
-            raise ValueError("capacity (leading Laurent coefficient) must be positive")
+        if not (self.cap > 0 and cmath.isfinite(self.cap)):
+            raise ValueError(f"capacity (leading Laurent coefficient) must be positive and finite, "
+                             f"got {self.cap!r}")
         coeffs = tuple(complex(c) for c in self.laurent_coeffs)
+        if not all(cmath.isfinite(c) for c in coeffs):
+            raise ValueError(f"Laurent coefficients must be finite, got {coeffs!r}")
         # normalize: keep c_0, trim trailing zero tail coefficients
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]

@@ -291,8 +291,9 @@ def christoffel_check(polys: OrthoPolySet, N: int, z: complex,
 def reproducing_check(polys: OrthoPolySet, N: int, p_mono: np.ndarray, z: complex) -> float:
     """Residual |p(z) - int p(u) K(z,u) w(u) dA(u)| for deg p < N.
 
-    The integral is evaluated through the module's own quadrature (the moment
-    table), so the residual measures the orthonormality error of the pipeline.
+    The integral is the inner product of the moment table, whose entries are
+    exact Laurent-coefficient sums, so the residual measures how far the
+    orthonormalized coefficients are from orthonormal against that table.
     """
     _check_order(polys, N)
     if len(p_mono) > N:

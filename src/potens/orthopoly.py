@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotCoveredError
 from .faber import FaberBasis
@@ -48,15 +47,17 @@ class OrthoPolySet:
 def orthonormalize(mom: MomentTable) -> OrthoPolySet:
     """Cholesky-orthonormalize the Faber basis against the moment table."""
     gram = np.conj(mom.entries)  # [j, k] = <F_j, F_k>
+    if not np.all(np.isfinite(gram)):  # np.linalg.cholesky would return NaN without raising
+        raise ValueError("moment table has non-finite entries")
     try:
-        chol = scipy.linalg.cholesky(gram, lower=True)
-    except scipy.linalg.LinAlgError:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
         raise ValueError(
             f"moment table is not positive definite (first bad pivot at index "
             f"{_first_bad_pivot(gram)}); check the moment table or increase s"
         ) from None
     n = mom.n_max
-    coeffs = scipy.linalg.solve_triangular(chol, np.eye(n + 1), lower=True)
+    coeffs = _lower_inverse(chol)
     fmono = np.zeros((n + 1, n + 1), dtype=complex)
     for j, mono in enumerate(mom.basis.mono):
         fmono[j, : j + 1] = mono
@@ -67,30 +68,32 @@ def orthonormalize(mom: MomentTable) -> OrthoPolySet:
     return OrthoPolySet(mom.map, mom.s, n, mom.basis, mom, coeffs, mono_coeffs, kappas)
 
 
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by 2 x 2 blocks.
+
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: two half-size
+    inverses and two matrix products, much cheaper than an LU solve against
+    the identity.  Leaves of at most 64 rows use np.linalg.inv, cut back to
+    the lower triangle.
+    """
+    n = low.shape[0]
+    if n <= 64:
+        return np.tril(np.linalg.inv(low))
+    h = n // 2
+    a_inv = _lower_inverse(low[:h, :h])
+    c_inv = _lower_inverse(low[h:, h:])
+    out = np.zeros_like(low)
+    out[:h, :h] = a_inv
+    out[h:, h:] = c_inv
+    out[h:, :h] = -(c_inv @ low[h:, :h]) @ a_inv
+    return out
+
+
 def _first_bad_pivot(gram: np.ndarray) -> int:
     for k in range(gram.shape[0]):
         if np.linalg.eigvalsh(gram[: k + 1, : k + 1])[0] <= 0:
             return k
     return gram.shape[0] - 1
-
-
-def orthopoly_det(mom: MomentTable, n: int) -> np.ndarray:
-    """Monomial coefficients of pi_n by the bordered-determinant construction.
-
-    Cross-check path only: numerically inferior to the Cholesky route but
-    algebraically independent of it.
-    """
-    m = mom.entries
-    d_prev = 1.0 if n == 0 else np.linalg.det(m[:n, :n]).real
-    d_cur = np.linalg.det(m[: n + 1, : n + 1]).real
-    scale = 1.0 / math.sqrt(d_prev * d_cur)
-    out = np.zeros(n + 1, dtype=complex)
-    rows = m[:n, : n + 1]
-    for j in range(n + 1):
-        minor = np.delete(rows, j, axis=1)
-        cof = (-1) ** (n + j) * (np.linalg.det(minor) if n else 1.0)
-        out[: j + 1] += scale * cof * mom.basis.mono[j]
-    return out
 
 
 # -- asymptotic predictors ------------------------------------------------------

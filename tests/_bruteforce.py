@@ -8,8 +8,12 @@ disk kernel gap from exact rational arithmetic.  The Faber-basis Gram
 oracle (gram_quadrature) reads the same Laurent series as the library but
 integrates them by sampling: a trapezoidal rule in the angle times a
 Gauss-Jacobi rule in the radius, instead of the library's exact mode sums.
-The boundary-limit oracles (h_limit_mp, kernel_sum_mp) evaluate the kernel
-formulas in mpmath at 50 correct digits.  The inside test of the exterior-map
+Faber coefficients come from Fourier inversion of w^n / phi'(w)
+(faber_oracle_coeffs) and orthonormal polynomials also from bordered
+determinants (orthopoly_det).  The boundary-limit oracles (h_limit_mp,
+kernel_sum_mp) evaluate the kernel formulas in mpmath at 50 correct digits,
+and the disk radial law (radius_cdf_mp, radius_ppf_mp, annulus_density_mp)
+is evaluated in mpmath from its closed form.  The inside test of the exterior-map
 inversion is checked against the winding number of the boundary curve
 (winding_number), a trapezoidal contour integral instead of a polynomial root.
 """
@@ -98,6 +102,59 @@ def gram_schmidt_polys(gram: np.ndarray) -> np.ndarray:
         phase = vec[k] / abs(vec[k])
         rows.append(vec / phase)
     return np.vstack(rows)
+
+
+def faber_oracle_coeffs(emap: ExteriorMap, n: int, n_nodes: int = 1024, radius: float = 2.0) -> np.ndarray:
+    """Independent brute-force coefficients of F_n.
+
+    Expands w^n / phi'(w) on |w| = radius by trapezoidal Fourier inversion and
+    solves for the combination of powers of phi matching all nonnegative
+    Laurent powers of w.  The negative-power mismatch is exactly the
+    remainder term, which never enters the solve.
+    """
+    theta = 2 * np.pi * np.arange(n_nodes) / n_nodes
+    w = radius * np.exp(1j * theta)
+    g = w ** n / emap._phi_prime_raw(w)
+    hat = np.fft.fft(g) / n_nodes
+    # Laurent coefficient of w^p with |p| < n_nodes/2
+    lau = np.array([hat[p % n_nodes] * radius ** (-p) for p in range(n + 1)])
+
+    m = emap.tail_length
+    # coefficient table of phi^j, exact polynomial algebra in w
+    powmat = np.zeros((n + 1, n + 1), dtype=complex)  # [p, j]
+    phi_ser = {1: complex(emap.cap), 0: complex(emap.laurent_coeffs[0])}
+    for k in range(1, m + 1):
+        phi_ser[-k] = complex(emap.laurent_coeffs[k])
+    cur = {0: 1.0 + 0j}
+    for j in range(n + 1):
+        for p, v in cur.items():
+            if 0 <= p <= n:
+                powmat[p, j] = v
+        nxt = {}
+        for p, v in cur.items():
+            for dq, cv in phi_ser.items():
+                nxt[p + dq] = nxt.get(p + dq, 0) + v * cv
+        cur = nxt
+    return np.linalg.solve(powmat, lau)
+
+
+def orthopoly_det(mom, n: int) -> np.ndarray:
+    """Monomial coefficients of pi_n by the bordered-determinant construction.
+
+    Numerically inferior to the library's Cholesky route but algebraically
+    independent of it.
+    """
+    m = mom.entries
+    d_prev = 1.0 if n == 0 else np.linalg.det(m[:n, :n]).real
+    d_cur = np.linalg.det(m[: n + 1, : n + 1]).real
+    scale = 1.0 / math.sqrt(d_prev * d_cur)
+    out = np.zeros(n + 1, dtype=complex)
+    rows = m[:n, : n + 1]
+    for j in range(n + 1):
+        minor = np.delete(rows, j, axis=1)
+        cof = (-1) ** (n + j) * (np.linalg.det(minor) if n else 1.0)
+        out[: j + 1] += scale * cof * mom.basis.mono[j]
+    return out
 
 
 def remainder_product_integral(basis, j: int, k: int, s: float,
@@ -253,3 +310,45 @@ def winding_number(emap: ExteriorMap, z: complex, n_nodes: int = 512):
     if any(abs(v - wind) > 1e-6 for v in sums):
         return None
     return int(wind)
+
+
+def radius_cdf_mp(n: int, s, r):
+    """P(R_n <= r) of the disk ensemble in mpmath (s may be inf); r is
+    converted exactly and the result is an mpf in the caller's precision."""
+    import mpmath
+
+    r = mpmath.mpf(r)
+    if r <= 1:
+        inner = 1 if math.isinf(s) else (mpmath.mpf(s) - n - 1) / s
+        return r ** (2 * n + 2) * inner
+    if math.isinf(s):
+        return mpmath.mpf(1)
+    return 1 - mpmath.mpf(n + 1) / s * r ** (-2 * (mpmath.mpf(s) - n - 1))
+
+
+def radius_ppf_mp(n: int, s, u):
+    """Inverse of radius_cdf_mp for finite s, in mpmath; u is converted exactly."""
+    import mpmath
+
+    u, s = mpmath.mpf(u), mpmath.mpf(s)
+    if u <= (s - n - 1) / s:
+        return (u * s / (s - n - 1)) ** (mpmath.mpf(1) / (2 * n + 2))
+    return ((n + 1) / s / (1 - u)) ** (1 / (2 * (s - n - 1)))
+
+
+def annulus_density_mp(N: int, s, edges) -> list:
+    """Mean one-point density of the disk ensemble on each annulus.
+
+    The sum over n < N of P(lo <= R_n < hi) from radius_cdf_mp, divided by
+    the area, at 100 digits: the exterior tail of s = 200 at r = 1.2 is
+    1e-32 below 1, so at least 60 digits survive the subtraction.
+    """
+    import mpmath
+
+    with mpmath.workdps(100):
+        out = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            mass = mpmath.fsum(radius_cdf_mp(n, s, hi) - radius_cdf_mp(n, s, lo)
+                               for n in range(N))
+            out.append(float(mass / (mpmath.pi * (mpmath.mpf(hi) ** 2 - mpmath.mpf(lo) ** 2))))
+        return out

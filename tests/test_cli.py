@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +212,26 @@ def test_exit_code_config_error(capsys):
     assert code == 2
     code = cli.main(["sample", "--domain", "ellipse", "--q", "0.3", "--N", "3", "--s", "8"])
     assert code == 2
+
+
+@pytest.mark.parametrize("domain", ["kind=custom cap=inf coeffs=[0]",
+                                    "kind=custom cap=1 coeffs=[nan]"])
+def test_non_finite_domain_exits_2(domain, capsys):
+    code, out = run_cli(["poly", "--domain", domain, "--nmax", "2", "--s", "10"], capsys)
+    assert code == 2
+    assert out == ""
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, potens.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_exit_code_nonconvergence(monkeypatch, capsys):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from potens.faber import FaberBasis, faber_all, faber_oracle_coeffs, remainder_eval
+from potens.faber import FaberBasis, faber_all, remainder_eval
 from potens.geometry import ExteriorMap, big_phi_eval, phi_eval, phi_prime_eval
 
-from _bruteforce import remainder_product_integral
+from _bruteforce import faber_oracle_coeffs, remainder_product_integral
 
 
 def test_disk_faber_are_monomials(disk):

@@ -118,6 +118,14 @@ def test_invalid_maps_rejected():
         ExteriorMap(1.0, (0j, 2.0)).validate()  # phi' vanishes at |w| = sqrt(2)
 
 
+@pytest.mark.parametrize("cap, coeffs", [(float("inf"), (0j,)), (float("nan"), (0j,)),
+                                         (1.0, (complex("nan"),)),
+                                         (1.0, (0j, complex(0.0, float("inf"))))])
+def test_non_finite_map_data_rejected(cap, coeffs):
+    with pytest.raises(ValueError, match="finite"):
+        ExteriorMap(cap, coeffs)
+
+
 def test_newton_failure_carries_last_iterate(ellipse_half, monkeypatch):
     # a root that misses the residual contract is reported, not returned
     true_roots = np.roots

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from potens.errors import NotCoveredError
-from potens.geometry import DomainSpec, ExteriorMap, phi_eval
+from potens.geometry import DomainSpec, ExteriorMap, ellipse_map, phi_eval
 from potens.moments import MomentTable, epsilon_table, moments
 from potens.orthopoly import (
+    _lower_inverse,
     closed_form,
     delta_det,
     exterior_asymptotic,
@@ -14,11 +15,10 @@ from potens.orthopoly import (
     kappa_delta_identity,
     kappa_error_model,
     orthonormalize,
-    orthopoly_det,
     sigma_model,
 )
 
-from _bruteforce import gram_quadrature, gram_schmidt_polys, monomial_gram
+from _bruteforce import gram_quadrature, gram_schmidt_polys, monomial_gram, orthopoly_det
 
 
 def test_disk_examples(disk):
@@ -40,6 +40,27 @@ def test_gram_identity(custom_map):
     c = polys.faber_coeffs
     resid = c @ np.conj(mom.entries) @ c.conj().T - np.eye(9)
     assert np.max(np.abs(resid)) < 1e-12
+
+
+def test_block_inverse_matches_triangular_solve(rng):
+    # n = 151 and 300 run the 2 x 2 block recursion past the 64-row leaves.
+    # The ellipse's Faber Gram is diagonal, so the Cholesky factors of dense
+    # well-conditioned Hermitian matrices are what exercise the off-diagonal block.
+    import scipy.linalg
+
+    mom = moments(ellipse_map(0.5), 150, 302.0)
+    gram = np.conj(mom.entries)
+    factors = [np.linalg.cholesky(gram)]
+    for n in (151, 300):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        factors.append(np.linalg.cholesky(np.eye(n) + a @ a.conj().T / n))
+    for low in factors:
+        ref = scipy.linalg.solve_triangular(low, np.eye(len(low)), lower=True)
+        inv = _lower_inverse(low)
+        assert np.max(np.abs(inv - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(inv, np.tril(inv))
+    c = orthonormalize(mom).faber_coeffs
+    assert np.max(np.abs(c @ gram @ c.conj().T - np.eye(151))) <= 1e-12
 
 
 def test_orthonormality_under_requadrature(ellipse_half):
@@ -69,6 +90,16 @@ def test_non_positive_definite_reports_index(disk):
     bad[2, 2] = -1.0
     broken = MomentTable(m.map, m.n_max, m.s, bad, m.interior_part, m.exterior_part, m.basis)
     with pytest.raises(ValueError, match="index 2"):
+        orthonormalize(broken)
+
+
+def test_non_finite_moment_table_rejected(disk):
+    # np.linalg.cholesky turns a NaN entry into a NaN factor without raising
+    m = moments(disk, 3, 10.0)
+    bad = m.entries.copy()
+    bad[1, 2] = np.nan
+    broken = MomentTable(m.map, m.n_max, m.s, bad, m.interior_part, m.exterior_part, m.basis)
+    with pytest.raises(ValueError, match="non-finite"):
         orthonormalize(broken)
 
 

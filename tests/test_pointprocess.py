@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from potens.geometry import ellipse_map
 from potens.moments import moments
 from potens.orthopoly import orthonormalize
 from potens.pointprocess import (
@@ -23,6 +24,8 @@ from potens.pointprocess import (
     scaled_corr,
     sine_corr,
 )
+
+from _bruteforce import annulus_density_mp, radius_cdf_mp, radius_ppf_mp
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +151,44 @@ def test_empirical_r1_against_kernel(disk):
     mass = np.sum(hist.density * np.pi * (edges[1:] ** 2 - edges[:-1] ** 2))
     assert mass <= n + 1e-9
     assert mass >= n - 3 * math.sqrt(expected_count_outside(n, s)) / math.sqrt(count) - 0.2
+
+
+@pytest.mark.parametrize("N, s, edges", [
+    (100, 200.0, np.linspace(0.0, 1.2, 25)),
+    (40, 41.5, np.linspace(0.0, 2.0, 31)),
+    (8, 12.0, np.linspace(0.0, 1.5, 26)),
+    (10, np.inf, np.linspace(0.0, 1.3, 14)),
+    # thin bins across r = 1, where b^p - a^p taken as a plain difference
+    # loses about 4e-14
+    (4, 6.0, np.linspace(0.9, 1.1, 401)),
+])
+def test_kernel_r1_binned_against_radial_law(disk, N, s, edges):
+    got = kernel_r1_binned(orthonormalize(moments(disk, N - 1, s)), N, edges)
+    want = np.array(annulus_density_mp(N, s, edges))
+    nonzero = want > 0
+    assert np.all(got[~nonzero] == 0.0)
+    assert np.max(np.abs(got[nonzero] / want[nonzero] - 1.0)) <= 1e-14
+
+
+def test_kernel_r1_binned_rejects_non_disk():
+    polys = orthonormalize(moments(ellipse_map(0.5), 3, 8.0))
+    with pytest.raises(ValueError, match="disk"):
+        kernel_r1_binned(polys, 4, np.linspace(0.0, 1.2, 5))
+
+
+@pytest.mark.parametrize("n, s", [(0, 6.0), (3, 12.0), (9, 40.5)])
+def test_radius_law_round_trip_against_mpmath(n, s):
+    import mpmath
+
+    split = (s - n - 1) / s
+    us = [1e-9, 0.3 * split, split * (1 - 1e-9), split, split + 1e-9 * (1 - split),
+          0.5 * (1 + split), 1 - 1e-9]
+    with mpmath.workdps(50):
+        for u in us:
+            r = radius_ppf(n, s, u)
+            assert abs(r / radius_ppf_mp(n, s, u) - 1) <= 1e-13, (u, r)
+            assert abs(radius_cdf(n, s, r) / radius_cdf_mp(n, s, r) - 1) <= 1e-13, (u, r)
+            assert abs(radius_cdf(n, s, r) / u - 1) <= 1e-13, (u, r)
 
 
 def test_expected_count_outside():
