@@ -81,6 +81,8 @@ class StudyConfig:
         return n / self.s_value
 
     def validate(self) -> "StudyConfig":
+        if not 0 <= self.seed < 2 ** 128:
+            raise ConfigError(f"seed {self.seed} outside the Philox key range [0, 2**128)")
         if self.srule == "inf" or self.s_value is not None:
             for n in self.n_list or (self.nmax,):
                 s = self.s_for(n)

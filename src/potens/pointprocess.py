@@ -213,11 +213,25 @@ def radius_cdf(n: int, s: float, r: float) -> float:
     return 1.0 - (n + 1) / s * r ** (-2.0 * (s - n - 1))
 
 
-def radius_ppf(n: int, s: float, u: float) -> float:
+def radius_ppf(n: int, s: float, u):
+    """Inverse of radius_cdf for finite s > n + 1 and u in [0, 1); a float for
+    scalar u, else an array.
+
+    Both closed-form branches are evaluated on every u and the one on u's
+    side of the split P(R_n <= 1) = (s-n-1)/s is kept; on [0, 1) neither
+    branch divides by zero or takes a power of a negative number.
+    """
+    if not (math.isfinite(s) and s > n + 1):
+        raise ValueError(f"radius law needs finite s > n + 1 (got n={n}, s={s})")
+    u = np.asarray(u, dtype=float)
+    ok = (u >= 0.0) & (u < 1.0)
+    if not np.all(ok):
+        raise ValueError(f"radius_ppf needs u in [0, 1) (got u={float(u[~ok][0])!r})")
     split = (s - n - 1) / s
-    if u <= split:
-        return (u * s / (s - n - 1)) ** (1.0 / (2 * n + 2))
-    return (((n + 1) / s) / (1.0 - u)) ** (1.0 / (2.0 * (s - n - 1)))
+    r = np.where(u <= split,
+                 (u * s / (s - n - 1)) ** (1.0 / (2 * n + 2)),
+                 (((n + 1) / s) / (1.0 - u)) ** (1.0 / (2.0 * (s - n - 1))))
+    return float(r) if r.ndim == 0 else r
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -225,14 +239,21 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 
 
 def sample_disk_batch(N: int, s: float, seed: int, count: int) -> np.ndarray:
-    """count independent configurations, shape (count, N) complex."""
+    """count independent configurations, shape (count, N) complex.
+
+    The law is inverted one Philox stream (one point index) at a time, on
+    all count uniforms at once.  Stacking the N streams into one (count, N)
+    evaluation holds several (count, N) temporaries at once: about 50 MB
+    more peak memory at N = 100, count = 20000.
+    """
     if not (np.isfinite(s) and s > N):
         raise ValueError(f"sampler requires finite s > N (got s={s}, N={N})")
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError(f"sampler seed must lie in [0, 2**128) (got seed={seed!r})")
     pts = np.empty((count, N), dtype=complex)
     for n in range(N):
         u = _stream(seed, n).random(2 * count).reshape(count, 2)
-        r = np.array([radius_ppf(n, s, ui) for ui in u[:, 0]])
-        pts[:, n] = r * np.exp(2j * np.pi * u[:, 1])
+        pts[:, n] = radius_ppf(n, s, u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
     return pts
 
 
@@ -252,7 +273,12 @@ def empirical_r1(samples: np.ndarray, edges: np.ndarray) -> RadialHistogram:
     """
     samples = np.atleast_2d(np.asarray(samples))
     count = samples.shape[0]
+    if count < 2:
+        raise ValueError(f"empirical_r1 needs at least 2 configurations for a standard "
+                         f"error (got {count})")
     edges = np.asarray(edges, dtype=float)
+    if not (edges.ndim == 1 and edges.size >= 2 and np.all(np.diff(edges) > 0)):
+        raise ValueError(f"empirical_r1 needs strictly increasing bin edges (got {edges!r})")
     radii = np.abs(samples)
     per_config = np.stack([((radii >= lo) & (radii < hi)).sum(axis=1)
                            for lo, hi in zip(edges[:-1], edges[1:])], axis=1)

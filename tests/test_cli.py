@@ -214,6 +214,14 @@ def test_exit_code_config_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 128)], ids=["negative", "2**128"])
+def test_seed_outside_philox_key_range_exits_2(seed, capsys):
+    code = cli.main(["sample", "--domain", "disk", "--N", "4", "--s", "6", "--seed", seed])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "seed" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("domain", ["kind=custom cap=inf coeffs=[0]",
                                     "kind=custom cap=1 coeffs=[nan]"])
 def test_non_finite_domain_exits_2(domain, capsys):

@@ -191,6 +191,73 @@ def test_radius_law_round_trip_against_mpmath(n, s):
             assert abs(radius_cdf(n, s, r) / u - 1) <= 1e-13, (u, r)
 
 
+@pytest.mark.parametrize("u", [-0.1, 1.5, 1.0, math.nan])
+def test_radius_ppf_rejects_u_outside_unit_interval(u):
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        radius_ppf(3, 9.0, u)
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        radius_ppf(3, 9.0, np.array([0.2, u, 0.7]))
+
+
+@pytest.mark.parametrize("n, s", [(3, 4.0), (3, 2.0), (0, math.inf)])
+def test_radius_ppf_rejects_s_without_a_radial_law(n, s):
+    # s <= n + 1 has no normalisable law; at s = inf the formula returned 1.0
+    with pytest.raises(ValueError, match="s > n"):
+        radius_ppf(n, s, 0.5)
+
+
+@pytest.mark.parametrize("n, s", [(0, 6.0), (3, 12.0), (9, 40.5), (99, 200.0)])
+def test_radius_ppf_array_matches_scalar_calls(n, s):
+    split = (s - n - 1) / s
+    u = np.concatenate([[0.0, split, np.nextafter(split, 0.0), np.nextafter(split, 1.0),
+                         np.nextafter(1.0, 0.0)],
+                        np.random.default_rng(5).random(500)])
+    got = radius_ppf(n, s, u)
+    want = np.array([radius_ppf(n, s, float(x)) for x in u])
+    assert got.shape == u.shape
+    assert np.all(np.abs(got - want) <= np.spacing(want))
+    assert got[1] == pytest.approx(1.0, rel=1e-15)  # u == split is the unit circle
+    assert isinstance(radius_ppf(n, s, split), float)
+
+
+def test_sampler_radii_against_mpmath():
+    # the Philox streams are rebuilt here from the documented counter scheme
+    import mpmath
+
+    N, s, seed, count = 10, 12.5, 314, 200
+    radii = np.abs(sample_disk_batch(N, s, seed, count))
+    branches = set()
+    with mpmath.workdps(40):
+        for n in range(N):
+            gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, n, 0]))
+            u = gen.random(2 * count)[0::2]
+            want = np.array([float(radius_ppf_mp(n, s, x)) for x in u])
+            assert np.max(np.abs(radii[:, n] / want - 1.0)) <= 1e-13, n
+            branches.update(u <= (s - n - 1) / s)
+    assert branches == {True, False}
+
+
+def test_sampler_prefix_contract():
+    full = sample_disk_batch(10, 12.5, 99, 200)
+    for k in (0, 1, 2, 7, 31, 100, 199):
+        assert np.array_equal(sample_disk_batch(10, 12.5, 99, k), full[:k]), k
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 128], ids=["negative", "2**128"])
+def test_sampler_rejects_seed_outside_key_range(seed):
+    with pytest.raises(ValueError, match="seed"):
+        sample_disk_batch(4, 6.0, seed, 3)
+
+
+def test_empirical_r1_rejects_bad_input():
+    batch = sample_disk_batch(3, 5.0, 11, 5)
+    with pytest.raises(ValueError, match="2 configurations"):
+        empirical_r1(batch[:1], np.linspace(0, 1.5, 6))
+    for edges in ([1.0, 0.5, 0.0], [0.0, 0.5, 0.5, 1.0], [0.0, math.nan, 1.0], [1.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            empirical_r1(batch, edges)
+
+
 def test_expected_count_outside():
     assert expected_count_outside(8, 12.0) == pytest.approx(3.0)
 
