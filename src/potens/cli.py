@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .geometry import DomainSpec, format_complex, format_domain, level_line, parse_complex, parse_domain
+from .geometry import DomainSpec, format_complex, level_line, parse_complex, parse_domain
 from .kernels import scaled_ratio, scaling_predictor
 from .moments import moments
 from .orthopoly import kappa_asymptotic, orthonormalize
@@ -41,8 +41,8 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    domain: DomainSpec
-    nmax: int = 8
+    domain: DomainSpec = DomainSpec.disk()
+    nmax: int = 8              # highest poly degree; the order when --N is absent
     n_list: tuple = ()
     srule: str = "fixed"       # fixed | cn | inf
     s_value: float | None = None
@@ -52,24 +52,28 @@ class StudyConfig:
     b_list: tuple = (0j,)
     seed: int = 1
     out: str | None = None
-    nodes_angular: int | None = None
-    nodes_radial: int | None = None
+    nodes_angular: int = 128
+    nodes_radial: int = 48
     weighted: bool = False
     levels: tuple = (1.0, 1.25, 1.5, 2.0, 3.0)
     center: complex = 0j
     radius: float = 0.5
     bins: int = 64
 
+    def orders(self) -> tuple:
+        return self.n_list or (self.nmax,)
+
+    def order(self) -> int:
+        if len(self.n_list) > 1:
+            raise ConfigError(f"one order only, got N={','.join(map(str, self.n_list))}")
+        return self.orders()[0]
+
     def s_for(self, n: int) -> float:
         if self.srule == "inf":
             return math.inf
         if self.s_value is None:
             raise ConfigError("s rule needs --s")
-        if self.srule == "fixed":
-            return self.s_value
-        if self.srule == "cn":
-            return self.s_value * n
-        raise ConfigError(f"unknown srule {self.srule!r}")
+        return self.s_value * n if self.srule == "cn" else self.s_value
 
     def ell_for(self, n: int) -> float:
         if self.ell is not None:
@@ -84,89 +88,87 @@ class StudyConfig:
         if not 0 <= self.seed < 2 ** 128:
             raise ConfigError(f"seed {self.seed} outside the Philox key range [0, 2**128)")
         if self.srule == "inf" or self.s_value is not None:
-            for n in self.n_list or (self.nmax,):
+            for n in self.orders():
                 s = self.s_for(n)
                 if s != math.inf and not n <= s - 1:
                     raise ConfigError(f"pair (N={n}, s={s}) violates N <= floor(s-1)")
         return self
 
 
-_CONFIG_KEYS = ("domain", "q", "nmax", "N", "s", "srule", "ell", "theta", "a", "b",
-                "seed", "out", "nodes-angular", "nodes-radial", "weighted",
-                "levels", "center", "radius", "bins")
+def _listed(parse):
+    return lambda text: tuple(parse(t) for t in text.split(",") if t)
 
 
-def config_to_text(cfg: StudyConfig) -> str:
-    lines = [f"domain={format_domain(cfg.domain)}"]
-    if cfg.n_list:
-        lines.append("N=" + ",".join(str(n) for n in cfg.n_list))
-    lines.append(f"nmax={cfg.nmax}")
-    lines.append(f"srule={cfg.srule}")
-    if cfg.s_value is not None:
-        lines.append(f"s={_fmt(cfg.s_value)}")
-    if cfg.ell is not None:
-        lines.append(f"ell={_fmt(cfg.ell)}")
-    lines.append(f"theta={_fmt(cfg.theta)}")
-    lines.append("a=" + ",".join(format_complex(a) for a in cfg.a_list))
-    lines.append("b=" + ",".join(format_complex(b) for b in cfg.b_list))
-    lines.append(f"seed={cfg.seed}")
-    if cfg.out:
-        lines.append(f"out={cfg.out}")
-    if cfg.nodes_angular:
-        lines.append(f"nodes-angular={cfg.nodes_angular}")
-    if cfg.nodes_radial:
-        lines.append(f"nodes-radial={cfg.nodes_radial}")
-    lines.append(f"weighted={int(cfg.weighted)}")
-    lines.append("levels=" + ",".join(_fmt(v) for v in cfg.levels))
-    lines.append(f"center={format_complex(cfg.center)}")
-    lines.append(f"radius={_fmt(cfg.radius)}")
-    lines.append(f"bins={cfg.bins}")
-    return "\n".join(lines) + "\n"
+def _srule(text: str) -> str:
+    if text not in ("fixed", "cn", "inf"):
+        raise ValueError(f"unknown srule {text!r}")
+    return text
+
+
+def _flag(text: str) -> bool:
+    if text not in ("0", "1", "false", "true", "False", "True"):
+        raise ValueError(f"expected 0 or 1, got {text!r}")
+    return text in ("1", "true", "True")
+
+
+_ORDERED = "poly scaling gap sample"
+_ON_DOMAIN = _ORDERED + " levelsets"
+
+# option key: (StudyConfig field, parser of its text, help, subcommands that read it);
+# q has no field of its own: config_from_pairs folds it into the ellipse domain
+_OPTIONS = {
+    "domain": ("domain", str, "disk | ellipse | kind=... record", _ON_DOMAIN),
+    "q": ("q", float, "ellipse parameter", _ON_DOMAIN),
+    "nmax": ("nmax", int, "highest degree when --N is absent", "poly"),
+    "N": ("n_list", _listed(int), "comma list of kernel orders / degrees", _ORDERED),
+    "s": ("s_value", float, "weight exponent, rule constant, or inf", _ORDERED),
+    "srule": ("srule", _srule, "fixed | cn | inf: s = value, value * N, or inf", _ORDERED),
+    "ell": ("ell", float, "limit parameter in [0, 1]", "scaling corr"),
+    "theta": ("theta", float, "boundary angle", "scaling"),
+    "a": ("a_list", _listed(parse_complex), "comma list of complex offsets (a+bi)", "scaling"),
+    "b": ("b_list", _listed(parse_complex), "comma list of complex offsets (a+bi)", "scaling"),
+    "weighted": ("weighted", _flag, "ratio of weighted kernels", "scaling"),
+    "center": ("center", parse_complex, "center of the gap disk", "gap"),
+    "radius": ("radius", float, "radius of the gap disk", "gap"),
+    "nodes-angular": ("nodes_angular", int, "angular nodes of the gap-region quadrature", "gap"),
+    "nodes-radial": ("nodes_radial", int, "radial nodes of the gap-region quadrature", "gap"),
+    "levels": ("levels", _listed(float), "comma list of P_K levels >= 1", "levelsets"),
+    "bins": ("bins", int, "grid points per series or level line", "corr levelsets"),
+    "seed": ("seed", int, "Philox key in [0, 2**128)", "sample"),
+    "out": ("out", str, "write the CSV to this file", _ON_DOMAIN + " corr"),
+}
+
+
+def _domain_spec(text: str, q: float) -> DomainSpec:
+    if text == "ellipse":
+        return DomainSpec.ellipse(q)
+    if text == "disk":
+        return DomainSpec.disk()
+    if "kind=" not in text:
+        raise ConfigError(f"unknown domain {text!r}")
+    return parse_domain(text)
 
 
 def config_from_pairs(pairs: dict) -> StudyConfig:
-    try:
-        domain_text = pairs.get("domain", "disk")
-        if "kind=" in domain_text:
-            domain = parse_domain(domain_text)
-        elif domain_text == "ellipse":
-            domain = DomainSpec.ellipse(float(pairs.get("q", "0")))
-        elif domain_text == "disk":
-            domain = DomainSpec.disk()
-        else:
-            raise ConfigError(f"unknown domain {domain_text!r}")
-        s_raw = pairs.get("s")
-        cfg = StudyConfig(
-            domain=domain,
-            nmax=int(pairs.get("nmax", 8)),
-            n_list=tuple(int(t) for t in pairs.get("N", "").split(",") if t),
-            srule=pairs.get("srule", "fixed"),
-            s_value=None if s_raw in (None, "", "inf") else float(s_raw),
-            ell=None if pairs.get("ell") in (None, "") else float(pairs["ell"]),
-            theta=float(pairs.get("theta", 0.0)),
-            a_list=tuple(parse_complex(t) for t in pairs.get("a", "0").split(",") if t),
-            b_list=tuple(parse_complex(t) for t in pairs.get("b", "0").split(",") if t),
-            seed=int(pairs.get("seed", 1)),
-            out=pairs.get("out") or None,
-            nodes_angular=int(pairs["nodes-angular"]) if pairs.get("nodes-angular") else None,
-            nodes_radial=int(pairs["nodes-radial"]) if pairs.get("nodes-radial") else None,
-            weighted=pairs.get("weighted", "0") in ("1", "true", "True"),
-            levels=tuple(float(t) for t in pairs.get("levels", "1,1.25,1.5,2,3").split(",") if t),
-            center=parse_complex(pairs.get("center", "0")),
-            radius=float(pairs.get("radius", 0.5)),
-            bins=int(pairs.get("bins", 64)),
-        )
-        if s_raw == "inf" and pairs.get("srule") in (None, "", "fixed"):
-            cfg = replace(cfg, srule="inf")
-        return cfg.validate()
-    except (ValueError, KeyError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    """StudyConfig from option key -> text; absent keys keep their defaults."""
+    values = {}
+    for key, text in pairs.items():
+        if key not in _OPTIONS:
+            raise ConfigError(f"unknown config key {key!r}")
+        field, parse = _OPTIONS[key][:2]
+        try:
+            values[field] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}={text}: {exc}") from None
+    q = values.pop("q", 0.0)
+    if "domain" in values:
+        values["domain"] = _domain_spec(values["domain"], q)
+    return StudyConfig(**values).validate()
 
 
-def _pairs_from_text(text: str) -> dict:
-    """key=value lines of a config file; blank lines and # comments skipped."""
+def _pairs_from_text(text: str, command: str | None = None) -> dict:
+    """key=value lines of a config file; blank lines and # comments skipped.
+    With a command, a key that command does not read is an error."""
     pairs = {}
     for line in text.splitlines():
         line = line.strip()
@@ -174,8 +176,10 @@ def _pairs_from_text(text: str) -> dict:
             continue
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"unknown config key {key!r}")
+        if command and command not in _OPTIONS[key][3].split():
+            raise ConfigError(f"{command} does not read config key {key!r}")
         pairs[key] = value.strip()
     return pairs
 
@@ -233,11 +237,10 @@ def cmd_poly(cfg: StudyConfig) -> None:
 
 
 def cmd_scaling(cfg: StudyConfig) -> None:
-    ns = list(cfg.n_list) if cfg.n_list else [cfg.nmax]
     theta = cfg.theta
     emap = cfg.domain.map
     rows = ["N,a,b,ratio_re,ratio_im,predictor_re,predictor_im,abs_err"]
-    for n in ns:
+    for n in cfg.orders():
         s = cfg.s_for(n)
         ell = cfg.ell_for(n)
         polys = orthonormalize(moments(emap, n - 1, s))
@@ -292,12 +295,12 @@ def cmd_levelsets(cfg: StudyConfig) -> None:
 
 
 def cmd_gap(cfg: StudyConfig) -> None:
-    n = cfg.n_list[0] if cfg.n_list else cfg.nmax
+    n = cfg.order()
     s = cfg.s_for(n)
     emap = cfg.domain.map
     polys = orthonormalize(moments(emap, n - 1, s))
     res = gap_probability(polys, n, DiskRegion(cfg.center, cfg.radius),
-                          n_rad=cfg.nodes_radial or 48, n_ang=cfg.nodes_angular or 128)
+                          n_rad=cfg.nodes_radial, n_ang=cfg.nodes_angular)
     rows = ["kind,index,value"]
     for k, term in enumerate(res.terms):
         rows.append(f"term,{k},{_fmt(float(term))}")
@@ -311,7 +314,7 @@ def cmd_gap(cfg: StudyConfig) -> None:
 
 
 def cmd_sample(cfg: StudyConfig) -> None:
-    n = cfg.n_list[0] if cfg.n_list else cfg.nmax
+    n = cfg.order()
     s = cfg.s_for(n)
     if cfg.domain.kind != "disk":
         raise ConfigError("exact sampling is implemented for the disk domain only")
@@ -324,37 +327,6 @@ def cmd_sample(cfg: StudyConfig) -> None:
 
 # -- entry point ----------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="potens",
-                                     description="potential-theoretic ensemble studies")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("poly", "scaling", "corr", "gap", "levelsets", "sample"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--domain", default=None, help="disk | ellipse | kind=... record")
-        p.add_argument("--q", default=None, help="ellipse parameter")
-        p.add_argument("--nmax", default=None)
-        p.add_argument("--N", default=None, help="comma list of kernel orders / degrees")
-        p.add_argument("--s", default=None, help="weight exponent, rule constant, or inf")
-        p.add_argument("--srule", default=None, choices=("fixed", "cn", "inf"))
-        p.add_argument("--ell", default=None)
-        p.add_argument("--theta", default=None, help="boundary angle")
-        p.add_argument("--a", default=None, help="comma list of complex offsets (a+bi)")
-        p.add_argument("--b", default=None)
-        p.add_argument("--seed", default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--nodes-angular", dest="nodes_angular", default=None,
-                       help="gap only: angular nodes of the gap-region quadrature (default 128)")
-        p.add_argument("--nodes-radial", dest="nodes_radial", default=None,
-                       help="gap only: radial nodes of the gap-region quadrature (default 48)")
-        p.add_argument("--weighted", action="store_true", default=None)
-        p.add_argument("--levels", default=None)
-        p.add_argument("--center", default=None)
-        p.add_argument("--radius", default=None)
-        p.add_argument("--bins", default=None)
-    return parser
-
-
 _COMMANDS = {
     "poly": cmd_poly,
     "scaling": cmd_scaling,
@@ -365,37 +337,39 @@ _COMMANDS = {
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="potens",
+                                     description="potential-theoretic ensemble studies")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.add_argument("--config", help="key=value config file")
+        for key, (_, parse, help_text, readers) in _OPTIONS.items():
+            if name in readers.split():
+                flag = {"action": "store_true", "default": None} if parse is _flag else {}
+                p.add_argument("--" + key, dest=key, help=help_text, **flag)
+    return parser
+
+
 def _namespace_pairs(ns: argparse.Namespace) -> dict:
-    mapping = {"nodes_angular": "nodes-angular", "nodes_radial": "nodes-radial"}
-    pairs = {}
-    for key, value in vars(ns).items():
-        if key in ("command", "config") or value is None:
-            continue
-        if key == "weighted":
-            value = "1" if value else "0"
-        pairs[mapping.get(key, key)] = str(value)
-    return pairs
+    return {key: str(value) for key, value in vars(ns).items()
+            if key in _OPTIONS and value is not None}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         pairs = {}
         if ns.config:
             try:
                 with open(ns.config) as fh:
-                    pairs = _pairs_from_text(fh.read())
+                    text = fh.read()
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from exc
+            pairs = _pairs_from_text(text, ns.command)
         pairs.update(_namespace_pairs(ns))
-        cfg = config_from_pairs(pairs)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _COMMANDS[ns.command](cfg)
-    except ConfigError as exc:
+        _COMMANDS[ns.command](config_from_pairs(pairs))
+    except ValueError as exc:  # ConfigError and the library's range checks
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -23,7 +23,6 @@ handled alike, up to s = inf where the exterior part vanishes.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,48 +136,3 @@ def ellipse_epsilon(n: int, q: float, s: float) -> float:
         return -q ** (2 * n + 2)
     return -q ** (2 * n + 2) * (s - n - 1) / (s + n + 1)
 
-
-# -- persistence ---------------------------------------------------------------
-
-def cache_key(emap: ExteriorMap, n_max: int, s: float) -> str:
-    h = hashlib.sha256()
-    h.update(np.float64(emap.cap).tobytes())
-    h.update(np.asarray(emap.laurent_coeffs, dtype=complex).tobytes())
-    h.update(f"|{n_max}|{s!r}".encode())
-    return h.hexdigest()
-
-
-def export_csv(mom: MomentTable, path) -> None:
-    """Write entries as (row, col, re, im) rows."""
-    with open(path, "w") as fh:
-        fh.write("row,col,re,im\n")
-        for k in range(mom.n_max + 1):
-            for j in range(mom.n_max + 1):
-                v = mom.entries[k, j]
-                fh.write(f"{k},{j},{v.real:.17g},{v.imag:.17g}\n")
-
-
-def save_cache(mom: MomentTable, path) -> None:
-    np.savez(
-        path,
-        key=cache_key(mom.map, mom.n_max, mom.s),
-        cap=mom.map.cap,
-        coeffs=np.asarray(mom.map.laurent_coeffs, dtype=complex),
-        n_max=mom.n_max,
-        s=mom.s,
-        entries=mom.entries,
-        interior=mom.interior_part,
-        exterior=mom.exterior_part,
-    )
-
-
-def load_cache(path, emap: ExteriorMap | None = None) -> MomentTable:
-    data = np.load(path, allow_pickle=False)
-    if emap is None:
-        emap = ExteriorMap(float(data["cap"]), tuple(data["coeffs"]))
-    n_max = int(data["n_max"])
-    if cache_key(emap, n_max, float(data["s"])) != str(data["key"]):
-        raise ValueError("cache file does not match the requested domain/parameters")
-    return MomentTable(emap, n_max, float(data["s"]),
-                       data["entries"], data["interior"], data["exterior"],
-                       FaberBasis(emap, n_max))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ExteriorMap
-from .kernels import _check_order, h_limit, tau_of, weight_at, weighted_kernel
+from .kernels import _check_order, h_limit, tau_of, weight_at
 from .orthopoly import OrthoPolySet
 
 
@@ -81,13 +81,11 @@ def corr_fn(polys: OrthoPolySet, N: int, points) -> float:
     """n-point correlation det[K~(x_i, x_j)]; nonnegative up to rounding."""
     pts = np.asarray(points, dtype=complex).ravel()
     n = len(pts)
+    _check_order(polys, N)
     if n > N:
         warnings.warn(f"correlation order {n} exceeds kernel rank {N}; value is 0 to rounding")
-    mat = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            mat[i, j] = weighted_kernel(polys, N, pts[i], pts[j])
-            mat[j, i] = np.conj(mat[i, j])
+    psi = polys.eval_all(pts, N - 1) * np.array([weight_at(polys.map, polys.s, z) for z in pts])
+    mat = psi.T @ psi.conj()  # mat[i, j] = weighted_kernel(z_i, z_j)
     if n == 1:
         return float(mat[0, 0].real)
     return float(np.linalg.det(mat).real)
@@ -182,6 +180,8 @@ def gap_probability(polys: OrthoPolySet, N: int, region: DiskRegion,
     Refines the quadrature twice; a non-monotone refinement pattern triggers
     a warning carrying both estimates.
     """
+    if n_rad < 1 or n_ang < 1:
+        raise ValueError(f"gap quadrature needs at least one node each way (got {n_rad} x {n_ang})")
     if region.radius <= 0:
         return GapResult(1.0, 1.0, np.array([1.0]), (n_rad, n_ang))
     vals = []
@@ -206,10 +206,13 @@ def gap_probability_radial_product(N: int, s: float, rho: float) -> float:
 # -- exact disk sampler ---------------------------------------------------------------
 
 def radius_cdf(n: int, s: float, r: float) -> float:
+    """P(R_n <= r) for s > n + 1; at s = inf R_n is supported on [0, 1]."""
+    if not s > n + 1:
+        raise ValueError(f"radius law needs s > n + 1 (got n={n}, s={s})")
     if r <= 0:
         return 0.0
     if r <= 1.0:
-        return r ** (2 * n + 2) * (s - n - 1) / s
+        return r ** (2 * n + 2) * ((s - n - 1) / s if math.isfinite(s) else 1.0)
     return 1.0 - (n + 1) / s * r ** (-2.0 * (s - n - 1))
 
 

@@ -1,5 +1,8 @@
+import argparse
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -121,7 +124,7 @@ def test_gap_conjugate_centers_agree_on_thin_ellipse(capsys):
 
 
 def test_node_flags_reach_gap_region_only(capsys):
-    # the node flags size the gap-region quadrature; the moment table ignores them
+    # the node flags size the gap-region quadrature; scaling does not accept them
     code = cli.main(["gap", "--domain", "ellipse", "--q", "0.5", "--N", "20", "--s", "40",
                      "--center=1.3", "--radius", "0.4",
                      "--nodes-angular", "16", "--nodes-radial", "4"])
@@ -129,10 +132,10 @@ def test_node_flags_reach_gap_region_only(capsys):
     capsys.readouterr()
     args = ["scaling", "--domain", "ellipse", "--q", "0.5", "--N", "60", "--srule", "cn",
             "--s", "2", "--a", "0.3+0.2i", "--b", "-0.1"]
-    plain = run_cli(args, capsys)
-    flagged = run_cli(args + ["--nodes-angular", "128", "--nodes-radial", "8"], capsys)
-    assert plain[0] == flagged[0] == 0
-    assert plain[1] == flagged[1]
+    for flag in ("--nodes-angular", "--nodes-radial"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + [flag, "8"])
+        assert exc.value.code == 2
 
 
 def test_levelsets(capsys):
@@ -159,14 +162,6 @@ def test_byte_identical_reruns(tmp_path):
     assert cli.main(args + ["--out", str(out1)]) == 0
     assert cli.main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_config_round_trip(tmp_path):
-    text = ("domain=kind=ellipse q=0.5\n" "N=4,8\n" "nmax=8\n" "srule=cn\n" "s=2\n"
-            "theta=0\n" "a=0.3+0.2i\n" "b=-0.1\n" "seed=3\n")
-    cfg = cli.config_from_text(text)
-    again = cli.config_from_text(cli.config_to_text(cfg))
-    assert again == cfg
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -258,3 +253,104 @@ def test_invalid_pairs_rejected_at_parse():
         with pytest.raises(cli.ConfigError):
             cli.config_from_pairs({"domain": "disk", "N": "3", "s": bad})
     cli.config_from_pairs({"domain": "disk", "N": "19", "s": "20"})  # boundary case ok
+
+
+# what each subcommand reads, written out apart from cli._OPTIONS; None marks a flag
+READS = {
+    "poly": "domain q nmax N s srule out",
+    "scaling": "domain q N s srule ell theta a b weighted out",
+    "corr": "ell bins out",
+    "gap": "domain q N s srule center radius nodes-angular nodes-radial out",
+    "levelsets": "domain q levels bins out",
+    "sample": "domain q N s srule seed out",
+}
+VALUES = {"domain": "disk", "q": "0.5", "nmax": "4", "N": "4", "s": "10", "srule": "fixed",
+          "ell": "0.5", "theta": "0.1", "a": "0.1", "b": "0.2i", "weighted": None,
+          "center": "0.3", "radius": "0.4", "nodes-angular": "16", "nodes-radial": "4",
+          "levels": "1,2", "bins": "8", "seed": "3", "out": "x.csv"}
+
+
+def parser_options() -> dict:
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
+            for name, p in sub.choices.items()}
+
+
+def test_accepted_options_are_the_table():
+    options = parser_options()
+    assert options == {c: {"--config"} | {"--" + k for k in keys.split()}
+                       for c, keys in READS.items()}
+    assert sum(map(len, options.values())) == 49
+
+
+@pytest.mark.parametrize("command,key", [(c, k) for c in READS for k in VALUES])
+def test_each_subcommand_accepts_only_the_options_it_reads(command, key, tmp_path, capsys):
+    value = VALUES[key]
+    flag = ["--" + key] + ([] if value is None else [value])
+    cfgfile = tmp_path / "study.cfg"
+    cfgfile.write_text(f"{key}={value or 1}\n")
+    if key in READS[command].split():
+        ns = cli.build_parser().parse_args([command] + flag)
+        assert cli._namespace_pairs(ns) == {key: value or "True"}
+        assert cli._pairs_from_text(cfgfile.read_text(), command) == {key: value or "1"}
+        return
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([command] + flag)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert repr(key) in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv, reason", [
+    ("sample --domain disk --N 4 --srule inf", "finite s"),
+    ("levelsets --domain disk --levels 0.5", "level >= 1"),
+    ("corr --ell 2", "ell must lie"),
+    ("scaling --domain disk --N 10 --s 20 --a 0.3 --ell 1.5", "ell must lie"),
+    ("gap --domain disk --N 4 --s 6 --nodes-radial -3", "node"),
+    ("gap --domain disk --N 4 --s 6 --nodes-radial 0", "node"),
+    ("gap --domain disk --N 4,8 --s 10", "one order"),
+    ("sample --domain disk --N 4,8 --s 10", "one order"),
+])
+def test_out_of_range_values_exit_2_without_traceback(argv, reason, capsys):
+    code = cli.main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("config error") and reason in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_gap_at_s_inf_has_finite_radial_oracle(capsys):
+    code, out = run_cli(["gap", "--domain", "disk", "--N", "4", "--srule", "inf",
+                         "--radius", "0.5"], capsys)
+    assert code == 0
+    rows = dict(line.split(",,") for line in out.splitlines() if ",," in line)
+    assert float(rows["radial_oracle"]) == pytest.approx(
+        math.prod(1 - 0.5 ** (2 * n + 2) for n in range(4)), rel=1e-15)
+    assert float(rows["abs_err"]) < 1e-12
+
+
+def readme_cli_section() -> str:
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_block_runs_and_its_table_matches_the_parser(tmp_path, capsys):
+    section = readme_cli_section()
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    lines = [line for line in block.splitlines() if line.strip()]
+    assert len(lines) == 6
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "potens"
+        argv = argv[1:]
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        assert cli.main(argv) == 0, (line, capsys.readouterr().err)
+        capsys.readouterr()
+    table = {m.group(1): set(re.findall(r"--[\w-]+", m.group(2)))
+             for m in re.finditer(r"^\| `(\w+)` \|(.*)\|$", section, re.M)}
+    assert table == {c: opts - {"--config"} for c, opts in parser_options().items()}

@@ -8,19 +8,15 @@ from hypothesis import strategies as st
 from potens.faber import FaberBasis
 from potens.geometry import ExteriorMap
 from potens.moments import (
-    cache_key,
     disk_moment,
     ellipse_epsilon,
     ellipse_exterior_moment,
     ellipse_interior_moment,
     ellipse_moment,
     epsilon_table,
-    export_csv,
     exterior_gram,
     interior_gram,
-    load_cache,
     moments,
-    save_cache,
 )
 
 from _bruteforce import exterior_quadrature, gram_quadrature, remainder_product_integral
@@ -184,27 +180,3 @@ def test_epsilon_decay_fit(ellipse_half):
     slope = np.polyfit(np.arange(2, 13), np.log(vals[2:]), 1)[0]
     assert slope <= 2 * math.log(0.5) + 0.1
 
-
-def test_csv_export(tmp_path, ellipse_half):
-    m = moments(ellipse_half, 2, 8.0)
-    path = tmp_path / "moments.csv"
-    export_csv(m, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "row,col,re,im"
-    assert len(lines) == 1 + 9
-    row, col, re, im = lines[1].split(",")
-    assert (row, col) == ("0", "0")
-    assert float(re) == pytest.approx(m.entries[0, 0].real)
-
-
-def test_cache_round_trip(tmp_path, custom_map, ellipse_half):
-    m = moments(custom_map, 4, 12.0)
-    path = tmp_path / "moments.npz"
-    save_cache(m, path)
-    again = load_cache(path)
-    assert np.array_equal(again.entries, m.entries)
-    assert again.map == m.map
-    with pytest.raises(ValueError):
-        load_cache(path, emap=ellipse_half)
-    assert again.basis.n_max == 4
-    assert cache_key(custom_map, 4, 12.0) != cache_key(custom_map, 5, 12.0)

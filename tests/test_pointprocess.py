@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from potens.geometry import ellipse_map
+from potens.kernels import weighted_kernel
 from potens.moments import moments
 from potens.orthopoly import orthonormalize
 from potens.pointprocess import (
@@ -59,6 +60,17 @@ def test_corr_nonnegative_random(disk, ellipse_half, rng):
             pts = rng.uniform(-1.3, 1.3, size=(3, 2))
             val = corr_fn(p, 6, pts[:, 0] + 1j * pts[:, 1])
             assert val >= -1e-10
+
+
+@pytest.mark.parametrize("domain", ["disk", "ellipse_half"])
+def test_corr_fn_matches_pairwise_weighted_kernel(domain, request, rng):
+    emap = request.getfixturevalue(domain)
+    p = orthonormalize(moments(emap, 7, 20.0))
+    for n_pts in (1, 2, 3, 5):
+        pts = rng.uniform(-1.6, 1.6, n_pts) + 1j * rng.uniform(-1.2, 1.2, n_pts)
+        mat = np.array([[weighted_kernel(p, 8, z, u) for u in pts] for z in pts])
+        scale = np.prod(np.diag(mat).real)  # Hadamard bound on |det|
+        assert abs(corr_fn(p, 8, pts) - np.linalg.det(mat).real) <= 1e-12 * scale
 
 
 def test_scaled_corr_appendix(disk):
@@ -189,6 +201,24 @@ def test_radius_law_round_trip_against_mpmath(n, s):
             assert abs(r / radius_ppf_mp(n, s, u) - 1) <= 1e-13, (u, r)
             assert abs(radius_cdf(n, s, r) / radius_cdf_mp(n, s, r) - 1) <= 1e-13, (u, r)
             assert abs(radius_cdf(n, s, r) / u - 1) <= 1e-13, (u, r)
+
+
+@pytest.mark.parametrize("n", [0, 3, 9])
+def test_radius_cdf_at_s_inf_against_mpmath(n):
+    import mpmath
+
+    with mpmath.workdps(50):
+        for r in (1e-3, 0.3, 0.5, 0.9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5, 4.0):
+            want = radius_cdf_mp(n, math.inf, r)
+            assert abs(radius_cdf(n, math.inf, r) / want - 1) <= 1e-13, r
+    assert gap_probability_radial_product(4, math.inf, 0.5) == pytest.approx(
+        math.prod(1 - 0.5 ** (2 * n + 2) for n in range(4)), rel=1e-15)
+
+
+@pytest.mark.parametrize("n, s", [(3, 2.0), (3, 4.0), (0, 1.0), (2, math.nan), (2, -math.inf)])
+def test_radius_cdf_rejects_s_without_a_radial_law(n, s):
+    with pytest.raises(ValueError, match="radius law"):
+        radius_cdf(n, s, 0.5)
 
 
 @pytest.mark.parametrize("u", [-0.1, 1.5, 1.0, math.nan])
