@@ -13,18 +13,14 @@ from .errors import ConvergenceError, NotCoveredError
 from .geometry import (
     BOUNDARY_TOL,
     INSIDE,
-    DomainSpec,
     ExteriorMap,
     big_phi_eval,
-    capacity,
     disk_map,
     ellipse_map,
     equilibrium_potential,
     format_domain,
     level_line,
     parse_domain,
-    phi_eval,
-    phi_prime_eval,
 )
 from .faber import FaberBasis, FaberPolynomial, RemainderEval, faber_all, remainder_eval
 from .moments import (
@@ -47,10 +43,7 @@ from .orthopoly import (
     sigma_model,
 )
 from .kernels import (
-    KernelEval,
-    ScalingParams,
     bergman_kernel,
-    evaluate_kernel,
     boundary_diag_asymptotic,
     christoffel_check,
     h_limit,
@@ -63,23 +56,20 @@ from .kernels import (
     tau_of,
     weight_at,
     weighted_kernel,
+    weighted_limit,
 )
 from .pointprocess import (
     DiskRegion,
-    EigenConfiguration,
     GapResult,
     RadialHistogram,
     corr_fn,
     empirical_r1,
     expected_count_outside,
-    export_configuration_csv,
-    export_histogram_csv,
     gap_probability,
     gap_probability_radial_product,
     kernel_r1_binned,
     r1_limit,
     r2_limit,
-    sample_disk,
     sample_disk_batch,
     scaled_corr,
     sine_corr,

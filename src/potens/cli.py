@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .geometry import DomainSpec, format_complex, level_line, parse_complex, parse_domain
+from .geometry import (ExteriorMap, disk_map, ellipse_map, format_complex, level_line,
+                       parse_complex, parse_domain)
 from .kernels import scaled_ratio, scaling_predictor
 from .moments import moments
 from .orthopoly import kappa_asymptotic, orthonormalize
@@ -26,7 +27,7 @@ from .pointprocess import (
     gap_probability_radial_product,
     r1_limit,
     r2_limit,
-    sample_disk,
+    sample_disk_batch,
     sine_corr,
 )
 
@@ -41,7 +42,7 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    domain: DomainSpec = DomainSpec.disk()
+    domain: ExteriorMap = disk_map()
     nmax: int = 8              # highest poly degree; the order when --N is absent
     n_list: tuple = ()
     srule: str = "fixed"       # fixed | cn | inf
@@ -85,6 +86,10 @@ class StudyConfig:
         return n / self.s_value
 
     def validate(self) -> "StudyConfig":
+        if self.nmax < 0:
+            raise ConfigError(f"nmax={self.nmax} is negative")
+        if self.bins < 1:
+            raise ConfigError(f"bins={self.bins} is below 1")
         if not 0 <= self.seed < 2 ** 128:
             raise ConfigError(f"seed {self.seed} outside the Philox key range [0, 2**128)")
         if self.srule == "inf" or self.s_value is not None:
@@ -139,11 +144,13 @@ _OPTIONS = {
 }
 
 
-def _domain_spec(text: str, q: float) -> DomainSpec:
+def _domain(text: str, q: float | None) -> ExteriorMap:
     if text == "ellipse":
-        return DomainSpec.ellipse(q)
+        return ellipse_map(0.0 if q is None else q)
+    if q is not None:
+        raise ConfigError(f"q={q!r} is read with domain=ellipse only")
     if text == "disk":
-        return DomainSpec.disk()
+        return disk_map()
     if "kind=" not in text:
         raise ConfigError(f"unknown domain {text!r}")
     return parse_domain(text)
@@ -160,9 +167,7 @@ def config_from_pairs(pairs: dict) -> StudyConfig:
             values[field] = parse(text)
         except ValueError as exc:
             raise ConfigError(f"{key}={text}: {exc}") from None
-    q = values.pop("q", 0.0)
-    if "domain" in values:
-        values["domain"] = _domain_spec(values["domain"], q)
+    values["domain"] = _domain(values.get("domain", "disk"), values.pop("q", None))
     return StudyConfig(**values).validate()
 
 
@@ -193,7 +198,11 @@ def config_from_text(text: str) -> StudyConfig:
 def _emit(cfg: StudyConfig, rows: list[str]) -> None:
     text = "\n".join(rows) + "\n"
     if cfg.out:
-        with open(cfg.out, "w") as fh:
+        try:
+            fh = open(cfg.out, "w")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out file: {exc}") from None
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -214,7 +223,7 @@ def cmd_poly(cfg: StudyConfig) -> None:
     degrees = list(cfg.n_list) if cfg.n_list else list(range(cfg.nmax + 1))
     rows = ["n,s,kappa_exact,kappa_pred,rel_err,fitted_rate,coeffs"]
     errs, seen = [], []
-    emap = cfg.domain.map
+    emap = cfg.domain
     if cfg.srule != "cn":
         s = cfg.s_for(max(degrees))
         polys = orthonormalize(moments(emap, max(degrees), s))
@@ -238,7 +247,7 @@ def cmd_poly(cfg: StudyConfig) -> None:
 
 def cmd_scaling(cfg: StudyConfig) -> None:
     theta = cfg.theta
-    emap = cfg.domain.map
+    emap = cfg.domain
     rows = ["N,a,b,ratio_re,ratio_im,predictor_re,predictor_im,abs_err"]
     for n in cfg.orders():
         s = cfg.s_for(n)
@@ -287,7 +296,7 @@ def cmd_corr(cfg: StudyConfig) -> None:
 def cmd_levelsets(cfg: StudyConfig) -> None:
     rows = ["level,theta,re,im"]
     for level in cfg.levels:
-        pts = level_line(cfg.domain.map, level, cfg.bins)
+        pts = level_line(cfg.domain, level, cfg.bins)
         for k, z in enumerate(pts):
             theta = 2 * np.pi * k / cfg.bins
             rows.append(",".join([_fmt(level), _fmt(theta), _fmt(z.real), _fmt(z.imag)]))
@@ -297,7 +306,7 @@ def cmd_levelsets(cfg: StudyConfig) -> None:
 def cmd_gap(cfg: StudyConfig) -> None:
     n = cfg.order()
     s = cfg.s_for(n)
-    emap = cfg.domain.map
+    emap = cfg.domain
     polys = orthonormalize(moments(emap, n - 1, s))
     res = gap_probability(polys, n, DiskRegion(cfg.center, cfg.radius),
                           n_rad=cfg.nodes_radial, n_ang=cfg.nodes_angular)
@@ -306,7 +315,7 @@ def cmd_gap(cfg: StudyConfig) -> None:
         rows.append(f"term,{k},{_fmt(float(term))}")
     rows.append(f"value,,{_fmt(res.value)}")
     rows.append(f"series_sum,,{_fmt(res.series_sum)}")
-    if cfg.domain.kind == "disk" and cfg.center == 0:
+    if emap.is_disk() and cfg.center == 0:
         oracle = gap_probability_radial_product(n, s, cfg.radius)
         rows.append(f"radial_oracle,,{_fmt(oracle)}")
         rows.append(f"abs_err,,{_fmt(abs(res.value - oracle))}")
@@ -316,11 +325,10 @@ def cmd_gap(cfg: StudyConfig) -> None:
 def cmd_sample(cfg: StudyConfig) -> None:
     n = cfg.order()
     s = cfg.s_for(n)
-    if cfg.domain.kind != "disk":
+    if not cfg.domain.is_disk():
         raise ConfigError("exact sampling is implemented for the disk domain only")
-    conf = sample_disk(n, s, cfg.seed)
     rows = ["index,re,im"]
-    for k, z in enumerate(conf.points):
+    for k, z in enumerate(sample_disk_batch(n, s, cfg.seed, 1)[0]):
         rows.append(f"{k},{_fmt(z.real)},{_fmt(z.imag)}")
     _emit(cfg, rows)
 

@@ -6,8 +6,8 @@ A compact set K with analytic Jordan boundary is encoded through the map
 
 which carries {|w| > 1} conformally onto the exterior of K and fixes
 infinity.  Its inverse Phi maps the exterior of K onto the exterior of the
-closed unit disk with Phi'(infinity) = 1/cap > 0, so cap is the logarithmic
-capacity of K.  The exponentiated equilibrium potential is then simply
+closed unit disk with Phi'(infinity) = 1/cap > 0, so cap is the transfinite
+diameter of K.  The exponentiated equilibrium potential is then simply
 max(1, |Phi(z)|): identically 1 on K and growing like |z|/cap far away.
 
 Restricting boundaries to finite Laurent tails keeps every curve analytic by
@@ -46,7 +46,7 @@ class ExteriorMap:
 
     def __post_init__(self):
         if not (self.cap > 0 and cmath.isfinite(self.cap)):
-            raise ValueError(f"capacity (leading Laurent coefficient) must be positive and finite, "
+            raise ValueError(f"cap (leading Laurent coefficient) must be positive and finite, "
                              f"got {self.cap!r}")
         coeffs = tuple(complex(c) for c in self.laurent_coeffs)
         if not all(cmath.isfinite(c) for c in coeffs):
@@ -141,30 +141,12 @@ def ellipse_map(q: float) -> ExteriorMap:
     return ExteriorMap(1.0, (0j, complex(q)))
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """A named domain: disk, ellipse(q), or custom Laurent data."""
-
-    kind: str
-    q: float | None
-    map: ExteriorMap
-
-    @staticmethod
-    def disk() -> "DomainSpec":
-        return DomainSpec("disk", 0.0, disk_map())
-
-    @staticmethod
-    def ellipse(q: float) -> "DomainSpec":
-        if q == 0:
-            return DomainSpec.disk()
-        return DomainSpec("ellipse", float(q), ellipse_map(q))
-
-    @staticmethod
-    def custom(emap: ExteriorMap) -> "DomainSpec":
-        return DomainSpec("custom", None, emap)
-
-    def is_disk(self) -> bool:
-        return self.map.is_disk()
+def _ellipse_q(emap: ExteriorMap) -> float | None:
+    """q when emap is ellipse_map(q) with 0 < q < 1, else None."""
+    c = emap.laurent_coeffs
+    if emap.cap == 1 and len(c) == 2 and c[0] == 0 and c[1].imag == 0 and 0 < c[1].real < 1:
+        return c[1].real
+    return None
 
 
 def parse_complex(text: str) -> complex:
@@ -189,7 +171,7 @@ def format_complex(z: complex) -> str:
     return f"{re_part}{sign}{abs(z.imag):.17g}i"
 
 
-def parse_domain(record: str) -> DomainSpec:
+def parse_domain(record: str) -> ExteriorMap:
     """Parse a text record like 'kind=ellipse q=0.5' or
     'kind=custom cap=1.0 coeffs=[0,0.2,0.1i]'."""
     fields = {}
@@ -199,11 +181,11 @@ def parse_domain(record: str) -> DomainSpec:
             fields[key.strip()] = value.strip()
     kind = fields.get("kind")
     if kind == "disk":
-        return DomainSpec.disk()
+        return disk_map()
     if kind == "ellipse":
         if "q" not in fields:
             raise ValueError("ellipse record needs q=<value>")
-        return DomainSpec.ellipse(float(fields["q"]))
+        return ellipse_map(float(fields["q"]))
     if kind == "custom":
         if "cap" not in fields or "coeffs" not in fields:
             raise ValueError("custom record needs cap=<value> coeffs=[...]")
@@ -214,30 +196,22 @@ def parse_domain(record: str) -> DomainSpec:
         coeffs = tuple(parse_complex(s) for s in items)
         emap = ExteriorMap(float(fields["cap"]), coeffs)
         emap.validate()
-        return DomainSpec.custom(emap)
+        return emap
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
-def format_domain(spec: DomainSpec) -> str:
-    if spec.kind == "disk":
+def format_domain(emap: ExteriorMap) -> str:
+    """Text record of emap; parse_domain reads it back as an equal map."""
+    if emap.is_disk():
         return "kind=disk"
-    if spec.kind == "ellipse":
-        return f"kind=ellipse q={spec.q:.17g}"
-    coeffs = ",".join(format_complex(c) for c in spec.map.laurent_coeffs)
-    return f"kind=custom cap={spec.map.cap:.17g} coeffs=[{coeffs}]"
+    q = _ellipse_q(emap)
+    if q is not None:
+        return f"kind=ellipse q={q:.17g}"
+    coeffs = ",".join(format_complex(c) for c in emap.laurent_coeffs)
+    return f"kind=custom cap={emap.cap:.17g} coeffs=[{coeffs}]"
 
 
 # -- operations ---------------------------------------------------------------
-
-def phi_eval(emap: ExteriorMap, w: complex) -> complex:
-    """Forward map phi(w); exact Laurent evaluation, |w| >= 1 required."""
-    return complex(emap.phi(complex(w)))
-
-
-def phi_prime_eval(emap: ExteriorMap, w: complex) -> complex:
-    """Termwise derivative phi'(w) = cap - sum k c_k w^{-k-1}."""
-    return complex(emap.phi_prime(complex(w)))
-
 
 def big_phi_eval(emap: ExteriorMap, z: complex):
     """Invert phi as the root of a polynomial.
@@ -279,11 +253,6 @@ def equilibrium_potential(emap: ExteriorMap, z: complex) -> float:
     if w == INSIDE:
         return 1.0
     return max(1.0, abs(w))
-
-
-def capacity(emap: ExteriorMap) -> float:
-    """Logarithmic capacity of K (leading Laurent coefficient of phi)."""
-    return emap.cap
 
 
 def level_line(emap: ExteriorMap, level: float, n_theta: int = 256) -> np.ndarray:

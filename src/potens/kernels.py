@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .geometry import BOUNDARY_TOL, INSIDE, DomainSpec, ExteriorMap, big_phi_eval
+from .geometry import BOUNDARY_TOL, INSIDE, ExteriorMap, big_phi_eval
 from .moments import moments
 from .orthopoly import OrthoPolySet, orthonormalize
 
@@ -29,53 +29,6 @@ from .orthopoly import OrthoPolySet, orthonormalize
 # below 1e-19 of the value
 _H0_SERIES = tuple(2 * (i + 1) / math.factorial(i + 2) for i in range(20))
 _H1_SERIES = tuple(6 * (i + 1) / math.factorial(i + 3) for i in range(20))
-
-
-def _as_map(domain) -> ExteriorMap:
-    return domain.map if isinstance(domain, DomainSpec) else domain
-
-
-@dataclass(frozen=True)
-class KernelEval:
-    """One kernel evaluation with its defining parameters attached."""
-
-    value: complex
-    N: int
-    s: float
-    weighted: bool
-
-
-@dataclass(frozen=True)
-class ScalingParams:
-    """Boundary scaling data: offsets a, b at the point z = phi(e^{i theta}).
-
-    Boundary points are always carried as angles, never as raw complex
-    numbers, so membership in the curve is exact by construction.
-    """
-
-    ell: float
-    theta: float
-    a: complex
-    b: complex
-
-    def tau_pair(self, emap: ExteriorMap):
-        return tau_of(emap, self.a, self.theta), tau_of(emap, self.b, self.theta)
-
-    def predictor(self, emap: ExteriorMap, weighted: bool = False):
-        return scaling_predictor(emap, self.theta, self.a, self.b, self.ell, weighted)
-
-
-def evaluate_kernel(polys: OrthoPolySet, N: int, z: complex, u: complex,
-                    weighted: bool = False) -> KernelEval:
-    """Kernel value packaged with (N, s, weighted); diagonal values are
-    checked to be real nonnegative."""
-    fn = weighted_kernel if weighted else kernel_sum
-    value = complex(fn(polys, N, z, u))
-    if z == u:
-        if value.real < -1e-12 or abs(value.imag) > 1e-12 * max(1.0, abs(value)):
-            raise AssertionError(f"diagonal kernel value not real nonnegative: {value}")
-        value = complex(value.real)
-    return KernelEval(value, N, polys.s, weighted)
 
 
 def _check_order(polys: OrthoPolySet, n_points: int) -> None:
@@ -146,14 +99,13 @@ def boundary_diag_asymptotic(emap: ExteriorMap, N: int, s: float, theta: float) 
 
 # -- Bergman kernel ----------------------------------------------------------------
 
-def bergman_kernel(domain, z: complex, u: complex, tol: float = 1e-8,
+def bergman_kernel(emap: ExteriorMap, z: complex, u: complex, tol: float = 1e-8,
                    n_start: int = 16, n_max: int = 512) -> complex:
     """Reproducing kernel of square-integrable holomorphic functions on D.
 
     Closed form on the disk; elsewhere the finite interior-weight kernels are
     summed with doubling degree until they stabilize to tol.
     """
-    emap = _as_map(domain)
     if big_phi_eval(emap, z) != INSIDE or big_phi_eval(emap, u) != INSIDE:
         raise ValueError("Bergman kernel arguments must lie in the interior domain")
     if emap.is_disk():
@@ -209,30 +161,43 @@ def tau_of(emap: ExteriorMap, a: complex, theta: float) -> complex:
     return a * np.conj(w) / dphi
 
 
+def _omega(t: float, ell: float) -> float:
+    """Attenuation at Re tau = t: exp(-t / ell) on the outward side t > 0 and
+    1 elsewhere; at ell = 0 the indicator of the closed inward side."""
+    if not t > 0:
+        return 1.0
+    return math.exp(-t / ell) if ell > 0 else 0.0
+
+
 def omega_of(emap: ExteriorMap, a: complex, theta: float, ell: float) -> float:
     """Weight attenuation of an offset a at the boundary; requires ell > 0
     (the ell = 0 limit is discontinuous and handled by the caller)."""
     if not (0.0 < ell <= 1.0):
         raise ValueError("omega is defined for ell in (0, 1]")
-    t = tau_of(emap, a, theta).real
-    return math.exp(-t / ell) if t > 0 else 1.0
+    return _omega(tau_of(emap, a, theta).real, ell)
+
+
+def weighted_limit(emap: ExteriorMap, theta: float, a: complex, b: complex,
+                   ell: float) -> complex:
+    """Limiting weighted kernel omega(a) omega(b) H_ell(tau(a) + conj(tau(b)))
+    at the boundary point phi(e^{i theta}); at ell = 0 a tangential offset
+    (Re tau = 0) counts as inward."""
+    ta, tb = tau_of(emap, a, theta), tau_of(emap, b, theta)
+    h = h_limit(ell, ta + np.conj(tb))
+    om = _omega(ta.real, ell) * _omega(tb.real, ell)
+    return om * h if om else 0j  # +0, where 0.0 * h can give -0
 
 
 def scaling_predictor(emap: ExteriorMap, theta: float, a: complex, b: complex,
                       ell: float, weighted: bool = False):
     """Limit of the scaled kernel ratio; None when the weighted ell = 0 case
     is undefined (an offset approaching tangentially, Re tau = 0)."""
-    arg = tau_of(emap, a, theta) + np.conj(tau_of(emap, b, theta))
+    ta, tb = tau_of(emap, a, theta), tau_of(emap, b, theta)
     if not weighted:
-        return h_limit(ell, arg)
-    if ell > 0:
-        return omega_of(emap, a, theta, ell) * omega_of(emap, b, theta, ell) * h_limit(ell, arg)
-    ra, rb = tau_of(emap, a, theta).real, tau_of(emap, b, theta).real
-    if ra == 0 or rb == 0:
+        return h_limit(ell, ta + np.conj(tb))
+    if ell == 0 and (ta.real == 0 or tb.real == 0):
         return None
-    if ra < 0 and rb < 0:
-        return _h0(arg)
-    return 0.0 + 0j
+    return weighted_limit(emap, theta, a, b, ell)
 
 
 def scaled_ratio(polys: OrthoPolySet, N: int, theta: float, a: complex, b: complex,

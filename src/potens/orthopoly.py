@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotCoveredError
 from .faber import FaberBasis
-from .geometry import INSIDE, DomainSpec, ExteriorMap, big_phi_eval
+from .geometry import INSIDE, ExteriorMap, _ellipse_q, big_phi_eval
 from .moments import MomentTable, epsilon_table
 
 
@@ -220,27 +220,27 @@ def chebyshev_u_monic(n: int, q: float) -> np.ndarray:
     return cur
 
 
-def closed_form(domain: DomainSpec | str, n: int, s: float) -> ClosedForm:
+def closed_form(domain: ExteriorMap | str, n: int, s: float) -> ClosedForm:
     """Exact pi_{n,s} for the disk, the ellipse family, or the interval."""
     if isinstance(domain, str) and domain == "interval":
         return ClosedForm("interval", n, float(s), None,
                           note="interval limit: outside the boundary-universality scope")
-    if not isinstance(domain, DomainSpec):
-        raise ValueError("domain must be a DomainSpec or 'interval'")
+    if not isinstance(domain, ExteriorMap):
+        raise ValueError("domain must be an ExteriorMap or 'interval'")
     fac = (n + 1) / math.pi * _s_factor(n, s)
-    if domain.kind == "disk" or (domain.kind == "ellipse" and domain.q == 0):
+    if domain.is_disk():
         coeffs = np.zeros(n + 1, dtype=complex)
         coeffs[n] = math.sqrt(fac)
         return ClosedForm("disk", n, float(s), coeffs)
-    if domain.kind == "ellipse":
-        q = domain.q
-        if np.isfinite(s):
-            denom = 1.0 - q ** (2 * n + 2) * (s - n - 1) / (s + n + 1)
-        else:
-            denom = 1.0 - q ** (2 * n + 2)
-        scale = math.sqrt(fac / denom)
-        return ClosedForm("ellipse", n, float(s), scale * chebyshev_u_monic(n, q))
-    raise ValueError("no closed form for custom domains")
+    q = _ellipse_q(domain)
+    if q is None:
+        raise ValueError("closed forms exist for the disk, ellipse_map(q) and 'interval' only")
+    if np.isfinite(s):
+        denom = 1.0 - q ** (2 * n + 2) * (s - n - 1) / (s + n + 1)
+    else:
+        denom = 1.0 - q ** (2 * n + 2)
+    scale = math.sqrt(fac / denom)
+    return ClosedForm("ellipse", n, float(s), scale * chebyshev_u_monic(n, q))
 
 
 # -- determinant diagnostics ------------------------------------------------------

@@ -34,17 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ExteriorMap
-from .kernels import _check_order, h_limit, tau_of, weight_at
+from .geometry import ExteriorMap, disk_map
+from .kernels import _check_order, weight_at, weighted_limit
 from .orthopoly import OrthoPolySet
-
-
-@dataclass(frozen=True)
-class EigenConfiguration:
-    points: np.ndarray
-    seed: int
-    N: int
-    s: float
 
 
 @dataclass(frozen=True)
@@ -102,43 +94,28 @@ def sine_corr(a: complex, b: complex) -> float:
     return float(1.0 - s * s)
 
 
-def scaled_kernel_limit(ell: float, a: complex, b: complex,
-                        emap: ExteriorMap | None = None, theta: float = 0.0) -> complex:
-    """Limiting weighted kernel H~(a, b) at a boundary point.
-
-    Defaults to the disk at z = 1, where tau(a, 1) = a.  At ell = 0 the
-    attenuation degenerates to the indicator of the inward side.
-    """
-    if emap is None:
-        ta, tb = complex(a), complex(b)
-    else:
-        ta, tb = tau_of(emap, a, theta), tau_of(emap, b, theta)
-    om = 1.0
-    for t in (ta, tb):
-        if t.real > 0:
-            om *= math.exp(-t.real / ell) if ell > 0 else 0.0
-    return om * h_limit(ell, ta + np.conj(tb))
-
-
-def scaled_corr(ell: float, points, emap: ExteriorMap | None = None,
+def scaled_corr(ell: float, points, emap: ExteriorMap = disk_map(),
                 theta: float = 0.0) -> float:
-    """Scaled n-point correlation det[H~(a_i, a_j)] of boundary offsets."""
+    """Scaled n-point correlation det[H~(a_i, a_j)] of boundary offsets, with
+    H~ = kernels.weighted_limit; defaults to the disk at z = 1, where
+    tau(a, 1) = a."""
     pts = np.asarray(points, dtype=complex).ravel()
     n = len(pts)
     mat = np.empty((n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            mat[i, j] = scaled_kernel_limit(ell, pts[i], pts[j], emap, theta)
+            mat[i, j] = weighted_limit(emap, theta, pts[i], pts[j], ell)
     if n == 1:
         return float(mat[0, 0].real)
     return float(np.linalg.det(mat).real)
 
 
-def r1_limit(ell: float, a: complex, emap=None, theta: float = 0.0) -> float:
+def r1_limit(ell: float, a: complex, emap: ExteriorMap = disk_map(), theta: float = 0.0) -> float:
     return scaled_corr(ell, [a], emap, theta)
 
 
-def r2_limit(ell: float, a: complex, b: complex, emap=None, theta: float = 0.0) -> float:
+def r2_limit(ell: float, a: complex, b: complex, emap: ExteriorMap = disk_map(),
+             theta: float = 0.0) -> float:
     return scaled_corr(ell, [a, b], emap, theta)
 
 
@@ -260,12 +237,6 @@ def sample_disk_batch(N: int, s: float, seed: int, count: int) -> np.ndarray:
     return pts
 
 
-def sample_disk(N: int, s: float, seed: int) -> EigenConfiguration:
-    """One exact draw from the disk ensemble (rotation-invariant weight)."""
-    pts = sample_disk_batch(N, s, seed, 1)[0]
-    return EigenConfiguration(pts, seed, N, float(s))
-
-
 # -- Monte Carlo estimators --------------------------------------------------------------
 
 def empirical_r1(samples: np.ndarray, edges: np.ndarray) -> RadialHistogram:
@@ -333,19 +304,3 @@ def _power_integrals(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def expected_count_outside(N: int, s: float) -> float:
     """Mean number of points outside the unit circle: sum (n+1)/s."""
     return sum((n + 1) / s for n in range(N))
-
-
-def export_configuration_csv(conf: EigenConfiguration, path) -> None:
-    """Dump a configuration as (index, re, im) rows."""
-    with open(path, "w") as fh:
-        fh.write("index,re,im\n")
-        for k, z in enumerate(conf.points):
-            fh.write(f"{k},{z.real:.17g},{z.imag:.17g}\n")
-
-
-def export_histogram_csv(hist: RadialHistogram, path) -> None:
-    """Dump a radial histogram as (bin_lo, bin_hi, density, stderr) rows."""
-    with open(path, "w") as fh:
-        fh.write("bin_lo,bin_hi,density,stderr\n")
-        for lo, hi, d, e in zip(hist.bin_lo, hist.bin_hi, hist.density, hist.stderr):
-            fh.write(f"{lo:.17g},{hi:.17g},{d:.17g},{e:.17g}\n")

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from potens.geometry import DomainSpec, ExteriorMap, disk_map, ellipse_map
+from potens.geometry import ExteriorMap, disk_map, ellipse_map
 from potens.kernels import (
     bergman_kernel,
     h_limit,
@@ -61,7 +61,7 @@ def test_criterion_1_disk_closed_form():
     for s in (25.0, 40.5, np.inf):
         polys = orthonormalize(moments(emap, 20, s))
         for n in range(21):
-            cf = closed_form(DomainSpec.disk(), n, s)
+            cf = closed_form(emap, n, s)
             worst = max(worst, _coeff_devs(polys.mono_coeffs[n, : n + 1], cf.coeffs))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-10 and elapsed <= 10.0
@@ -82,7 +82,7 @@ def test_criterion_2_ellipse_closed_form():
             worst_off = max(worst_off, float(np.max(np.abs(off))))
             polys = orthonormalize(table)
             for n in range(21):
-                cf = closed_form(DomainSpec.ellipse(q), n, s)
+                cf = closed_form(emap, n, s)
                 worst = max(worst, _coeff_devs(polys.mono_coeffs[n, : n + 1], cf.coeffs))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-8 and worst_off <= 1e-10 and elapsed <= 60.0

@@ -313,6 +313,9 @@ def test_each_subcommand_accepts_only_the_options_it_reads(command, key, tmp_pat
     ("gap --domain disk --N 4 --s 6 --nodes-radial 0", "node"),
     ("gap --domain disk --N 4,8 --s 10", "one order"),
     ("sample --domain disk --N 4,8 --s 10", "one order"),
+    ("levelsets --domain disk --levels 1,2 --bins 0", "bins=0"),
+    ("corr --ell 0.5 --bins 0", "bins=0"),
+    ("poly --domain disk --nmax -1 --s 20", "nmax=-1"),
 ])
 def test_out_of_range_values_exit_2_without_traceback(argv, reason, capsys):
     code = cli.main(argv.split())
@@ -320,6 +323,44 @@ def test_out_of_range_values_exit_2_without_traceback(argv, reason, capsys):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("config error") and reason in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    "levelsets --q 0.5 --levels 2 --bins 4",
+    "poly --domain disk --q 0.5 --nmax 2 --s 10",
+    'gap --domain "kind=ellipse q=0.5" --q 0.3 --N 4 --s 6',
+])
+def test_q_without_domain_ellipse_exits_2(argv, tmp_path, capsys):
+    argv = shlex.split(argv)
+    cfgfile = tmp_path / "study.cfg"
+    cfgfile.write_text("q=0.5\n")
+    for args in (argv, [argv[0], "--config", str(cfgfile)]):
+        code = cli.main(args)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("config error") and "domain=ellipse" in captured.err
+    assert cli.main(["levelsets", "--config", str(cfgfile), "--domain", "ellipse",
+                     "--levels", "1", "--bins", "4"]) == 0
+
+
+def test_unwritable_out_exits_2_without_traceback(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code = cli.main(["sample", "--N", "4", "--s", "6", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("config error") and str(target) in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["sample --N 4 --s 6", "gap --N 4 --s 6 --radius 0.5"])
+def test_custom_record_of_the_disk_runs_as_the_disk(command, capsys):
+    code, disk = run_cli(command.split() + ["--domain", "disk"], capsys)
+    assert code == 0
+    code, custom = run_cli(command.split() + ["--domain", "kind=custom cap=1 coeffs=[0]"], capsys)
+    assert code == 0
+    assert custom == disk
+    if command.startswith("gap"):
+        assert "radial_oracle" in custom and "abs_err" in custom
 
 
 def test_gap_at_s_inf_has_finite_radial_oracle(capsys):
@@ -332,13 +373,24 @@ def test_gap_at_s_inf_has_finite_radial_oracle(capsys):
     assert float(rows["abs_err"]) < 1e-12
 
 
-def readme_cli_section() -> str:
+def readme_section(title: str) -> str:
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_quick_start_block_runs(capsys):
+    block = readme_section("Quick start").split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) >= 6  # the sampled points may wrap over several lines
+    kappa, exact = float(printed[0]), complex(printed[1].strip("()"))
+    assert kappa == pytest.approx(exact.real, rel=1e-12)
+    assert float(printed[2]) < 1e-2              # boundary ratio against its limit
+    assert float(printed[3]) == pytest.approx(float(printed[4]), abs=1e-6)
 
 
 def test_readme_cli_block_runs_and_its_table_matches_the_parser(tmp_path, capsys):
-    section = readme_cli_section()
+    section = readme_section("CLI")
     block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
     lines = [line for line in block.splitlines() if line.strip()]
     assert len(lines) == 6

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from potens.faber import FaberBasis, faber_all, remainder_eval
-from potens.geometry import ExteriorMap, big_phi_eval, phi_eval, phi_prime_eval
+from potens.geometry import ExteriorMap, big_phi_eval
 
 from _bruteforce import faber_oracle_coeffs, remainder_product_integral
 
@@ -74,10 +74,10 @@ def test_remainder_closed_form_ellipse(ellipse_half):
     q = 0.5
     basis = FaberBasis(ellipse_half, 8)
     for wtest in (2.0, 1.3 * np.exp(0.7j)):
-        z = phi_eval(ellipse_half, wtest)
+        z = ellipse_half.phi(wtest)
         w = big_phi_eval(ellipse_half, z)
         for n in range(9):
-            expect = -(q ** (n + 1)) * w ** (-(n + 2)) / phi_prime_eval(ellipse_half, w)
+            expect = -(q ** (n + 1)) * w ** (-(n + 2)) / ellipse_half.phi_prime(w)
             got = remainder_eval(ellipse_half, basis, n, z).value
             assert abs(got - expect) < 1e-12 * max(1.0, abs(expect))
 

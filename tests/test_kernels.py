@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from potens.geometry import phi_eval
 from potens.kernels import (
     _h0,
     _h1,
@@ -76,7 +75,6 @@ def test_disk_diagonal_asymptotic_is_exact(disk, disk_polys):
 
 
 def test_kernel_asymptotic_vs_pipeline_and_conformal_transfer(disk, ellipse_half):
-    from potens.geometry import phi_prime_eval
     wz, wu = 1.05 * np.exp(0.3j), 1.02 * np.exp(0.55j)
     for s in (20.0, np.inf):
         for N in (5, 10):
@@ -87,9 +85,9 @@ def test_kernel_asymptotic_vs_pipeline_and_conformal_transfer(disk, ellipse_half
             assert abs(val - exact) <= 1e-12 * abs(exact)
             # on the ellipse it is the disk sum at (Phi(z), Phi(u)) over
             # phi'(Phi(z)) conj(phi'(Phi(u)))
-            z, u = phi_eval(ellipse_half, wz), phi_eval(ellipse_half, wu)
+            z, u = ellipse_half.phi(wz), ellipse_half.phi(wu)
             val = (kernel_asymptotic(ellipse_half, N, s, z, u)
-                   * phi_prime_eval(ellipse_half, wz) * np.conj(phi_prime_eval(ellipse_half, wu)))
+                   * ellipse_half.phi_prime(wz) * np.conj(ellipse_half.phi_prime(wu)))
             ref = kernel_asymptotic(disk, N, s, wz, wu)
             assert abs(val - ref) <= 1e-12 * abs(ref)
 
@@ -131,7 +129,7 @@ def test_boundary_asymptotics_vs_pipeline_on_ellipse(ellipse_half):
         polys = orthonormalize(moments(ellipse_half, n - 1, s))
         wz = (1 + 0.7 / n) * np.exp(0.6j)
         wu = (1 + 0.3 / n) * np.exp(1j * (0.6 + 1.0 / n))
-        z, u = phi_eval(ellipse_half, wz), phi_eval(ellipse_half, wu)
+        z, u = ellipse_half.phi(wz), ellipse_half.phi(wu)
         exact = kernel_sum(polys, n, z, u)
         approx = kernel_asymptotic(ellipse_half, n, s, z, u)
         assert abs(exact - approx) < 1.0
@@ -145,12 +143,11 @@ def test_boundary_asymptotics_vs_pipeline_on_ellipse(ellipse_half):
 
 def test_diagonal_second_order_limit(disk, ellipse_half):
     # K(z,z)/N^2 approaches |Phi'(z)|^2 (3-2l)/(6 pi) when s ~ N/l
-    from potens.geometry import phi_prime_eval
     for emap, theta in ((disk, 0.0), (ellipse_half, 0.7)):
         for ell, srule in ((0.5, lambda n: 2.0 * n), (0.0, lambda n: np.inf), (1.0, lambda n: float(n))):
             n = 2000
             val = boundary_diag_asymptotic(emap, n, srule(n), theta) / n ** 2
-            jac = abs(1 / phi_prime_eval(emap, np.exp(1j * theta))) ** 2
+            jac = abs(1 / emap.phi_prime(np.exp(1j * theta))) ** 2
             limit = jac / math.pi * (3 - 2 * ell) / 6
             assert val == pytest.approx(limit, rel=2e-3)
 
@@ -227,6 +224,10 @@ def test_scaling_predictor_branches(disk):
     assert scaling_predictor(disk, 0.0, -0.5, -0.3, 0.0, weighted=True) == \
         pytest.approx(h_limit(0.0, -0.8))
     assert scaling_predictor(disk, 0.0, 0.5, -0.3, 0.0, weighted=True) == 0.0
+    # the outward offset 0.5 gives +0 in both parts (the CLI prints 0, never -0)
+    for other in (-0.1 + 3j, -1 - 4j):
+        zero = scaling_predictor(disk, 0.0, 0.5, other, 0.0, weighted=True)
+        assert (math.copysign(1, zero.real), math.copysign(1, zero.imag)) == (1, 1)
     assert scaling_predictor(disk, 0.0, 1j, -0.3, 0.0, weighted=True) is None
 
 
@@ -301,20 +302,6 @@ def test_kernel_limit_desk_scale(disk):
         polys = orthonormalize(moments(disk, n - 1, 2.0 * n))
         diffs.append(abs(kd - kernel_sum(polys, n, z, z).real))
     assert diffs[2] < diffs[1] < diffs[0]
-
-
-def test_kernel_eval_record(disk_polys, disk):
-    from potens.kernels import ScalingParams, evaluate_kernel
-    ev = evaluate_kernel(disk_polys[(9, 20.0)], 10, 0.3, 0.3)
-    assert ev.value.imag == 0.0
-    assert ev.value.real > 0
-    assert (ev.N, ev.s, ev.weighted) == (10, 20.0, False)
-    evw = evaluate_kernel(disk_polys[(9, 20.0)], 10, 1.5, 1.5, weighted=True)
-    assert evw.weighted and evw.value.real < ev.value.real
-    params = ScalingParams(0.5, 0.0, 0.3 + 0.2j, -0.1)
-    assert params.predictor(disk) == scaling_predictor(disk, 0.0, 0.3 + 0.2j, -0.1, 0.5)
-    ta, tb = params.tau_pair(disk)
-    assert ta == pytest.approx(0.3 + 0.2j) and tb == pytest.approx(-0.1)
 
 
 def test_christoffel_and_reproducing(ellipse_half, disk):

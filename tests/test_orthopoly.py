@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from potens.errors import NotCoveredError
-from potens.geometry import DomainSpec, ExteriorMap, ellipse_map, phi_eval
+from potens.geometry import ExteriorMap, ellipse_map
 from potens.moments import MomentTable, epsilon_table, moments
 from potens.orthopoly import (
     _lower_inverse,
@@ -116,7 +116,7 @@ def test_kappa_asymptotic_values(disk, ellipse_half):
 def test_exterior_asymptotic(disk, ellipse_half):
     assert exterior_asymptotic(2, np.inf, disk, 2.0) == pytest.approx(math.sqrt(3 / math.pi) * 4)
     # ratio pi_n / prediction approaches 1 as n grows
-    z = phi_eval(ellipse_half, 2.0)
+    z = ellipse_half.phi(2.0)
     polys = orthonormalize(moments(ellipse_half, 12, 40.0))
     devs = []
     for n in (2, 6, 12):
@@ -127,7 +127,7 @@ def test_exterior_asymptotic(disk, ellipse_half):
 
 
 def test_exterior_asymptotic_rate_is_geometric(ellipse_half):
-    z = phi_eval(ellipse_half, 1.5)
+    z = ellipse_half.phi(1.5)
     s = 60.0
     polys = orthonormalize(moments(ellipse_half, 16, s))
     devs = [abs(complex(polys.eval(n, z)) / exterior_asymptotic(n, s, ellipse_half, z) - 1)
@@ -157,13 +157,13 @@ def test_kappa_error_model():
 
 
 def test_closed_form_disk_and_ellipse(disk, ellipse_half):
-    cf = closed_form(DomainSpec.disk(), 3, 12.0)
+    cf = closed_form(disk, 3, 12.0)
     assert np.allclose(cf.coeffs, [0, 0, 0, math.sqrt(4 / math.pi * (1 - 4 / 12))])
     polys = orthonormalize(moments(ellipse_half, 6, 25.0))
     for n in range(7):
-        cf = closed_form(DomainSpec.ellipse(0.5), n, 25.0)
+        cf = closed_form(ellipse_half, n, 25.0)
         assert np.max(np.abs(cf.coeffs - polys.mono_coeffs[n, : n + 1])) < 1e-12
-    cfi = closed_form(DomainSpec.ellipse(0.5), 2, np.inf)
+    cfi = closed_form(ellipse_half, 2, np.inf)
     pe = orthonormalize(moments(ellipse_half, 2, np.inf))
     assert np.max(np.abs(cfi.coeffs - pe.mono_coeffs[2, :3])) < 1e-12
 

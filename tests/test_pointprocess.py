@@ -20,7 +20,6 @@ from potens.pointprocess import (
     r2_limit,
     radius_cdf,
     radius_ppf,
-    sample_disk,
     sample_disk_batch,
     scaled_corr,
     sine_corr,
@@ -127,17 +126,17 @@ def test_radius_law_examples():
 
 
 def test_sampler_determinism_and_validation():
-    c1 = sample_disk(4, 6.0, 123)
-    c2 = sample_disk(4, 6.0, 123)
-    assert np.array_equal(c1.points, c2.points)
-    c3 = sample_disk(4, 6.0, 124)
-    assert not np.array_equal(c3.points, c2.points)
+    c1 = sample_disk_batch(4, 6.0, 123, 1)
+    c2 = sample_disk_batch(4, 6.0, 123, 1)
+    assert np.array_equal(c1, c2)
+    c3 = sample_disk_batch(4, 6.0, 124, 1)
+    assert not np.array_equal(c3, c2)
     batch = sample_disk_batch(4, 6.0, 123, 3)
-    assert np.array_equal(batch[0], c1.points)
+    assert np.array_equal(batch[:1], c1)
     with pytest.raises(ValueError):
-        sample_disk(4, 4.0, 1)
+        sample_disk_batch(4, 4.0, 1, 1)
     with pytest.raises(ValueError):
-        sample_disk(4, np.inf, 1)
+        sample_disk_batch(4, np.inf, 1, 1)
 
 
 def test_sampler_matches_radial_law():
@@ -290,26 +289,6 @@ def test_empirical_r1_rejects_bad_input():
 
 def test_expected_count_outside():
     assert expected_count_outside(8, 12.0) == pytest.approx(3.0)
-
-
-def test_csv_exports(tmp_path):
-    from potens.pointprocess import export_configuration_csv, export_histogram_csv
-    conf = sample_disk(3, 5.0, 11)
-    path = tmp_path / "conf.csv"
-    export_configuration_csv(conf, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,re,im"
-    assert len(lines) == 4
-    idx, re_, im_ = lines[1].split(",")
-    assert complex(float(re_), float(im_)) == conf.points[0]
-
-    batch = sample_disk_batch(3, 5.0, 11, 50)
-    hist = empirical_r1(batch, np.linspace(0, 1.5, 6))
-    hpath = tmp_path / "hist.csv"
-    export_histogram_csv(hist, hpath)
-    hlines = hpath.read_text().strip().splitlines()
-    assert hlines[0] == "bin_lo,bin_hi,density,stderr"
-    assert len(hlines) == 6
 
 
 def test_gap_refinement_warning_machinery(polys_4_6):
