@@ -12,7 +12,6 @@ exact disk sampler) in pointprocess.
 from .errors import ConvergenceError, NotCoveredError
 from .geometry import (
     BOUNDARY_TOL,
-    INSIDE,
     ExteriorMap,
     big_phi_eval,
     disk_map,

@@ -90,6 +90,11 @@ class StudyConfig:
             raise ConfigError(f"nmax={self.nmax} is negative")
         if self.bins < 1:
             raise ConfigError(f"bins={self.bins} is below 1")
+        for n in self.n_list:
+            if n < 1:
+                raise ConfigError(f"--N={n} is below 1")
+        if not self.radius >= 0:
+            raise ConfigError(f"--radius={self.radius!r} must be >= 0")
         if not 0 <= self.seed < 2 ** 128:
             raise ConfigError(f"seed {self.seed} outside the Philox key range [0, 2**128)")
         if self.srule == "inf" or self.s_value is not None:

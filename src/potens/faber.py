@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import INSIDE, ExteriorMap, big_phi_eval
+from .geometry import ExteriorMap, big_phi_eval
 
 
 @dataclass(frozen=True)
@@ -203,8 +203,8 @@ def remainder_eval(emap: ExteriorMap, basis: FaberBasis, n: int, z: complex) -> 
     root whose residual meets 1e-12 (1+|z|) at every distance from the curve,
     and phi' does not vanish on |w| >= 1, so no band near the curve is lost.
     """
-    w = big_phi_eval(emap, z)
-    if w == INSIDE:
+    w, inside = big_phi_eval(emap, z)
+    if inside:
         raise ValueError("remainder function is defined on the closure of the exterior only")
     dphi = complex(emap._phi_prime_raw(np.asarray(w, dtype=complex)))
     tail = basis.remainder_series(n)

@@ -12,7 +12,8 @@ max(1, |Phi(z)|): identically 1 on K and growing like |z|/cap far away.
 
 Restricting boundaries to finite Laurent tails keeps every curve analytic by
 construction, makes univalence checkable on a grid, and turns phi(w) = z
-into a polynomial equation of degree m + 1, so Phi needs no iteration.
+into a polynomial equation of degree m + 1, so Phi needs no iteration:
+the roots of many points are eigenvalues of one stack of companion matrices.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .errors import ConvergenceError
 # inside/outside decision (the weight max(1, |Phi|) must be consistent).
 BOUNDARY_TOL = 1e-10
 
+# No function here returns this marker (big_phi_eval reports the inside
+# decision as a flag), but bench/spans.py reads it when it installs its
+# wrappers, so it stays defined.
 INSIDE = "inside"
 
 _DOMAIN_CHECK_SLACK = 1e-12
@@ -213,46 +217,70 @@ def format_domain(emap: ExteriorMap) -> str:
 
 # -- operations ---------------------------------------------------------------
 
-def big_phi_eval(emap: ExteriorMap, z: complex):
-    """Invert phi as the root of a polynomial.
+def big_phi_eval(emap: ExteriorMap, z):
+    """Invert phi on an array of points as the roots of polynomials.
 
     Multiplying phi(w) = z by w^m gives cap w^{m+1} + (c_0 - z) w^m + c_1
     w^{m-1} + ... + c_m = 0.  phi is univalent on |w| > 1, so when z lies on
     or outside the boundary exactly one root has |w| >= 1 and it is Phi(z);
-    when z lies inside K no root does.  Returns w = Phi(z) (residual
-    |phi(w) - z| <= 1e-12 (1+|z|)) or the string ``"inside"`` when the
-    largest root has |w| < 1 - BOUNDARY_TOL.  Raises ValueError for a
-    non-finite z or when two roots reach the closed exterior (phi is not
-    univalent), and ConvergenceError, with the root attached, when the
-    residual contract fails.
+    when z lies inside K no root does.  The roots of all points come from one
+    np.linalg.eigvals call on their stacked companion matrices, built as
+    np.roots builds them, so each point gets exactly the roots of np.roots.
+
+    Returns (w, inside): w is the largest-modulus root and inside the flag
+    |w| < 1 - BOUNDARY_TOL.  Outside K, w = Phi(z) with residual
+    |phi(w) - z| <= 1e-12 (1+|z|); inside K, w continues Phi into K.  A
+    scalar z gives (complex, bool), an array z two arrays of its shape.
+    Raises ValueError naming the first non-finite z or listing the roots of
+    the first point with two roots on the closed exterior (phi is not
+    univalent), and ConvergenceError, with that point's root as ``last``,
+    for the first exterior point that misses the residual contract.
     """
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError(f"Phi is defined for finite z only, got {z!r}")
-    if emap.tail_length == 0:
-        # phi is affine; invert exactly
-        w = (z - emap.laurent_coeffs[0]) / emap.cap
-        return INSIDE if abs(w) < 1 - BOUNDARY_TOL else w
-    c = emap.laurent_coeffs
-    roots = np.roots((emap.cap, c[0] - z) + c[1:])
-    roots = roots[np.argsort(np.abs(roots))]
-    w = complex(roots[-1])
-    if abs(w) < 1 - BOUNDARY_TOL:
-        return INSIDE
-    if abs(roots[-2]) >= 1 - BOUNDARY_TOL:
-        raise ValueError(f"phi is not univalent: phi(w) = {z!r} has roots {roots.tolist()} "
-                         "on or outside the unit circle")
-    if abs(complex(emap._phi_raw(np.asarray(w))) - z) > 1e-12 * (1.0 + abs(z)):
-        raise ConvergenceError(f"inversion of phi missed the residual contract at z={z!r}", last=w)
-    return w
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise ValueError(f"Phi is defined for finite z only, got {complex(flat[bad[0]])!r}")
+    c, m = emap.laurent_coeffs, emap.tail_length
+    # divided by a complex cap, as np.roots divides, so the roots match it bit for bit
+    poly = np.empty((flat.size, m + 2), dtype=complex)
+    poly[:, 0] = emap.cap
+    poly[:, 1] = c[0] - flat
+    poly[:, 2:] = c[1:]
+    companion = np.zeros((flat.size, m + 1, m + 1), dtype=complex)
+    companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
+    companion[:, np.arange(1, m + 1), np.arange(m)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    mod = np.abs(roots)
+    rows = np.arange(flat.size)
+    top = np.argmax(mod, axis=1)
+    w = roots[rows, top]
+    inside = mod[rows, top] < 1 - BOUNDARY_TOL
+    if m:
+        second = np.sort(mod, axis=1)[:, -2]
+        two = np.flatnonzero(~inside & (second >= 1 - BOUNDARY_TOL))
+        if two.size:
+            i = two[0]
+            raise ValueError(f"phi is not univalent: phi(w) = {complex(flat[i])!r} has roots "
+                             f"{roots[i].tolist()} on or outside the unit circle")
+    ext = np.flatnonzero(~inside)
+    resid = np.abs(emap._phi_raw(w[ext]) - flat[ext])
+    miss = ext[resid > 1e-12 * (1.0 + np.abs(flat[ext]))]
+    if miss.size:
+        i = miss[0]
+        raise ConvergenceError(f"inversion of phi missed the residual contract at "
+                               f"z={complex(flat[i])!r}", last=complex(w[i]))
+    if z.ndim == 0:
+        return complex(w[0]), bool(inside[0])
+    return w.reshape(z.shape), inside.reshape(z.shape)
 
 
-def equilibrium_potential(emap: ExteriorMap, z: complex) -> float:
-    """P_K(z) = max(1, |Phi(z)|); equals 1 on K and is continuous across T."""
-    w = big_phi_eval(emap, z)
-    if w == INSIDE:
-        return 1.0
-    return max(1.0, abs(w))
+def equilibrium_potential(emap: ExteriorMap, z):
+    """P_K(z) = max(1, |Phi(z)|); equals 1 on K and is continuous across T.
+    A float for scalar z, else an array of z's shape."""
+    w, inside = big_phi_eval(emap, z)
+    p = np.where(inside, 1.0, np.maximum(1.0, np.abs(w)))
+    return float(p) if p.ndim == 0 else p
 
 
 def level_line(emap: ExteriorMap, level: float, n_theta: int = 256) -> np.ndarray:

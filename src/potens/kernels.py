@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .geometry import BOUNDARY_TOL, INSIDE, ExteriorMap, big_phi_eval
+from .geometry import BOUNDARY_TOL, ExteriorMap, big_phi_eval, equilibrium_potential
 from .moments import moments
 from .orthopoly import OrthoPolySet, orthonormalize
 
@@ -38,13 +38,15 @@ def _check_order(polys: OrthoPolySet, n_points: int) -> None:
         raise ValueError(f"kernel order {n_points} violates N <= floor(s-1) for s={polys.s}")
 
 
-def weight_at(emap: ExteriorMap, s: float, z: complex) -> float:
-    """P_K(z)^{-s}; at s = inf the weight degenerates to the indicator of K."""
-    w = big_phi_eval(emap, z)
-    p = 1.0 if w == INSIDE else max(1.0, abs(w))
+def weight_at(emap: ExteriorMap, s: float, z):
+    """P_K(z)^{-s}; at s = inf the weight degenerates to the indicator of K.
+    A float for scalar z, else an array of z's shape."""
+    p = np.asarray(equilibrium_potential(emap, z))
     if not np.isfinite(s):
-        return 1.0 if p <= 1.0 + BOUNDARY_TOL else 0.0
-    return p ** (-s)
+        wt = np.where(p <= 1.0 + BOUNDARY_TOL, 1.0, 0.0)
+    else:
+        wt = p ** (-s)
+    return float(wt) if wt.ndim == 0 else wt
 
 
 def kernel_sum(polys: OrthoPolySet, N: int, z: complex, u: complex) -> complex:
@@ -57,8 +59,8 @@ def kernel_sum(polys: OrthoPolySet, N: int, z: complex, u: complex) -> complex:
 
 def weighted_kernel(polys: OrthoPolySet, N: int, z: complex, u: complex) -> complex:
     """Kernel with the weight split evenly over both arguments."""
-    emap, s = polys.map, polys.s
-    return weight_at(emap, s, z) * weight_at(emap, s, u) * kernel_sum(polys, N, z, u)
+    wz, wu = weight_at(polys.map, polys.s, np.array([z, u], dtype=complex))
+    return wz * wu * kernel_sum(polys, N, z, u)
 
 
 # -- boundary asymptotics --------------------------------------------------------
@@ -74,14 +76,12 @@ def kernel_asymptotic(emap: ExteriorMap, N: int, s: float, z: complex, u: comple
     summed directly: its geometric closed form divides by (1-x)^3 and loses
     about eps/|1-x|^2 of relative accuracy as x approaches 1.
     """
-    wz = big_phi_eval(emap, z)
-    wu = big_phi_eval(emap, u)
-    if wz == INSIDE or wu == INSIDE:
+    w, inside = big_phi_eval(emap, np.array([z, u], dtype=complex))
+    if inside.any():
         raise ValueError("kernel asymptotics are stated on the closure of the exterior")
-    dz = 1.0 / complex(emap._phi_prime_raw(np.asarray(wz, dtype=complex)))
-    du = 1.0 / complex(emap._phi_prime_raw(np.asarray(wu, dtype=complex)))
+    dz, du = (1.0 / complex(d) for d in emap._phi_prime_raw(w))
     pref = dz * np.conj(du) / math.pi
-    up = wz * np.conj(wu)
+    up = w[0] * np.conj(w[1])
     sinv = 0.0 if not np.isfinite(s) else 1.0 / s
     n = np.arange(N)
     return pref * np.sum(((n + 1) - sinv * (n + 1) ** 2) * up ** n)
@@ -106,7 +106,7 @@ def bergman_kernel(emap: ExteriorMap, z: complex, u: complex, tol: float = 1e-8,
     Closed form on the disk; elsewhere the finite interior-weight kernels are
     summed with doubling degree until they stabilize to tol.
     """
-    if big_phi_eval(emap, z) != INSIDE or big_phi_eval(emap, u) != INSIDE:
+    if not big_phi_eval(emap, np.array([z, u], dtype=complex))[1].all():
         raise ValueError("Bergman kernel arguments must lie in the interior domain")
     if emap.is_disk():
         return (1.0 / math.pi) / (1.0 - z * np.conj(u)) ** 2

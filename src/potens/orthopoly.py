@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotCoveredError
 from .faber import FaberBasis
-from .geometry import INSIDE, ExteriorMap, _ellipse_q, big_phi_eval
+from .geometry import ExteriorMap, _ellipse_q, big_phi_eval
 from .moments import MomentTable, epsilon_table
 
 
@@ -113,8 +113,8 @@ def kappa_asymptotic(n: int, s: float, emap: ExteriorMap) -> float:
 
 def exterior_asymptotic(n: int, s: float, emap: ExteriorMap, z: complex) -> complex:
     """Leading-order prediction of pi_n(z) for z outside the boundary."""
-    w = big_phi_eval(emap, z)
-    if w == INSIDE:
+    w, inside = big_phi_eval(emap, z)
+    if inside:
         raise ValueError("exterior asymptotics require z outside the domain")
     dphi = complex(emap._phi_prime_raw(np.asarray(w, dtype=complex)))
     return math.sqrt((n + 1) / math.pi * _s_factor(n, s)) * w ** n / dphi

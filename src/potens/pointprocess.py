@@ -76,7 +76,7 @@ def corr_fn(polys: OrthoPolySet, N: int, points) -> float:
     _check_order(polys, N)
     if n > N:
         warnings.warn(f"correlation order {n} exceeds kernel rank {N}; value is 0 to rounding")
-    psi = polys.eval_all(pts, N - 1) * np.array([weight_at(polys.map, polys.s, z) for z in pts])
+    psi = polys.eval_all(pts, N - 1) * weight_at(polys.map, polys.s, pts)
     mat = psi.T @ psi.conj()  # mat[i, j] = weighted_kernel(z_i, z_j)
     if n == 1:
         return float(mat[0, 0].real)
@@ -143,9 +143,10 @@ def _region_nodes(region: DiskRegion, n_rad: int, n_ang: int):
 def _gap_eigenvalues(polys: OrthoPolySet, N: int, region: DiskRegion,
                      n_rad: int, n_ang: int) -> np.ndarray:
     pts, u = _region_nodes(region, n_rad, n_ang)
-    vals = polys.eval_all(pts, N - 1)
-    wts = np.array([weight_at(polys.map, polys.s, z) for z in pts])
-    psi = vals * (wts * np.sqrt(u))[None, :]
+    # the weights come first: the inversion's temporaries are freed before
+    # eval_all builds the (N, nodes) table, the peak of the pass
+    wts = weight_at(polys.map, polys.s, pts)
+    psi = polys.eval_all(pts, N - 1) * (wts * np.sqrt(u))[None, :]
     lam = np.linalg.eigvalsh(psi @ psi.conj().T)
     return np.clip(lam, 0.0, None)
 
@@ -155,11 +156,14 @@ def gap_probability(polys: OrthoPolySet, N: int, region: DiskRegion,
     """Probability that the region holds no points, by Fredholm truncation.
 
     Refines the quadrature twice; a non-monotone refinement pattern triggers
-    a warning carrying both estimates.
+    a warning carrying both estimates.  A region of radius 0 is empty (value
+    1); a negative radius raises ValueError.
     """
     if n_rad < 1 or n_ang < 1:
         raise ValueError(f"gap quadrature needs at least one node each way (got {n_rad} x {n_ang})")
-    if region.radius <= 0:
+    if not region.radius >= 0:
+        raise ValueError(f"gap region radius must be >= 0 (got {region.radius!r})")
+    if region.radius == 0:
         return GapResult(1.0, 1.0, np.array([1.0]), (n_rad, n_ang))
     vals = []
     lam = None

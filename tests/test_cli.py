@@ -316,6 +316,9 @@ def test_each_subcommand_accepts_only_the_options_it_reads(command, key, tmp_pat
     ("levelsets --domain disk --levels 1,2 --bins 0", "bins=0"),
     ("corr --ell 0.5 --bins 0", "bins=0"),
     ("poly --domain disk --nmax -1 --s 20", "nmax=-1"),
+    ("gap --domain disk --N 4 --s 6 --radius -1", "--radius=-1"),
+    ("sample --N 0 --s 10", "--N=0"),
+    ("scaling --N -2 --s 10", "--N=-2"),
 ])
 def test_out_of_range_values_exit_2_without_traceback(argv, reason, capsys):
     code = cli.main(argv.split())

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from potens.errors import ConvergenceError
 from potens.geometry import (
-    INSIDE,
+    BOUNDARY_TOL,
     ExteriorMap,
     big_phi_eval,
     ellipse_map,
@@ -42,18 +42,28 @@ def test_phi_prime_examples(ellipse_half, disk):
 
 
 def test_big_phi_examples(disk, ellipse_half):
-    assert big_phi_eval(disk, 3) == pytest.approx(3)
-    assert big_phi_eval(ellipse_half, 1.5) == pytest.approx(1)
-    assert big_phi_eval(ellipse_half, 0) == INSIDE
-    # just inside the curve the largest root has |w| = 1 - 3e-6
-    assert big_phi_eval(ellipse_half, 1.5 * (1 - 1e-6)) == INSIDE
-    assert big_phi_eval(disk, 0) == INSIDE
+    assert big_phi_eval(disk, 3) == (pytest.approx(3), False)
+    assert big_phi_eval(ellipse_half, 1.5) == (pytest.approx(1), False)
+    w, inside = big_phi_eval(ellipse_half, 0)
+    assert inside and abs(w) == pytest.approx(np.sqrt(0.5))
+    # just inside the curve the largest root has |w| = 1 - 3e-6; w continues
+    # Phi into K, so phi(w) = z still holds
+    z = 1.5 * (1 - 1e-6)
+    w, inside = big_phi_eval(ellipse_half, z)
+    assert inside and w == pytest.approx(1 - 3e-6, abs=1e-10)
+    assert abs(w + 0.5 / w - z) < 1e-14
+    assert big_phi_eval(disk, 0) == (0, True)
+    # an array gives arrays of its shape
+    w, inside = big_phi_eval(ellipse_half, np.array([[1.5, 0.0], [2.25, 1.5 * (1 - 1e-6)]]))
+    assert w.shape == inside.shape == (2, 2)
+    assert inside.tolist() == [[False, True], [False, True]]
+    assert w[1, 0] == pytest.approx(2)
 
 
 def test_big_phi_residual_contract(custom_map):
     z = 1.7 - 0.4j
-    w = big_phi_eval(custom_map, z)
-    assert abs(custom_map.phi(w) - z) <= 1e-12 * (1 + abs(z))
+    w, inside = big_phi_eval(custom_map, z)
+    assert not inside and abs(custom_map.phi(w) - z) <= 1e-12 * (1 + abs(z))
 
 
 def test_round_trip_grid(ellipse_half, custom_map):
@@ -63,8 +73,8 @@ def test_round_trip_grid(ellipse_half, custom_map):
         for r in radii:
             for t in thetas:
                 w = r * np.exp(1j * t)
-                back = big_phi_eval(emap, emap.phi(w))
-                assert back != INSIDE
+                back, inside = big_phi_eval(emap, emap.phi(w))
+                assert not inside
                 assert abs(back - w) < 1e-10 * max(1.0, r)
 
 
@@ -73,8 +83,8 @@ def test_boundary_modulus_one(ellipse_half, custom_map):
     for emap in (ellipse_half, custom_map, ellipse_map(0.9)):
         z = emap.boundary_point(thetas)
         for zz in z:
-            w = big_phi_eval(emap, zz)
-            assert w != INSIDE
+            w, inside = big_phi_eval(emap, zz)
+            assert not inside
             assert abs(abs(w) - 1) < 1e-12
 
 
@@ -115,21 +125,22 @@ def test_non_finite_map_data_rejected(cap, coeffs):
         ExteriorMap(cap, coeffs)
 
 
-def test_newton_failure_carries_last_iterate(ellipse_half, monkeypatch):
-    # a root that misses the residual contract is reported, not returned
-    true_roots = np.roots
+def test_residual_failure_carries_rejected_root(ellipse_half, monkeypatch):
+    # a root that misses the residual contract is reported, not returned;
+    # only the point 5.0 gets a perturbed root, the others stay exact
+    true_eigvals = np.linalg.eigvals
     returned = []
 
-    def perturbed(coeffs):
-        roots = true_roots(coeffs)
-        k = np.argmax(np.abs(roots))
-        roots[k] *= 1 + 1e-6
-        returned.append(complex(roots[k]))
+    def perturbed(a):
+        roots = true_eigvals(a)
+        k = np.argmax(np.abs(roots[1]))
+        roots[1, k] *= 1 + 1e-6
+        returned.append(complex(roots[1, k]))
         return roots
 
-    monkeypatch.setattr(np, "roots", perturbed)
-    with pytest.raises(ConvergenceError) as info:
-        big_phi_eval(ellipse_half, 5.0)
+    monkeypatch.setattr(np.linalg, "eigvals", perturbed)
+    with pytest.raises(ConvergenceError, match=r"z=\(5\+0j\)") as info:
+        big_phi_eval(ellipse_half, np.array([3.0, 5.0, 0.0, 7.0]))
     assert returned and info.value.last == returned[-1]
     assert abs(info.value.last - (2.5 + np.sqrt(5.75))) > 1e-6
 
@@ -142,6 +153,10 @@ def test_big_phi_rejects_non_finite(disk, ellipse_half, z):
             big_phi_eval(emap, z)
         with pytest.raises(ValueError):
             equilibrium_potential(emap, z)
+        # one bad entry among good ones is named
+        with pytest.raises(ValueError, match="finite") as info:
+            big_phi_eval(emap, np.array([0.5, 3.0, z, 2j]))
+        assert repr(z) in str(info.value)
 
 
 def test_big_phi_rejects_non_univalent_map():
@@ -149,6 +164,10 @@ def test_big_phi_rejects_non_univalent_map():
     emap = ExteriorMap(1.0, (0j, 2.0))
     with pytest.raises(ValueError, match="not univalent"):
         big_phi_eval(emap, 3.0)
+    # among good points the bad one is named with its roots
+    with pytest.raises(ValueError, match=r"phi\(w\) = \(3\+0j\) has roots") as info:
+        big_phi_eval(emap, np.array([10.0, -10j, 3.0, 20.0]))
+    assert "(1+0j)" in str(info.value) and "(2" in str(info.value)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -158,16 +177,26 @@ def test_inversion_on_random_maps(emap, r, t, x, y):
     # exterior points phi(r e^{it}) round-trip
     w = r * np.exp(1j * t)
     z = emap.phi(w)
-    back = big_phi_eval(emap, z)
-    assert back != INSIDE
+    back, inside = big_phi_eval(emap, z)
+    assert not inside
     assert abs(back - w) <= 1e-10 * r
     assert abs(emap.phi(back) - z) <= 1e-12 * (1 + abs(z))
-    # a point of the box around K is INSIDE exactly when the boundary curve
+    # a point of the box around K is inside exactly when the boundary curve
     # winds around it, wherever the quadrature oracle can decide
     z = emap.laurent_coeffs[0] + emap.cap * complex(x, y)
     wind = winding_number(emap, z)
     if wind is not None:
-        assert (big_phi_eval(emap, z) == INSIDE) == (wind == 1)
+        assert big_phi_eval(emap, z)[1] == (wind == 1)
+    # one stacked call over points inside, on and outside K gives each point
+    # the largest root of np.roots, bit for bit, and the same inside decision
+    pts = np.array([emap.phi(w), z, emap.laurent_coeffs[0], complex(emap.boundary_point(t)),
+                    emap.phi(1.01 * w / r), z + 0.1j])
+    got, inside = big_phi_eval(emap, pts)
+    for p, g, i in zip(pts, got, inside):
+        roots = np.roots((emap.cap, emap.laurent_coeffs[0] - p) + emap.laurent_coeffs[1:])
+        ref = roots[np.argmax(np.abs(roots))]
+        assert g == ref
+        assert i == (abs(ref) < 1 - BOUNDARY_TOL)
 
 
 def test_maps_are_immutable(disk):

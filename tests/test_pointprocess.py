@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import potens.pointprocess as pp
 from potens.geometry import ellipse_map
 from potens.kernels import weighted_kernel
 from potens.moments import moments
@@ -108,6 +109,26 @@ def test_gap_empty_and_full(polys_4_6):
     assert gap_probability(polys_4_6, 4, DiskRegion(0, 0.0)).value == 1.0
     full = gap_probability(polys_4_6, 4, DiskRegion(0, 12.0), n_rad=64)
     assert abs(full.value) < 1e-10
+
+
+def test_gap_rejects_negative_radius(polys_4_6):
+    with pytest.raises(ValueError, match="radius"):
+        gap_probability(polys_4_6, 4, DiskRegion(0.2, -0.5))
+
+
+def test_gap_inverts_each_pass_in_one_call(ellipse_half, monkeypatch):
+    # one weight_at call per refinement pass, on every node of that pass
+    sizes = []
+    true_weight_at = pp.weight_at
+
+    def counting(emap, s, z):
+        sizes.append(np.size(z))
+        return true_weight_at(emap, s, z)
+
+    monkeypatch.setattr(pp, "weight_at", counting)
+    polys = orthonormalize(moments(ellipse_half, 3, 8.0))
+    gap_probability(polys, 4, DiskRegion(1.3 + 0.02j, 0.4), n_rad=4, n_ang=8)
+    assert sizes == [4 * 8, 8 * 16, 16 * 32]
 
 
 def test_gap_off_center_region(disk):
