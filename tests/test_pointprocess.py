@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -291,6 +292,91 @@ def test_sampler_prefix_contract():
     full = sample_disk_batch(10, 12.5, 99, 200)
     for k in (0, 1, 2, 7, 31, 100, 199):
         assert np.array_equal(sample_disk_batch(10, 12.5, 99, k), full[:k]), k
+
+
+def test_sampler_matches_documented_counter_scheme():
+    # point n of configuration c reads positions 2c (radius) and 2c + 1
+    # (angle) of the Philox stream with counter block [0, 0, n, 0]
+    N, s, seed, count = 10, 12.5, 99, 200
+    want = np.empty((count, N), dtype=complex)
+    for n in range(N):
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, n, 0]))
+        u = gen.random(2 * count)
+        want[:, n] = radius_ppf(n, s, u[0::2]) * np.exp(2j * np.pi * u[1::2])
+    assert np.array_equal(sample_disk_batch(N, s, seed, count), want)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_sampler_values_do_not_depend_on_worker_count(monkeypatch, cpus):
+    want = sample_disk_batch(10, 12.5, 99, 200)
+    threads = set()
+    true_ppf = pp.radius_ppf
+
+    def recording(n, s, u):
+        threads.add(threading.get_ident())
+        return true_ppf(n, s, u)
+
+    monkeypatch.setattr(pp.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(pp, "radius_ppf", recording)
+    assert np.array_equal(sample_disk_batch(10, 12.5, 99, 200), want)
+    assert 1 <= len(threads) <= cpus
+
+
+def _raise_value_error(n, s, u):
+    raise ValueError(f"row {n} failed")
+
+
+def _divide_by_zero(n, s, u):
+    # a numpy RuntimeWarning, which the test configuration turns into an error
+    return radius_ppf(n, s, u) / np.zeros_like(u)
+
+
+@pytest.mark.parametrize("fail, error", [
+    (_raise_value_error, ValueError),
+    (_divide_by_zero, RuntimeWarning),
+], ids=["ValueError", "RuntimeWarning"])
+def test_sampler_worker_error_reaches_caller(monkeypatch, fail, error):
+    # the row of point index 5 fails inside a worker
+    def ppf(n, s, u):
+        return fail(n, s, u) if n == 5 else radius_ppf(n, s, u)
+
+    monkeypatch.setattr(pp, "radius_ppf", ppf)
+    with pytest.raises(error):
+        sample_disk_batch(10, 12.5, 99, 20)
+
+
+def test_sampler_empty_shapes():
+    assert sample_disk_batch(0, 1.0, 1, 5).shape == (5, 0)
+    assert sample_disk_batch(3, 4.0, 1, 0).shape == (0, 3)
+
+
+def _two_sided_r1(samples, edges):
+    # one pass of two comparisons per bin over every radius
+    radii = np.abs(samples)
+    count = radii.shape[0]
+    per_config = np.stack([((radii >= lo) & (radii < hi)).sum(axis=1)
+                           for lo, hi in zip(edges[:-1], edges[1:])], axis=1)
+    area = np.pi * (edges[1:] ** 2 - edges[:-1] ** 2)
+    stderr = per_config.std(axis=0, ddof=1) / math.sqrt(count)
+    return per_config.mean(axis=0) / area, stderr / area
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_empirical_r1_matches_two_sided_bins(order):
+    edges = np.array([0.3, 0.5, 0.75, 1.0, 1.25, 2.0])
+    samples = np.array(sample_disk_batch(12, 30.0, 5, 40))
+    # radii on every edge, below edges[0], at and beyond edges[-1], and NaN,
+    # along the axes so that |z| is the radius exactly
+    special = np.concatenate([edges, edges, [0.0, 0.1, np.nextafter(0.3, 0.0),
+                                             np.nextafter(2.0, 3.0), 3.5, np.nan]])
+    for i, r in enumerate(special):
+        samples[(7 * i) % 40, i % 12] = r * (1, -1, 1j, -1j)[i % 4]
+    samples = np.asarray(samples, order=order)
+    hist = empirical_r1(samples, edges)
+    density, stderr = _two_sided_r1(samples, edges)
+    assert np.array_equal(hist.density, density)
+    assert np.array_equal(hist.stderr, stderr)
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 128], ids=["negative", "2**128"])
