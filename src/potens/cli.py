@@ -64,6 +64,10 @@ class StudyConfig:
     def orders(self) -> tuple:
         return self.n_list or (self.nmax,)
 
+    def degrees(self) -> list:
+        """The polynomial degrees poly reports: --N, else 0..nmax."""
+        return list(self.n_list) if self.n_list else list(range(self.nmax + 1))
+
     def order(self) -> int:
         if len(self.n_list) > 1:
             raise ConfigError(f"one order only, got N={','.join(map(str, self.n_list))}")
@@ -85,7 +89,10 @@ class StudyConfig:
             return 1.0 / self.s_value
         return n / self.s_value
 
-    def validate(self) -> "StudyConfig":
+    def validate(self, command: str | None = None) -> "StudyConfig":
+        """Reject out-of-range values.  poly reads --N as degrees, which need
+        s >= degree + 2; every other command reads kernel orders N, which
+        need N <= floor(s-1)."""
         if self.nmax < 0:
             raise ConfigError(f"nmax={self.nmax} is negative")
         if self.bins < 1:
@@ -98,10 +105,18 @@ class StudyConfig:
         if not 0 <= self.seed < 2 ** 128:
             raise ConfigError(f"seed {self.seed} outside the Philox key range [0, 2**128)")
         if self.srule == "inf" or self.s_value is not None:
-            for n in self.orders():
-                s = self.s_for(n)
-                if s != math.inf and not n <= s - 1:
-                    raise ConfigError(f"pair (N={n}, s={s}) violates N <= floor(s-1)")
+            rule = f"under --srule {self.srule}"
+            if command == "poly":
+                for n in self.degrees():
+                    s = self.s_for(n)
+                    if s != math.inf and not s >= n + 2:
+                        raise ConfigError(f"pair (degree={n}, s={s}) violates "
+                                          f"s >= degree + 2 {rule}")
+            else:
+                for n in self.orders():
+                    s = self.s_for(n)
+                    if s != math.inf and not n <= s - 1:
+                        raise ConfigError(f"pair (N={n}, s={s}) violates N <= floor(s-1) {rule}")
         return self
 
 
@@ -161,8 +176,9 @@ def _domain(text: str, q: float | None) -> ExteriorMap:
     return parse_domain(text)
 
 
-def config_from_pairs(pairs: dict) -> StudyConfig:
-    """StudyConfig from option key -> text; absent keys keep their defaults."""
+def config_from_pairs(pairs: dict, command: str | None = None) -> StudyConfig:
+    """StudyConfig from option key -> text, validated for command; absent
+    keys keep their defaults."""
     values = {}
     for key, text in pairs.items():
         if key not in _OPTIONS:
@@ -173,7 +189,7 @@ def config_from_pairs(pairs: dict) -> StudyConfig:
         except ValueError as exc:
             raise ConfigError(f"{key}={text}: {exc}") from None
     values["domain"] = _domain(values.get("domain", "disk"), values.pop("q", None))
-    return StudyConfig(**values).validate()
+    return StudyConfig(**values).validate(command)
 
 
 def _pairs_from_text(text: str, command: str | None = None) -> dict:
@@ -225,7 +241,7 @@ def _fit_rate(ns, errs) -> float:
 # -- subcommands --------------------------------------------------------------------
 
 def cmd_poly(cfg: StudyConfig) -> None:
-    degrees = list(cfg.n_list) if cfg.n_list else list(range(cfg.nmax + 1))
+    degrees = cfg.degrees()
     rows = ["n,s,kappa_exact,kappa_pred,rel_err,fitted_rate,coeffs"]
     errs, seen = [], []
     emap = cfg.domain
@@ -258,9 +274,11 @@ def cmd_scaling(cfg: StudyConfig) -> None:
         s = cfg.s_for(n)
         ell = cfg.ell_for(n)
         polys = orthonormalize(moments(emap, n - 1, s))
-        for a in cfg.a_list:
-            for b in cfg.b_list:
-                ratio = scaled_ratio(polys, n, theta, a, b, weighted=cfg.weighted)
+        ratios = scaled_ratio(polys, n, theta, np.array(cfg.a_list), np.array(cfg.b_list),
+                              weighted=cfg.weighted)
+        for i, a in enumerate(cfg.a_list):
+            for j, b in enumerate(cfg.b_list):
+                ratio = complex(ratios[i, j])
                 pred = scaling_predictor(emap, theta, a, b, ell, weighted=cfg.weighted)
                 if pred is None:
                     rows.append(",".join([str(n), format_complex(a), format_complex(b),
@@ -381,7 +399,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config file: {exc}") from exc
             pairs = _pairs_from_text(text, ns.command)
         pairs.update(_namespace_pairs(ns))
-        _COMMANDS[ns.command](config_from_pairs(pairs))
+        _COMMANDS[ns.command](config_from_pairs(pairs, ns.command))
     except ValueError as exc:  # ConfigError and the library's range checks
         print(f"config error: {exc}", file=sys.stderr)
         return 2

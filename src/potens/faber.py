@@ -24,7 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ExteriorMap, big_phi_eval
+from .geometry import ExteriorMap, big_phi_eval, phi_roots
+
+# boundary nodes on which remainder_decay samples the roots of phi(w) = phi(e^{i t})
+_DECAY_NODES = 512
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,8 @@ class FaberBasis:
         """Values F_0(z)..F_n(z) by the joint (Ftilde, Ftilde') recurrence.
 
         Returns an array of shape (n_upto+1,) + shape(z); stable for |z| of
-        order the boundary scale even at degree several hundred.
+        order the boundary scale even at degree 10^4.  The recurrence reads
+        only the map, so n_upto may exceed n_max.
         """
         n_upto = self.n_max if n_upto is None else n_upto
         z = np.asarray(z, dtype=complex)
@@ -176,6 +180,13 @@ class FaberBasis:
             out[n] = fd[n + 1] / (n + 1)
         return out
 
+    def mono_table(self, n_upto: int) -> np.ndarray:
+        """Lower triangular (n_upto+1)^2 table, row j = monomial coefficients of F_j."""
+        out = np.zeros((n_upto + 1, n_upto + 1), dtype=complex)
+        for j in range(n_upto + 1):
+            out[j, : j + 1] = self.mono[j]
+        return out
+
     def polynomials(self) -> list[FaberPolynomial]:
         polys = []
         for n, coeffs in enumerate(self.mono):
@@ -187,6 +198,31 @@ class FaberBasis:
                 )
             polys.append(FaberPolynomial(n, coeffs.copy()))
         return polys
+
+
+def remainder_decay(emap: ExteriorMap) -> tuple[float, float]:
+    """(rho, c) with |E_n(phi(w)) phi'(w)| <= c rho^n on |w| = 1 for every n.
+
+    phi(omega) = phi(w) has the root omega_0 = w and m others, omega_1..omega_m,
+    inside the unit disk, and Ftilde_n(phi(w)) = sum_i omega_i(w)^n (the
+    power-sum identity).  Differentiating gives
+    E_n(phi(w)) phi'(w) = sum_{i>=1} omega_i^n phi'(w) / phi'(omega_i), so rho
+    is the largest |omega_i| and c is m times the largest |phi'(w) / phi'(omega_i)|,
+    both sampled at _DECAY_NODES boundary points.  Every Laurent coefficient of
+    remainder_series(n) is at most c rho^n.  The disk gives (0, 0).
+    """
+    m = emap.tail_length
+    if m == 0:
+        return 0.0, 0.0
+    w = np.exp(2j * np.pi * np.arange(_DECAY_NODES) / _DECAY_NODES)
+    roots = phi_roots(emap, emap._phi_raw(w))
+    # drop the principal root, the one nearest w
+    order = np.argsort(np.abs(roots - w[:, None]), axis=1)
+    other = np.take_along_axis(roots, order[:, 1:], axis=1)
+    # phi'(omega) omega^(m+1), a polynomial, stays finite however small omega is
+    slope = (np.abs(emap._phi_prime_raw(w))[:, None] * np.abs(other) ** (m + 1)
+             / np.abs(np.polyval(emap._phi_prime_poly(), other)))
+    return float(np.max(np.abs(other))), float(m * np.max(slope))
 
 
 def faber_all(emap: ExteriorMap, n_max: int) -> list[FaberPolynomial]:

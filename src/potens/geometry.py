@@ -96,6 +96,14 @@ class ExteriorMap:
             wk = wk / w
         return out
 
+    def _phi_prime_poly(self) -> np.ndarray:
+        """Descending coefficients of w^(m+1) phi'(w) = cap w^(m+1) - sum_k k c_k w^(m-k)."""
+        m = self.tail_length
+        poly = np.zeros(m + 2, dtype=complex)
+        poly[0] = self.cap
+        poly[2:] = -np.arange(1, m + 1) * np.array(self.laurent_coeffs[1:])
+        return poly
+
     def is_disk(self) -> bool:
         """phi is the identity: K is the closed unit disk."""
         return self.cap == 1.0 and all(c == 0 for c in self.laurent_coeffs)
@@ -122,13 +130,8 @@ class ExteriorMap:
             raise ValueError("boundary curve self-intersects: phi is not univalent on |w|=1")
         # zeros of phi' are the roots of cap w^{m+1} - sum k c_k w^{m-k};
         # all of them must stay strictly inside the unit circle
-        m = self.tail_length
-        if m > 0:
-            poly = np.zeros(m + 2, dtype=complex)
-            poly[0] = self.cap
-            for k in range(1, m + 1):
-                poly[k + 1] = -k * self.laurent_coeffs[k]
-            roots = np.roots(poly)
+        if self.tail_length > 0:
+            roots = np.roots(self._phi_prime_poly())
             if roots.size and np.max(np.abs(roots)) >= 1 - 1e-12:
                 raise ValueError("phi' vanishes on |w| >= 1: map is not conformal")
 
@@ -217,6 +220,21 @@ def format_domain(emap: ExteriorMap) -> str:
 
 # -- operations ---------------------------------------------------------------
 
+def phi_roots(emap: ExteriorMap, z: np.ndarray) -> np.ndarray:
+    """All m + 1 roots w of phi(w) = z for each point of a 1-d array z,
+    shape (len(z), m + 1), from one stacked companion eigenvalue call."""
+    c, m = emap.laurent_coeffs, emap.tail_length
+    # divided by a complex cap, as np.roots divides, so the roots match it bit for bit
+    poly = np.empty((z.size, m + 2), dtype=complex)
+    poly[:, 0] = emap.cap
+    poly[:, 1] = c[0] - z
+    poly[:, 2:] = c[1:]
+    companion = np.zeros((z.size, m + 1, m + 1), dtype=complex)
+    companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
+    companion[:, np.arange(1, m + 1), np.arange(m)] = 1.0
+    return np.linalg.eigvals(companion)
+
+
 def big_phi_eval(emap: ExteriorMap, z):
     """Invert phi on an array of points as the roots of polynomials.
 
@@ -241,16 +259,8 @@ def big_phi_eval(emap: ExteriorMap, z):
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:
         raise ValueError(f"Phi is defined for finite z only, got {complex(flat[bad[0]])!r}")
-    c, m = emap.laurent_coeffs, emap.tail_length
-    # divided by a complex cap, as np.roots divides, so the roots match it bit for bit
-    poly = np.empty((flat.size, m + 2), dtype=complex)
-    poly[:, 0] = emap.cap
-    poly[:, 1] = c[0] - flat
-    poly[:, 2:] = c[1:]
-    companion = np.zeros((flat.size, m + 1, m + 1), dtype=complex)
-    companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
-    companion[:, np.arange(1, m + 1), np.arange(m)] = 1.0
-    roots = np.linalg.eigvals(companion)
+    m = emap.tail_length
+    roots = phi_roots(emap, flat)
     mod = np.abs(roots)
     rows = np.arange(flat.size)
     top = np.argmax(mod, axis=1)

@@ -103,22 +103,30 @@ def bergman_kernel(emap: ExteriorMap, z: complex, u: complex, tol: float = 1e-8,
                    n_start: int = 16, n_max: int = 512) -> complex:
     """Reproducing kernel of square-integrable holomorphic functions on D.
 
-    Closed form on the disk; elsewhere the finite interior-weight kernels are
-    summed with doubling degree until they stabilize to tol.
+    Closed form on the disk; elsewhere the finite interior-weight kernels
+    K_n at doubling orders n = n_start, 2 n_start, ... are summed until two
+    in a row agree to tol.  At s = inf pi_k does not depend on the table
+    size, so every K_n is a partial sum of one set built at n_max.
     """
     if not big_phi_eval(emap, np.array([z, u], dtype=complex))[1].all():
         raise ValueError("Bergman kernel arguments must lie in the interior domain")
     if emap.is_disk():
         return (1.0 / math.pi) / (1.0 - z * np.conj(u)) ** 2
+    orders = []
     n = n_start
-    prev = None
     while n <= n_max:
-        polys = orthonormalize(moments(emap, n - 1, np.inf))
-        val = kernel_sum(polys, n, z, u)
-        if prev is not None and abs(val - prev) <= tol:
-            return val
-        prev = val
+        orders.append(n)
         n *= 2
+    if orders:
+        polys = orthonormalize(moments(emap, orders[-1] - 1, np.inf))
+        vals = polys.eval_all(np.array([z, u], dtype=complex), orders[-1] - 1)
+        terms = vals[:, 0] * np.conj(vals[:, 1])
+        prev = None
+        for n in orders:
+            val = complex(np.sum(terms[:n]))
+            if prev is not None and abs(val - prev) <= tol:
+                return val
+            prev = val
     raise ConvergenceError(f"Bergman kernel series did not stabilize to {tol} by degree {n_max}")
 
 
@@ -200,14 +208,30 @@ def scaling_predictor(emap: ExteriorMap, theta: float, a: complex, b: complex,
     return weighted_limit(emap, theta, a, b, ell)
 
 
-def scaled_ratio(polys: OrthoPolySet, N: int, theta: float, a: complex, b: complex,
-                 weighted: bool = False) -> complex:
-    """K_N(z + a/N, z + b/N) / K_N(z, z) at the boundary point z = phi(e^{i theta})."""
+def scaled_ratio(polys: OrthoPolySet, N: int, theta: float, a, b, weighted: bool = False):
+    """K_N(z + a/N, z + b/N) / K_N(z, z) at the boundary point z = phi(e^{i theta}).
+
+    a and b are offsets or arrays of them: arrays give the (len(a), len(b))
+    matrix of ratios, scalars a complex.  One eval_all pass covers z and
+    every offset point.  With weighted, the kernels carry the weight split
+    evenly over both arguments; it is 1 on the curve.
+    """
+    _check_order(polys, N)
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    a = np.atleast_1d(np.asarray(a, dtype=complex))
+    b = np.atleast_1d(np.asarray(b, dtype=complex))
     z = complex(polys.map.boundary_point(theta))
-    za, zb = z + a / N, z + b / N
-    kern = weighted_kernel if weighted else kernel_sum
-    denom = kernel_sum(polys, N, z, z).real  # weight is 1 on the curve
-    return kern(polys, N, za, zb) / denom
+    pts = np.concatenate(([z], z + a / N, z + b / N))
+    # one contiguous row per point, and each ratio formed in Python scalars as
+    # weighted_kernel and kernel_sum form it, so a = b = 0 gives exactly 1
+    vals = np.ascontiguousarray(polys.eval_all(pts, N - 1).T)
+    va, vb = vals[1 : a.size + 1], np.conj(vals[a.size + 1 :])
+    denom = float(np.sum(vals[0] * np.conj(vals[0])).real)
+    wt = weight_at(polys.map, polys.s, pts[1:]).tolist() if weighted else [1.0] * (pts.size - 1)
+    wa, wb = wt[: a.size], wt[a.size :]
+    ratio = np.array([[wa[i] * wb[j] * complex(np.sum(va[i] * vb[j])) / denom
+                       for j in range(b.size)] for i in range(a.size)])
+    return complex(ratio[0, 0]) if scalar else ratio
 
 
 # -- variational checks ---------------------------------------------------------------
@@ -217,9 +241,7 @@ def _faber_coords(polys: OrthoPolySet, p_mono: np.ndarray) -> np.ndarray:
     deg = len(p_mono) - 1
     if deg > polys.n_max:
         raise ValueError("polynomial degree exceeds the basis")
-    fmono = np.zeros((deg + 1, deg + 1), dtype=complex)
-    for j in range(deg + 1):
-        fmono[j, : j + 1] = polys.basis.mono[j]
+    fmono = polys.basis.mono_table(deg)
     return np.linalg.solve(fmono.T, np.asarray(p_mono, dtype=complex))
 
 

@@ -23,24 +23,87 @@ handled alike, up to s = inf where the exterior part vanishes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .faber import FaberBasis
+from .faber import FaberBasis, remainder_decay
 from .geometry import ExteriorMap
+
+# a Gram entry this far below its diagonal, relative, is below rounding
+HEAD_TOL = 1e-17
 
 
 @dataclass(frozen=True)
 class MomentTable:
+    """The moment table m[k, j] = <F_j, F_k> of degrees 0..n_max, as an
+    exact head plus a diagonal tail.
+
+    Degrees below ``head_degree`` form the head: ``head`` is the exact
+    block, the sum of ``interior_head`` and ``exterior_head``, summed over
+    the Faber tables ``head_basis``.  From head_degree on the table is its
+    diagonal model pi/(k+1) + pi/(s-k-1) (eps = 0), and every entry of eps
+    that this drops is at most ``tail_bound`` (0 when the head is the whole
+    table).  The dense (n_max+1)^2 arrays and the Faber tables
+    of every degree are built on first read, for diagnostics.
+    """
+
     map: ExteriorMap
     n_max: int
     s: float
-    entries: np.ndarray
-    interior_part: np.ndarray
-    exterior_part: np.ndarray
-    basis: FaberBasis
+    head: np.ndarray
+    interior_head: np.ndarray
+    exterior_head: np.ndarray
+    head_basis: FaberBasis
+    tail_bound: float
+
+    @property
+    def head_degree(self) -> int:
+        return self.head.shape[0]
+
+    def _dense(self, block: np.ndarray, diag: np.ndarray) -> np.ndarray:
+        n0 = self.head_degree
+        out = np.zeros((self.n_max + 1, self.n_max + 1), dtype=complex)
+        out[:n0, :n0] = block
+        k = np.arange(n0, self.n_max + 1)
+        out[k, k] = diag[n0:]
+        return out
+
+    # the diagonal model of each part, rounded as the Laurent sums round a
+    # lone power w^k, so the disk's table is the one the sums give
+    def _interior_model(self) -> np.ndarray:
+        return np.pi * (1.0 / np.arange(1.0, self.n_max + 2))
+
+    def _exterior_model(self) -> np.ndarray:
+        k = np.arange(self.n_max + 1.0)
+        return 2.0 * np.pi * (1.0 / (2.0 * self.s - 2.0 * k - 2.0))
+
+    def tail_diagonal(self) -> np.ndarray:
+        """The model m[k, k] of the degrees head_degree..n_max."""
+        model = self._interior_model() + self._exterior_model()
+        return model[self.head_degree :]
+
+    @cached_property
+    def interior_part(self) -> np.ndarray:
+        return self._dense(self.interior_head, self._interior_model())
+
+    @cached_property
+    def exterior_part(self) -> np.ndarray:
+        return self._dense(self.exterior_head, self._exterior_model())
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        return self._dense(self.head, self._interior_model() + self._exterior_model())
+
+    @cached_property
+    def basis(self) -> FaberBasis:
+        """Faber tables of degrees 0..n_max."""
+        if self.head_degree == self.n_max + 1:
+            return self.head_basis
+        return FaberBasis(self.map, self.n_max)
 
 
 @dataclass(frozen=True)
@@ -74,22 +137,69 @@ def interior_gram(basis: FaberBasis) -> np.ndarray:
 def exterior_gram(basis: FaberBasis, s: float) -> np.ndarray:
     """int_O F_j conj(F_k) |Phi|^{-2s} dA, summed over the Laurent modes."""
     n_max = basis.n_max
+    _check_s(n_max, s)
     if s == np.inf:
         return np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    if not s >= n_max + 2:
-        raise ValueError(f"s={s}: need s >= n_max + 2 = {n_max + 2} or s = inf")
     # F_n(phi) phi' = w^n + O(1/w): powers above n_max carry no coefficient
     outer = basis.outer_series_all()[:, : basis.offset + n_max + 1]
     powers = np.arange(outer.shape[1]) - basis.offset
     return 2.0 * np.pi * np.conj(outer) @ (outer / (2.0 * s - 2.0 * powers - 2.0)).T
 
 
+def _check_s(n_max: int, s: float) -> None:
+    if not (s == np.inf or s >= n_max + 2):
+        raise ValueError(f"s={s}: need s >= n_max + 2 = {n_max + 2} or s = inf")
+
+
+def head_degree(emap: ExteriorMap) -> tuple[int | float, float]:
+    """(n0, bound): past degree n0 the moment table is its diagonal model to
+    HEAD_TOL, and every entry of eps at degree n0 or beyond is at most bound.
+
+    With (rho, c) from remainder_decay, the remainder series of degree n is
+    at most r_n = c rho^n on |w| = 1.  An entry eps[k, j] is a sum of
+    products of two remainder tails: the exterior part pairs R_k with R_j,
+    the interior part R_j with the negative part of Ftilde_{k+1}(phi), which
+    is at most m rho^(k+1).  So |eps[k, j]| <= r_j (m rho + c) for j >= k,
+    and b(n) = (n+1) c max(1, m rho + c) rho^n covers both eps and r_n; the
+    factor n+1 absorbs the sampling of rho on the boundary.  n0 is the first
+    degree past the peak of b where it falls below HEAD_TOL, at least 1, and
+    bound = b(n0).  A map with rho >= 1 (not univalent) has no tail: n0 = inf.
+    """
+    rho, c = remainder_decay(emap)
+    if rho >= 1.0:
+        return math.inf, math.inf
+    const = c * max(1.0, emap.tail_length * rho + c)
+
+    def b(n: int) -> float:
+        return const * (n + 1) * rho ** n
+
+    # b rises while n + 1 <= rho / (1 - rho), so it peaks at lo
+    lo = math.floor(rho / (1.0 - rho))
+    if b(lo) < HEAD_TOL:
+        return 1, b(max(lo, 1))
+    hi = 2 * lo + 1
+    while b(hi) >= HEAD_TOL:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if b(mid) < HEAD_TOL else (mid, hi)
+    return hi, b(hi)
+
+
 def moments(emap: ExteriorMap, n_max: int, s: float) -> MomentTable:
-    """Assemble the full moment table m[k, j]; s may be inf (interior only)."""
-    basis = FaberBasis(emap, n_max)
+    """The moment table of degrees 0..n_max; s may be inf (interior only).
+
+    Only the head, degrees below min(n0, n_max + 1) with n0 from
+    head_degree, is summed; the rest is the diagonal model.
+    """
+    _check_s(n_max, s)
+    n0, bound = head_degree(emap)
+    size = min(n0, n_max + 1)
+    basis = FaberBasis(emap, size - 1)
     interior = interior_gram(basis)
     exterior = exterior_gram(basis, s)
-    return MomentTable(emap, n_max, float(s), interior + exterior, interior, exterior, basis)
+    return MomentTable(emap, n_max, float(s), interior + exterior, interior, exterior, basis,
+                       bound if size <= n_max else 0.0)
 
 
 def epsilon_table(mom: MomentTable) -> EpsilonTable:

@@ -3,14 +3,17 @@
 Orthonormalization happens in the Faber basis, where the Gram matrix is the
 identity plus an exponentially small perturbation and therefore perfectly
 conditioned; the monomial-basis Gram would be exponentially ill-conditioned
-at the same degrees.  The coefficient rows come from inverting the Cholesky
-factor, which automatically makes every leading coefficient a positive real.
+at the same degrees.  Only the head of the moment table is factored: the
+coefficient rows there come from inverting its Cholesky factor, which makes
+every leading coefficient a positive real.  Past the head the table is its
+diagonal model, so pi_n = F_n / sqrt(m[n, n]), m[n, n] = s pi / ((n+1)(s-n-1)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,31 +25,69 @@ from .moments import MomentTable, epsilon_table
 
 @dataclass(frozen=True)
 class OrthoPolySet:
-    """Coefficients of pi_0..pi_nmax in Faber and monomial bases."""
+    """pi_0..pi_nmax as an exact head plus a diagonal Faber tail.
+
+    Row n < head_degree of ``head_coeffs`` is pi_n in the Faber basis; from
+    head_degree on, pi_n = tail_scales[n - head_degree] * F_n.  ``tail_bound``
+    is the moment table's bound on the largest Gram entry the tail drops,
+    relative to its diagonal.  The dense (n_max+1)^2 coefficient arrays
+    ``faber_coeffs`` and ``mono_coeffs`` are built on first read.
+    """
 
     map: ExteriorMap
     s: float
     n_max: int
-    basis: FaberBasis
     moment_table: MomentTable
-    faber_coeffs: np.ndarray  # lower triangular, row n = pi_n in Faber basis
-    mono_coeffs: np.ndarray   # lower triangular, row n = pi_n in monomials
+    head_coeffs: np.ndarray   # lower triangular, row n = pi_n in the Faber basis
+    tail_scales: np.ndarray   # pi_n / F_n for n >= head_degree
     kappas: np.ndarray        # positive leading (monomial) coefficients
+    head_degree: int
+    tail_bound: float
+
+    @property
+    def basis(self) -> FaberBasis:
+        """Faber tables of degrees 0..n_max."""
+        return self.moment_table.basis
+
+    @cached_property
+    def faber_coeffs(self) -> np.ndarray:
+        """Lower triangular, row n = pi_n in the Faber basis."""
+        n0 = self.head_degree
+        out = np.zeros((self.n_max + 1, self.n_max + 1), dtype=complex)
+        out[:n0, :n0] = self.head_coeffs
+        k = np.arange(n0, self.n_max + 1)
+        out[k, k] = self.tail_scales
+        return out
+
+    @cached_property
+    def mono_coeffs(self) -> np.ndarray:
+        """Lower triangular, row n = pi_n in monomials."""
+        n0 = self.head_degree
+        out = np.zeros((self.n_max + 1, self.n_max + 1), dtype=complex)
+        out[:n0, :n0] = self.head_coeffs @ self.moment_table.head_basis.mono_table(n0 - 1)
+        for n in range(n0, self.n_max + 1):
+            out[n, : n + 1] = self.tail_scales[n - n0] * self.basis.mono[n]
+        return out
 
     def eval_all(self, z, n_upto: int | None = None) -> np.ndarray:
         """Values pi_0(z)..pi_n(z); shape (n+1,) + shape(z)."""
         n_upto = self.n_max if n_upto is None else n_upto
-        fv = self.basis.eval_all(z, n_upto)
-        c = self.faber_coeffs[: n_upto + 1, : n_upto + 1]
-        return np.tensordot(c, fv, axes=(1, 0))
+        out = self.moment_table.head_basis.eval_all(z, n_upto)
+        k = min(n_upto + 1, self.head_degree)
+        head = np.tensordot(self.head_coeffs[:k, :k], out[:k], axes=(1, 0))
+        scales = self.tail_scales[: n_upto + 1 - k]
+        out[k:] *= scales.reshape(scales.shape + (1,) * (out.ndim - 1))
+        out[:k] = head
+        return out
 
     def eval(self, n: int, z):
         return self.eval_all(z, n)[n]
 
 
 def orthonormalize(mom: MomentTable) -> OrthoPolySet:
-    """Cholesky-orthonormalize the Faber basis against the moment table."""
-    gram = np.conj(mom.entries)  # [j, k] = <F_j, F_k>
+    """Cholesky-orthonormalize the Faber basis against the head of the
+    moment table; the diagonal tail gives pi_n = F_n / sqrt(m[n, n])."""
+    gram = np.conj(mom.head)  # [j, k] = <F_j, F_k>
     if not np.all(np.isfinite(gram)):  # np.linalg.cholesky would return NaN without raising
         raise ValueError("moment table has non-finite entries")
     try:
@@ -56,16 +97,19 @@ def orthonormalize(mom: MomentTable) -> OrthoPolySet:
             f"moment table is not positive definite (first bad pivot at index "
             f"{_first_bad_pivot(gram)}); check the moment table or increase s"
         ) from None
-    n = mom.n_max
+    n0 = mom.head_degree
     coeffs = _lower_inverse(chol)
-    fmono = np.zeros((n + 1, n + 1), dtype=complex)
-    for j, mono in enumerate(mom.basis.mono):
-        fmono[j, : j + 1] = mono
-    mono_coeffs = coeffs @ fmono
-    kappas = np.real(np.diag(mono_coeffs)).copy()
-    if np.any(kappas <= 0):
+    # leading coefficient of F_n is cap^-(n+1); only the diagonal of a
+    # triangular product reaches it
+    leads = np.array([mono[-1] for mono in mom.head_basis.mono])
+    head_kappas = np.real(np.diag(coeffs) * leads)
+    if np.any(head_kappas <= 0):
         raise ValueError("leading coefficients must be positive; factorization failed")
-    return OrthoPolySet(mom.map, mom.s, n, mom.basis, mom, coeffs, mono_coeffs, kappas)
+    scales = 1.0 / np.sqrt(mom.tail_diagonal())
+    kappas = np.concatenate([head_kappas,
+                             scales * mom.map.cap ** -np.arange(n0 + 1.0, mom.n_max + 2)])
+    return OrthoPolySet(mom.map, mom.s, mom.n_max, mom, coeffs, scales, kappas, n0,
+                        mom.tail_bound)
 
 
 def _lower_inverse(low: np.ndarray) -> np.ndarray:

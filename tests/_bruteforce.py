@@ -16,15 +16,23 @@ and the disk radial law (radius_cdf_mp, radius_ppf_mp, annulus_density_mp)
 is evaluated in mpmath from its closed form.  The inside test of the exterior-map
 inversion is checked against the winding number of the boundary curve
 (winding_number), a trapezoidal contour integral instead of a polynomial root.
+Two kernel oracles bypass the head-plus-tail polynomial set: dense_kernel
+factors the whole N x N Faber Gram of the exact sums, and
+ellipse_kernel_ratio evaluates the closed-form ellipse polynomials by their
+three-term recurrence.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.special import roots_jacobi, roots_legendre
 
+from potens.faber import FaberBasis
 from potens.geometry import ExteriorMap
+from potens.moments import exterior_gram, interior_gram
 
 
 def _interior_monomial_gram(emap: ExteriorMap, n_max: int, r0: float,
@@ -352,3 +360,34 @@ def annulus_density_mp(N: int, s, edges) -> list:
                                for n in range(N))
             out.append(float(mass / (mpmath.pi * (mpmath.mpf(hi) ** 2 - mpmath.mpf(lo) ** 2))))
         return out
+
+
+def dense_kernel(emap: ExteriorMap, n_pts: int, s: float, z, u) -> np.ndarray:
+    """K_N(z_i, u_j) from the whole N x N Faber Gram: every entry summed,
+    the full Cholesky factor inverted by a triangular solve."""
+    basis = FaberBasis(emap, n_pts - 1)
+    gram = np.conj(interior_gram(basis) + exterior_gram(basis, s))  # [j, k] = <F_j, F_k>
+    coeffs = solve_triangular(np.linalg.cholesky(gram), np.eye(n_pts), lower=True)
+    vz = coeffs @ basis.eval_all(np.atleast_1d(z))
+    vu = coeffs @ basis.eval_all(np.atleast_1d(u))
+    return vz.T @ np.conj(vu)
+
+
+def ellipse_kernel_ratio(q: float, n_pts: int, s: float, theta: float, a, b) -> np.ndarray:
+    """K_N(z + a_i/N, z + b_j/N) / K_N(z, z) at z = phi(e^{i theta}) for
+    phi(w) = w + q/w, from pi_n = kappa_n U_n with U_0 = 1, U_1 = z,
+    U_{k+1} = z U_k - q U_{k-1} and the closed-form kappa_n."""
+    z = cmath.exp(1j * theta) + q * cmath.exp(-1j * theta)
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    pts = np.concatenate(([z], z + a / n_pts, z + b / n_pts))
+    n = np.arange(n_pts, dtype=float)
+    kappa2 = ((n + 1) / math.pi * (1.0 - (n + 1) / s)
+              / (1.0 - q ** (2 * n + 2) * (s - n - 1) / (s + n + 1)))
+    u = np.empty((n_pts, pts.size), dtype=complex)
+    u[0] = 1.0
+    u[1] = pts
+    for k in range(1, n_pts - 1):
+        u[k + 1] = pts * u[k] - q * u[k - 1]
+    va, vb = u[:, 1 : a.size + 1], u[:, a.size + 1 :]
+    num = (va * kappa2[:, None]).T @ np.conj(vb)
+    return num / np.sum(kappa2 * np.abs(u[:, 0]) ** 2)

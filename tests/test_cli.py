@@ -319,6 +319,10 @@ def test_each_subcommand_accepts_only_the_options_it_reads(command, key, tmp_pat
     ("gap --domain disk --N 4 --s 6 --radius -1", "--radius=-1"),
     ("sample --N 0 --s 10", "--N=0"),
     ("scaling --N -2 --s 10", "--N=-2"),
+    ("poly --domain disk --srule cn --s 2",
+     "pair (degree=0, s=0.0) violates s >= degree + 2 under --srule cn"),
+    ("poly --N 1 --srule cn --s 2",
+     "pair (degree=1, s=2.0) violates s >= degree + 2 under --srule cn"),
 ])
 def test_out_of_range_values_exit_2_without_traceback(argv, reason, capsys):
     code = cli.main(argv.split())
@@ -409,3 +413,54 @@ def test_readme_cli_block_runs_and_its_table_matches_the_parser(tmp_path, capsys
     table = {m.group(1): set(re.findall(r"--[\w-]+", m.group(2)))
              for m in re.finditer(r"^\| `(\w+)` \|(.*)\|$", section, re.M)}
     assert table == {c: opts - {"--config"} for c, opts in parser_options().items()}
+
+
+# outputs of the dense Cholesky path, kept under tests/data with the argv that made them
+DATA = Path(__file__).resolve().parent / "data"
+OFFSETS = "--srule cn --s 2 --theta 0.7 --a=0.3+0.2i,-0.4,0 --b=-0.1,0.2-0.3i,0"
+SCALING_REFERENCE = {
+    "scaling_disk_readme": "scaling --domain disk --N 50,100,200 --srule cn --s 2 "
+                           "--a 0.3+0.2i --b -0.1",
+    "scaling_q05_w0": f"scaling --domain ellipse --q 0.5 --N 50,100,300 {OFFSETS}",
+    "scaling_q05_w1": f"scaling --domain ellipse --q 0.5 --N 50,100,300 {OFFSETS} --weighted",
+    "scaling_q09_w0": f"scaling --domain ellipse --q 0.9 --N 50,200,500 {OFFSETS}",
+    "scaling_q09_w1": f"scaling --domain ellipse --q 0.9 --N 50,200,500 {OFFSETS} --weighted",
+}
+EXACT_REFERENCE = {
+    "gap_ellipse_bench": "gap --domain ellipse --q 0.5 --N 8 --s 16 --center=1.3+0.02i "
+                         "--radius 0.4 --nodes-radial 24 --nodes-angular 64",
+    "gap_disk_readme": "gap --domain disk --N 4 --s 6 --radius 0.5",
+    "gap_disk_n64": "gap --domain disk --N 64 --s 100 --radius 0.95 --center 0.1 "
+                    "--nodes-radial 12 --nodes-angular 32",
+    "gap_ellipse_n100": "gap --domain ellipse --q 0.5 --N 100 --s 200 --center=1.3 --radius 0.2 "
+                        "--nodes-radial 12 --nodes-angular 32",
+    "sample_disk_readme": "sample --domain disk --N 8 --s 12 --seed 42",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALING_REFERENCE))
+def test_scaling_csv_matches_the_dense_path(name, capsys):
+    # the ratio of a row moves by at most 1e-13 of its modulus; its components
+    # and abs_err are compared on that scale, since a component near 0 or a
+    # difference of two nearly equal values keeps no relative digits
+    code, out = run_cli(SCALING_REFERENCE[name].split(), capsys)
+    assert code == 0
+    want = (DATA / f"{name}.csv").read_text().splitlines()
+    got = out.splitlines()
+    assert len(got) == len(want) and got[0] == want[0]
+    for new, old in zip(got[1:], want[1:]):
+        new, old = new.split(","), old.split(",")
+        assert new[:3] == old[:3] and new[5:7] == old[5:7]
+        scale = abs(complex(float(old[3]), float(old[4])))
+        for col in (3, 4, 7):
+            if old[col] == "undefined":
+                assert new[col] == "undefined"
+                continue
+            assert abs(float(new[col]) - float(old[col])) <= 1e-13 * scale, (name, new, old)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_REFERENCE))
+def test_gap_and_sample_csv_are_byte_identical_to_the_dense_path(name, capsys):
+    code, out = run_cli(shlex.split(EXACT_REFERENCE[name]), capsys)
+    assert code == 0
+    assert out == (DATA / f"{name}.csv").read_text()

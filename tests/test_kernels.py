@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,10 +21,12 @@ from potens.kernels import (
     weight_at,
     weighted_kernel,
 )
+from potens.errors import ConvergenceError
+from potens.geometry import ExteriorMap, disk_map, ellipse_map
 from potens.moments import moments
 from potens.orthopoly import orthonormalize
 
-from _bruteforce import h_limit_mp, kernel_sum_mp
+from _bruteforce import dense_kernel, ellipse_kernel_ratio, h_limit_mp, kernel_sum_mp
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +170,21 @@ def test_bergman_series_stabilizes():
     polys = orthonormalize(moments(emap, 63, np.inf))
     v2 = kernel_sum(polys, 64, 0, 0)
     assert abs(v1 - v2) < 1e-8
+
+
+def test_bergman_partial_sums_match_separate_tables_and_stall_raises():
+    # K_16, K_32, ... read off one set equal the kernels of sets built at each order
+    emap = ellipse_map(0.5)
+    z, u = 0.1, 0.05j
+    prev, n = None, 16
+    while True:
+        val = kernel_sum(orthonormalize(moments(emap, n - 1, np.inf)), n, z, u)
+        if prev is not None and abs(val - prev) <= 1e-8:
+            break
+        prev, n = val, 2 * n
+    assert abs(bergman_kernel(emap, z, u) - val) <= 1e-15 * abs(val)
+    with pytest.raises(ConvergenceError, match="by degree 512"):
+        bergman_kernel(ellipse_map(0.9), z, u)
 
 
 def test_h_limit_values():
@@ -321,3 +339,57 @@ def test_christoffel_and_reproducing(ellipse_half, disk):
     # exact on the disk to rounding
     pd = orthonormalize(moments(disk, 9, 20.0))
     assert reproducing_check(pd, 10, p, 0.3 - 0.25j) <= 1e-12
+
+
+ORACLE_MAPS = {
+    "ellipse 0.5": ellipse_map(0.5),
+    "custom": ExteriorMap(1.0, (0j, 0.2, 0.1j)),
+    "ellipse 0.9": ellipse_map(0.9),   # head past 400: the whole table is factored
+    "disk": disk_map(),                # head of degree 0 alone
+}
+A_OFFSETS = np.array([0, 0.3 + 0.2j, -0.4])
+B_OFFSETS = np.array([0, -0.1, 0.2 - 0.3j])
+
+
+@pytest.mark.parametrize("n", [100, 400])
+@pytest.mark.parametrize("name", sorted(ORACLE_MAPS))
+def test_head_tail_kernel_matches_dense_cholesky(name, n):
+    emap = ORACLE_MAPS[name]
+    s, theta = 2.0 * n, 0.7
+    polys = orthonormalize(moments(emap, n - 1, s))
+    assert polys.head_degree == min(n, {"ellipse 0.5": 62, "custom": 54,
+                                        "ellipse 0.9": 434, "disk": 1}[name])
+    z = complex(emap.boundary_point(theta))
+    # the scaled offsets, then an interior pair and an exterior pair off the curve
+    pairs = [(0.2 + 0.1j, -0.3j), (1.02 * z, 1.01 * z)]
+    dense = dense_kernel(emap, n, s, np.r_[z + A_OFFSETS / n, [p for p, _ in pairs]],
+                         np.r_[z + B_OFFSETS / n, [p for _, p in pairs]])
+    ratio = scaled_ratio(polys, n, theta, A_OFFSETS, B_OFFSETS)
+    want = dense[:3, :3] / dense[0, 0].real
+    assert np.max(np.abs(ratio - want)) <= 1e-12 * np.max(np.abs(want))
+    for k, (zi, ui) in enumerate(pairs, start=3):
+        assert abs(kernel_sum(polys, n, zi, ui) - dense[k, k]) <= 1e-12 * abs(dense[k, k])
+
+
+def test_ellipse_kernel_at_ten_thousand_against_u_recurrence():
+    n, q = 10 ** 4, 0.5
+    start = time.perf_counter()
+    polys = orthonormalize(moments(ellipse_map(q), n - 1, 2.0 * n))
+    ratio = scaled_ratio(polys, n, 0.7, A_OFFSETS, B_OFFSETS)
+    elapsed = time.perf_counter() - start
+    want = ellipse_kernel_ratio(q, n, 2.0 * n, 0.7, A_OFFSETS, B_OFFSETS)
+    assert np.max(np.abs(ratio - want)) <= 1e-12
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_scaled_ratio_on_offset_arrays_equals_scalar_calls(ellipse_half, weighted):
+    polys = orthonormalize(moments(ellipse_half, 119, 240.0))
+    ratio = scaled_ratio(polys, 120, 1.1, A_OFFSETS, B_OFFSETS, weighted=weighted)
+    assert ratio.shape == (3, 3)
+    for i, a in enumerate(A_OFFSETS):
+        for j, b in enumerate(B_OFFSETS):
+            one = scaled_ratio(polys, 120, 1.1, a, b, weighted=weighted)
+            assert isinstance(one, complex)
+            assert abs(ratio[i, j] - one) <= 1e-15 * abs(one)
+    assert ratio[0, 0].real == 1.0

@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potens.errors import NotCoveredError
 from potens.geometry import ExteriorMap, ellipse_map
-from potens.moments import MomentTable, epsilon_table, moments
+from potens.faber import FaberBasis
+from potens.moments import epsilon_table, moments
 from potens.orthopoly import (
     _lower_inverse,
     closed_form,
@@ -19,6 +23,7 @@ from potens.orthopoly import (
 )
 
 from _bruteforce import gram_quadrature, gram_schmidt_polys, monomial_gram, orthopoly_det
+from test_moments import _random_maps
 
 
 def test_disk_examples(disk):
@@ -84,23 +89,23 @@ def test_bordered_determinant_construction(disk, ellipse_half):
     assert np.max(np.abs(det2 - chol.mono_coeffs[2, :3])) < 1e-8
 
 
-def test_non_positive_definite_reports_index(disk):
-    m = moments(disk, 3, 10.0)
-    bad = m.entries.copy()
+def test_non_positive_definite_reports_index(ellipse_half):
+    # the ellipse's head spans degrees 0..61, so all four degrees are factored
+    m = moments(ellipse_half, 3, 10.0)
+    assert m.head_degree == 4
+    bad = m.head.copy()
     bad[2, 2] = -1.0
-    broken = MomentTable(m.map, m.n_max, m.s, bad, m.interior_part, m.exterior_part, m.basis)
     with pytest.raises(ValueError, match="index 2"):
-        orthonormalize(broken)
+        orthonormalize(dataclasses.replace(m, head=bad))
 
 
-def test_non_finite_moment_table_rejected(disk):
+def test_non_finite_moment_table_rejected(ellipse_half):
     # np.linalg.cholesky turns a NaN entry into a NaN factor without raising
-    m = moments(disk, 3, 10.0)
-    bad = m.entries.copy()
+    m = moments(ellipse_half, 3, 10.0)
+    bad = m.head.copy()
     bad[1, 2] = np.nan
-    broken = MomentTable(m.map, m.n_max, m.s, bad, m.interior_part, m.exterior_part, m.basis)
     with pytest.raises(ValueError, match="non-finite"):
-        orthonormalize(broken)
+        orthonormalize(dataclasses.replace(m, head=bad))
 
 
 def test_kappa_asymptotic_values(disk, ellipse_half):
@@ -244,3 +249,17 @@ def test_pipeline_matches_monomial_gram_schmidt(custom_map, rng):
         mine = polys.eval_all(zs)[n]
         theirs = np.polyval(gs[n, : n + 1][::-1], zs)
         assert np.max(np.abs(mine - theirs) / np.maximum(1.0, np.abs(theirs))) < 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(emap=_random_maps(), n=st.integers(1, 120), excess=st.floats(0.0, 40.0))
+def test_tail_bound_covers_the_dropped_remainder_tails(emap, n, excess):
+    # against the exact Faber series of every degree up to n - 1
+    polys = orthonormalize(moments(emap, n - 1, n + 1 + excess))
+    n0 = polys.head_degree
+    if n0 == n:
+        assert polys.tail_bound == 0.0
+        return
+    basis = FaberBasis(emap, n - 1)
+    tails = [np.max(np.abs(basis.remainder_series(k))) for k in range(n0, n)]
+    assert max(tails) <= polys.tail_bound < 1e-17
