@@ -21,6 +21,7 @@ cancellation-prone subtraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,9 @@ class FaberBasis:
     Holds the monomial coefficients of F_0..F_nmax and the exact Laurent
     series (in w) of Ftilde_n(phi(w)); the latter makes exterior-plane
     evaluation stable at any radius because no large powers are subtracted.
+    The Laurent tables, about (n_max+2) x ((n_max+1) m + n_max) each, are
+    built on first read of a method that needs them.  Every table is
+    read-only, so one basis can be shared.
     """
 
     def __init__(self, emap: ExteriorMap, n_max: int):
@@ -63,7 +67,7 @@ class FaberBasis:
         c = np.asarray(emap.laurent_coeffs, dtype=complex)
 
         # ---- monomial table of Ftilde_0..Ftilde_{n_max+1} ----
-        tilde = [np.array([1.0 + 0j])]
+        tilde = [_frozen(np.array([1.0 + 0j]))]
         for n in range(n_max + 1):
             cur = tilde[n]
             nxt = np.zeros(n + 2, dtype=complex)
@@ -73,18 +77,20 @@ class FaberBasis:
                 nxt[: n + 1 - k] -= c[k] * tilde[n - k]
             if 1 <= n <= m:
                 nxt[0] -= (n + 1) * c[n]
-            tilde.append(nxt / cap)
+            tilde.append(_frozen(nxt / cap))
         self._tilde_mono = tilde
 
-        mono = []
-        for n in range(n_max + 1):
-            t = tilde[n + 1]
-            mono.append(np.arange(1, n + 2) * t[1:] / (n + 1))
-        self.mono = mono
+        self.mono = [_frozen(np.arange(1, n + 2) * tilde[n + 1][1:] / (n + 1))
+                     for n in range(n_max + 1)]
 
-        # ---- composed series Ftilde_n(phi(w)) ----
-        # power p lives at column p + off
+        # power p of a Laurent table lives at column p + offset
         self._off = (n_max + 1) * max(m, 1) + 2
+
+    @cached_property
+    def _comp(self) -> np.ndarray:
+        """Composed series Ftilde_0(phi(w))..Ftilde_{n_max+1}(phi(w))."""
+        n_max, m, cap = self.n_max, self.map.tail_length, self.map.cap
+        c = np.asarray(self.map.laurent_coeffs, dtype=complex)
         width = self._off + n_max + 3
         comp = np.zeros((n_max + 2, width), dtype=complex)
         comp[0, self._off] = 1.0
@@ -100,15 +106,18 @@ class FaberBasis:
             if 1 <= n <= m:
                 nxt[self._off] -= (n + 1) * c[n]
             comp[n + 1] = nxt / cap
-        self._comp = comp
+        return _frozen(comp)
 
-        # A_n = F_n(phi(w)) phi'(w) = d/dw [Ftilde_{n+1}(phi(w))] / (n+1)
-        powers = np.arange(width) - self._off
-        outer = np.zeros((n_max + 1, width), dtype=complex)
-        for n in range(n_max + 1):
+    @cached_property
+    def _outer(self) -> np.ndarray:
+        """A_n = F_n(phi(w)) phi'(w) = d/dw [Ftilde_{n+1}(phi(w))] / (n+1)."""
+        comp = self._comp
+        powers = np.arange(comp.shape[1]) - self._off
+        outer = np.zeros((self.n_max + 1, comp.shape[1]), dtype=complex)
+        for n in range(self.n_max + 1):
             deriv = comp[n + 1] * powers
             outer[n, :-1] = deriv[1:] / (n + 1)
-        self._outer = outer
+        return _frozen(outer)
 
     # -- series access --------------------------------------------------------
 
@@ -198,6 +207,11 @@ class FaberBasis:
                 )
             polys.append(FaberPolynomial(n, coeffs.copy()))
         return polys
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def remainder_decay(emap: ExteriorMap) -> tuple[float, float]:

@@ -61,6 +61,10 @@ class ExteriorMap:
         if not coeffs:
             coeffs = (0j,)
         object.__setattr__(self, "laurent_coeffs", coeffs)
+        # data derived from the map alone (moments keeps its head tables
+        # here); not a field, so equality and hashing ignore it, and it lives
+        # and dies with this instance
+        object.__setattr__(self, "_memo", {})
 
     @property
     def tail_length(self) -> int:

@@ -151,6 +151,15 @@ def _check_s(n_max: int, s: float) -> None:
         raise ValueError(f"s={s}: need s >= n_max + 2 = {n_max + 2} or s = inf")
 
 
+def _memoized(emap: ExteriorMap, key, build):
+    """build(), once per map instance: the value is kept in the map's memo."""
+    try:
+        return emap._memo[key]
+    except KeyError:
+        value = emap._memo[key] = build()
+        return value
+
+
 def head_degree(emap: ExteriorMap) -> tuple[int | float, float]:
     """(n0, bound): past degree n0 the moment table is its diagonal model to
     HEAD_TOL, and every entry of eps at degree n0 or beyond is at most bound.
@@ -164,7 +173,12 @@ def head_degree(emap: ExteriorMap) -> tuple[int | float, float]:
     factor n+1 absorbs the sampling of rho on the boundary.  n0 is the first
     degree past the peak of b where it falls below HEAD_TOL, at least 1, and
     bound = b(n0).  A map with rho >= 1 (not univalent) has no tail: n0 = inf.
+    Computed once per map instance.
     """
+    return _memoized(emap, "head_degree", lambda: _head_degree(emap))
+
+
+def _head_degree(emap: ExteriorMap) -> tuple[int | float, float]:
     rho, c = remainder_decay(emap)
     if rho >= 1.0:
         return math.inf, math.inf
@@ -190,16 +204,25 @@ def moments(emap: ExteriorMap, n_max: int, s: float) -> MomentTable:
     """The moment table of degrees 0..n_max; s may be inf (interior only).
 
     Only the head, degrees below min(n0, n_max + 1) with n0 from
-    head_degree, is summed; the rest is the diagonal model.
+    head_degree, is summed; the rest is the diagonal model.  The head's
+    Faber tables and interior Gram do not depend on s and are built once
+    per map instance and head size, read-only; only the exterior Gram is
+    summed on every call.
     """
     _check_s(n_max, s)
     n0, bound = head_degree(emap)
     size = min(n0, n_max + 1)
-    basis = FaberBasis(emap, size - 1)
-    interior = interior_gram(basis)
+    basis, interior = _memoized(emap, ("head", size), lambda: _head_tables(emap, size))
     exterior = exterior_gram(basis, s)
     return MomentTable(emap, n_max, float(s), interior + exterior, interior, exterior, basis,
                        bound if size <= n_max else 0.0)
+
+
+def _head_tables(emap: ExteriorMap, size: int) -> tuple[FaberBasis, np.ndarray]:
+    basis = FaberBasis(emap, size - 1)
+    interior = interior_gram(basis)
+    interior.flags.writeable = False
+    return basis, interior
 
 
 def epsilon_table(mom: MomentTable) -> EpsilonTable:

@@ -28,8 +28,10 @@ generation.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -58,7 +60,7 @@ class GapResult:
     value: float
     series_sum: float
     terms: np.ndarray
-    nodes: tuple
+    nodes: tuple  # (radii, angles) of the finest pass; (0, 0) when no pass ran
 
 
 @dataclass(frozen=True)
@@ -120,11 +122,50 @@ def r2_limit(ell: float, a: complex, b: complex, emap: ExteriorMap = disk_map(),
     return scaled_corr(ell, [a, b], emap, theta)
 
 
+# -- work slices ---------------------------------------------------------------------
+
+def _spread(fill, count: int) -> None:
+    """Run fill(lo, hi) on contiguous slices that cover range(count), one
+    slice per usable CPU.
+
+    Slice 0 runs on the calling thread and every other slice on a thread of
+    its own; numpy releases the GIL in the heavy calls of each user.  Each
+    slice runs in its own copy of the caller's context, so context variables
+    such as np.errstate hold in every slice.  Once every thread has joined,
+    the exception of the lowest-numbered failing slice is raised.  With one
+    usable CPU, or count < 2, no thread is started.
+    """
+    # os.sched_getaffinity is missing on macOS and Windows
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    k = max(1, min(count, cpus or 1))
+    bounds = [count * i // k for i in range(k + 1)]
+    errors = [None] * k
+
+    def run(i: int) -> None:
+        try:
+            fill(bounds[i], bounds[i + 1])
+        except BaseException as exc:
+            errors[i] = exc
+
+    # a context can be entered by one thread at a time: one copy per slice
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+               for i in range(1, k)]
+    for thread in threads:
+        thread.start()
+    contextvars.copy_context().run(run, 0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 # -- gap probabilities --------------------------------------------------------------
 
 def _region_nodes(region: DiskRegion, n_rad: int, n_ang: int):
-    """Polar tensor nodes and area weights; radial panels split where the
-    weight kernel loses smoothness (the unit circle, concentric case)."""
+    """Polar tensor nodes and area weights, shape (radii, n_ang) each; radial
+    panels split where the weight kernel loses smoothness (the unit circle,
+    concentric case), so a split region has 2 n_rad radii."""
     xg, wg = np.polynomial.legendre.leggauss(n_rad)
     panels = [(0.0, region.radius)]
     if abs(region.center) == 0.0 and region.radius > 1.0:
@@ -138,18 +179,27 @@ def _region_nodes(region: DiskRegion, n_rad: int, n_ang: int):
     theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
     pts = region.center + radii[:, None] * np.exp(1j * theta[None, :])
     u = (wr * radii)[:, None] * (2.0 * np.pi / n_ang) * np.ones_like(theta)[None, :]
-    return pts.ravel(), u.ravel()
+    return pts, u
 
 
 def _gap_eigenvalues(polys: OrthoPolySet, N: int, region: DiskRegion,
-                     n_rad: int, n_ang: int) -> np.ndarray:
+                     n_rad: int, n_ang: int) -> tuple[np.ndarray, tuple]:
+    """Eigenvalues of Lambda on one quadrature pass, with the pass's node
+    counts (radii, angles)."""
     pts, u = _region_nodes(region, n_rad, n_ang)
-    # the weights come first: the inversion's temporaries are freed before
-    # eval_all builds the (N, nodes) table, the peak of the pass
-    wts = weight_at(polys.map, polys.s, pts)
-    psi = polys.eval_all(pts, N - 1) * (wts * np.sqrt(u))[None, :]
+    shape = pts.shape
+    pts, u = pts.ravel(), u.ravel()
+    psi = np.empty((N, pts.size), dtype=complex)
+
+    def fill(lo: int, hi: int) -> None:
+        # the weights come first: the inversion's temporaries are freed before
+        # eval_all builds the slice's (N, nodes) table, the peak of the pass
+        wts = weight_at(polys.map, polys.s, pts[lo:hi])
+        psi[:, lo:hi] = polys.eval_all(pts[lo:hi], N - 1) * (wts * np.sqrt(u[lo:hi]))[None, :]
+
+    _spread(fill, pts.size)
     lam = np.linalg.eigvalsh(psi @ psi.conj().T)
-    return np.clip(lam, 0.0, None)
+    return np.clip(lam, 0.0, None), shape
 
 
 def gap_probability(polys: OrthoPolySet, N: int, region: DiskRegion,
@@ -165,11 +215,11 @@ def gap_probability(polys: OrthoPolySet, N: int, region: DiskRegion,
     if not region.radius >= 0:
         raise ValueError(f"gap region radius must be >= 0 (got {region.radius!r})")
     if region.radius == 0:
-        return GapResult(1.0, 1.0, np.array([1.0]), (n_rad, n_ang))
+        return GapResult(1.0, 1.0, np.array([1.0]), (0, 0))
     vals = []
-    lam = None
+    lam = shape = None
     for mult in (1, 2, 4):
-        lam = _gap_eigenvalues(polys, N, region, n_rad * mult, n_ang * mult)
+        lam, shape = _gap_eigenvalues(polys, N, region, n_rad * mult, n_ang * mult)
         vals.append(float(np.prod(1.0 - lam)))
     d1, d2 = abs(vals[1] - vals[0]), abs(vals[2] - vals[1])
     if d2 > d1 and d2 > 1e-10:
@@ -177,7 +227,7 @@ def gap_probability(polys: OrthoPolySet, N: int, region: DiskRegion,
             f"gap quadrature refinement is not settling: estimates {vals[1]!r}, {vals[2]!r}")
     terms = np.poly(lam)  # terms[n] = (-1)^n e_n(lambda)
     series = float(np.sum(terms[: N + 1]))
-    return GapResult(vals[2], series, terms[: N + 1], (4 * n_rad, 4 * n_ang))
+    return GapResult(vals[2], series, terms[: N + 1], shape)
 
 
 def gap_probability_radial_product(N: int, s: float, rho: float) -> float:
@@ -228,30 +278,24 @@ def sample_disk_batch(N: int, s: float, seed: int, count: int) -> np.ndarray:
 
     Point index n is drawn from its own Philox stream, so the N streams are
     independent work: each fills row n of an (N, count) buffer, inverting the
-    radial law on all count uniforms at once, and the rows are spread over a
-    thread pool with one worker per usable CPU (numpy releases the GIL in
-    the draws, the powers and the complex exponential).  The result is the
-    transposed buffer, an F-ordered view; the values do not depend on the
-    number of workers.  An exception raised while filling a row reaches the
-    caller.
+    radial law on all count uniforms at once, and the rows are split into
+    one slice per usable CPU (numpy releases the GIL in the draws, the
+    powers and the complex exponential).  The result is the transposed
+    buffer, an F-ordered view; the values do not depend on the number of
+    slices.  An exception raised while filling a row reaches the caller.
     """
     if not (np.isfinite(s) and s > N):
         raise ValueError(f"sampler requires finite s > N (got s={s}, N={N})")
     if not 0 <= seed < 2 ** 128:
         raise ValueError(f"sampler seed must lie in [0, 2**128) (got seed={seed!r})")
-    from concurrent.futures import ThreadPoolExecutor
-
     buf = np.empty((N, count), dtype=complex)
 
-    def fill(n: int) -> None:
-        u = _stream(seed, n).random(2 * count)
-        buf[n] = radius_ppf(n, s, u[0::2]) * np.exp(2j * np.pi * u[1::2])
+    def fill(lo: int, hi: int) -> None:
+        for n in range(lo, hi):
+            u = _stream(seed, n).random(2 * count)
+            buf[n] = radius_ppf(n, s, u[0::2]) * np.exp(2j * np.pi * u[1::2])
 
-    # usable CPUs (os.sched_getaffinity is missing on macOS and Windows), and
-    # at least one worker: the pool rejects 0, which N = 0 would ask for
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ThreadPoolExecutor(max(1, min(N, cpus or 1))) as pool:
-        list(pool.map(fill, range(N)))
+    _spread(fill, N)
     return buf.T
 
 
@@ -276,9 +320,14 @@ def empirical_r1(samples: np.ndarray, edges: np.ndarray) -> RadialHistogram:
     # and NaN, and are dropped
     slots = edges.size + 1
     table = np.zeros(count * slots, dtype=np.intp)
-    offsets = np.arange(count) * slots
-    for column in samples.T:
-        np.add.at(table, offsets + np.searchsorted(edges, np.abs(column), side="right"), 1)
+
+    def fill(lo: int, hi: int) -> None:
+        # a slice of configurations writes only its own rows of the table
+        offsets = np.arange(lo, hi) * slots
+        for column in samples[lo:hi].T:
+            np.add.at(table, offsets + np.searchsorted(edges, np.abs(column), side="right"), 1)
+
+    _spread(fill, count)
     per_config = table.reshape(count, slots)[:, 1:-1]
     area = np.pi * (edges[1:] ** 2 - edges[:-1] ** 2)
     mean = per_config.mean(axis=0)

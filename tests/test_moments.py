@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from potens.faber import FaberBasis
-from potens.geometry import ExteriorMap
+from potens.geometry import ExteriorMap, ellipse_map
 from potens.moments import (
     disk_moment,
     ellipse_epsilon,
@@ -20,6 +21,9 @@ from potens.moments import (
 )
 
 from _bruteforce import exterior_quadrature, gram_quadrature, remainder_product_integral
+
+# the module itself: the package re-exports a function named `moments`
+mm = importlib.import_module("potens.moments")
 
 
 def test_disk_interior_diagonal(disk):
@@ -180,3 +184,31 @@ def test_epsilon_decay_fit(ellipse_half):
     slope = np.polyfit(np.arange(2, 13), np.log(vals[2:]), 1)[0]
     assert slope <= 2 * math.log(0.5) + 0.1
 
+
+
+def test_head_is_built_once_per_map_instance(monkeypatch):
+    # head_degree's root sampling, the head's Faber tables and its interior
+    # Gram do not depend on s or n_max past the head: one build per map
+    calls = []
+    true_decay = mm.remainder_decay
+    monkeypatch.setattr(mm, "remainder_decay", lambda emap: calls.append(emap) or true_decay(emap))
+    emap = ellipse_map(0.5)
+    first, second = moments(emap, 99, 200.0), moments(emap, 199, 400.0)
+    assert len(calls) == 1
+    assert second.head_basis is first.head_basis
+    assert second.interior_head is first.interior_head
+    assert not first.interior_head.flags.writeable
+    assert not first.head_basis.outer_series_all().flags.writeable
+    assert not first.head_basis.mono[3].flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first.interior_head[0, 0] = 0.0
+    # an equal map is another instance with its own memo, built afresh
+    again = moments(ellipse_map(0.5), 99, 200.0)
+    assert len(calls) == 2
+    assert again.head_basis is not first.head_basis
+    assert np.array_equal(again.head, first.head)
+    # a head cut short by n_max is its own entry
+    short = moments(emap, 9, 20.0)
+    assert short.head_degree == 10
+    assert short.head_basis is not first.head_basis
+    assert len(calls) == 2

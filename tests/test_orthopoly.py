@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,3 +264,18 @@ def test_tail_bound_covers_the_dropped_remainder_tails(emap, n, excess):
     basis = FaberBasis(emap, n - 1)
     tails = [np.max(np.abs(basis.remainder_series(k))) for k in range(n0, n)]
     assert max(tails) <= polys.tail_bound < 1e-17
+
+
+def test_monomial_table_builds_no_laurent_tables():
+    # mono_coeffs reads FaberBasis.mono of every degree; the composed and
+    # outer Laurent tables, about 2001 x 4001 complex each (256 MB together),
+    # are not read and not built.  Measured: 123 MiB peak, 367 MiB with them.
+    polys = orthonormalize(moments(ellipse_map(0.5), 1999, 4000.0))
+    tracemalloc.start()
+    try:
+        polys.mono_coeffs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 135 * 2 ** 20
+    assert "_comp" not in vars(polys.basis) and "_outer" not in vars(polys.basis)

@@ -117,8 +117,13 @@ def test_gap_rejects_negative_radius(polys_4_6):
         gap_probability(polys_4_6, 4, DiskRegion(0.2, -0.5))
 
 
-def test_gap_inverts_each_pass_in_one_call(ellipse_half, monkeypatch):
-    # one weight_at call per refinement pass, on every node of that pass
+def _use_cpus(monkeypatch, cpus):
+    # the usable-CPU count that pointprocess splits its work by
+    monkeypatch.setattr(pp.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+def _gap_weight_sizes(ellipse_half, monkeypatch):
     sizes = []
     true_weight_at = pp.weight_at
 
@@ -129,7 +134,172 @@ def test_gap_inverts_each_pass_in_one_call(ellipse_half, monkeypatch):
     monkeypatch.setattr(pp, "weight_at", counting)
     polys = orthonormalize(moments(ellipse_half, 3, 8.0))
     gap_probability(polys, 4, DiskRegion(1.3 + 0.02j, 0.4), n_rad=4, n_ang=8)
-    assert sizes == [4 * 8, 8 * 16, 16 * 32]
+    return sizes
+
+
+def test_gap_inverts_each_pass_in_one_call(ellipse_half, monkeypatch):
+    # on one CPU, one weight_at call per refinement pass, on every node of that pass
+    _use_cpus(monkeypatch, 1)
+    assert _gap_weight_sizes(ellipse_half, monkeypatch) == [4 * 8, 8 * 16, 16 * 32]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_gap_pass_inverts_one_slice_per_cpu(ellipse_half, monkeypatch, cpus):
+    # k CPUs: k weight_at calls per pass, whose sizes sum to the pass's nodes;
+    # every slice of a pass ends before the next pass starts
+    _use_cpus(monkeypatch, cpus)
+    sizes = _gap_weight_sizes(ellipse_half, monkeypatch)
+    assert len(sizes) == 3 * cpus
+    for p, nodes in enumerate([4 * 8, 8 * 16, 16 * 32]):
+        assert sum(sizes[p * cpus:(p + 1) * cpus]) == nodes
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_gap_values_do_not_depend_on_cpu_count(ellipse_half, monkeypatch, cpus):
+    polys = orthonormalize(moments(ellipse_half, 5, 12.0))
+    region = DiskRegion(1.25 - 0.03j, 0.45)
+    want = gap_probability(polys, 6, region, n_rad=5, n_ang=11)
+    _use_cpus(monkeypatch, cpus)
+    got = gap_probability(polys, 6, region, n_rad=5, n_ang=11)
+    assert np.array_equal(got.value, want.value)
+    assert np.array_equal(got.terms, want.terms)
+    assert np.array_equal(got.series_sum, want.series_sum)
+
+
+def test_gap_reports_the_nodes_of_its_last_pass(polys_4_6):
+    # 4 n_rad x 4 n_ang, and twice the radii when the unit circle splits a
+    # concentric region into two radial panels
+    assert gap_probability(polys_4_6, 4, DiskRegion(0.2, 0.5), n_rad=4, n_ang=8).nodes == (16, 32)
+    assert gap_probability(polys_4_6, 4, DiskRegion(0, 1.5), n_rad=4, n_ang=8).nodes == (32, 32)
+    assert gap_probability(polys_4_6, 4, DiskRegion(0, 0.0), n_rad=4, n_ang=8).nodes == (0, 0)
+
+
+def test_gap_error_in_second_slice_reaches_caller(ellipse_half, monkeypatch):
+    # with two CPUs the second slice of every pass runs on a worker thread
+    _use_cpus(monkeypatch, 2)
+    true_weight_at = pp.weight_at
+
+    def failing(emap, s, z):
+        if threading.current_thread() is not threading.main_thread():
+            raise ValueError("second slice failed")
+        return true_weight_at(emap, s, z)
+
+    monkeypatch.setattr(pp, "weight_at", failing)
+    polys = orthonormalize(moments(ellipse_half, 3, 8.0))
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="second slice failed"):
+        gap_probability(polys, 4, DiskRegion(1.3 + 0.02j, 0.4), n_rad=4, n_ang=8)
+    assert threading.active_count() == before
+
+
+def test_spread_raises_the_lowest_failing_slice(monkeypatch):
+    # slice 2 fails first in time, slice 1 later: slice 1's error is raised
+    _use_cpus(monkeypatch, 3)
+    done = threading.Event()
+
+    def fill(lo, hi):
+        if lo == 10:
+            done.wait(5.0)
+            raise ValueError("slice 1")
+        if lo == 20:
+            done.set()
+            raise KeyError("slice 2")
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="slice 1"):
+        pp._spread(fill, 30)
+    assert threading.active_count() == before
+
+
+def test_spread_covers_the_range_once(monkeypatch):
+    _use_cpus(monkeypatch, 3)
+    seen = []
+    pp._spread(lambda lo, hi: seen.append((lo, hi)), 8)
+    assert sorted(seen) == [(0, 2), (2, 5), (5, 8)]
+    seen.clear()
+    pp._spread(lambda lo, hi: seen.append((lo, hi)), 0)
+    assert seen == [(0, 0)]
+
+
+def _divide_by_zero_warning():
+    # a numpy RuntimeWarning unless the caller's np.errstate ignores it
+    np.ones(1) / np.zeros(1)
+
+
+def test_caller_errstate_holds_in_every_slice(ellipse_half, monkeypatch):
+    _use_cpus(monkeypatch, 3)
+    threads = set()
+    true_ppf, true_weight_at = pp.radius_ppf, pp.weight_at
+
+    def ppf(n, s, u):
+        threads.add(threading.get_ident())
+        _divide_by_zero_warning()
+        return true_ppf(n, s, u)
+
+    def weight(emap, s, z):
+        threads.add(threading.get_ident())
+        _divide_by_zero_warning()
+        return true_weight_at(emap, s, z)
+
+    want_sample = sample_disk_batch(10, 12.5, 99, 20)
+    polys = orthonormalize(moments(ellipse_half, 3, 8.0))
+    region = DiskRegion(1.3 + 0.02j, 0.4)
+    want_gap = gap_probability(polys, 4, region, n_rad=4, n_ang=8).value
+    monkeypatch.setattr(pp, "radius_ppf", ppf)
+    monkeypatch.setattr(pp, "weight_at", weight)
+    with pytest.raises(RuntimeWarning):
+        sample_disk_batch(10, 12.5, 99, 20)
+    with pytest.raises(RuntimeWarning):
+        gap_probability(polys, 4, region, n_rad=4, n_ang=8)
+    threads.clear()
+    with np.errstate(divide="ignore"):
+        assert np.array_equal(sample_disk_batch(10, 12.5, 99, 20), want_sample)
+        assert gap_probability(polys, 4, region, n_rad=4, n_ang=8).value == want_gap
+    assert len(threads) == 3
+
+
+class _BadRadius:
+    def __abs__(self):
+        raise ValueError("bad radius")
+
+
+def _sample_failing(monkeypatch):
+    # point index 9, the last slice, fails
+    true_ppf = pp.radius_ppf
+    monkeypatch.setattr(pp, "radius_ppf", lambda n, s, u: (_raise_value_error(n, s, u) if n == 9
+                                                          else true_ppf(n, s, u)))
+    sample_disk_batch(10, 12.5, 99, 20)
+
+
+def _empirical_r1_failing(monkeypatch):
+    samples = np.array(sample_disk_batch(6, 10.0, 3, 40), dtype=object)
+    samples[-1, 2] = _BadRadius()  # the last configuration: the last slice
+    empirical_r1(samples, np.linspace(0.0, 1.2, 5))
+
+
+def _gap(center):
+    polys = orthonormalize(moments(ellipse_map(0.5), 3, 8.0))
+    return gap_probability(polys, 4, DiskRegion(center, 0.4), n_rad=4, n_ang=8)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda mp: sample_disk_batch(10, 12.5, 99, 20), None),
+    (_sample_failing, "row 9 failed"),
+    (lambda mp: empirical_r1(sample_disk_batch(6, 10.0, 3, 40), np.linspace(0.0, 1.2, 5)), None),
+    (_empirical_r1_failing, "bad radius"),
+    (lambda mp: _gap(1.3), None),
+    # every node is non-finite, so every slice fails
+    (lambda mp: _gap(1.3 + 1j * math.inf), "finite z only"),
+], ids=["sample", "sample-error", "r1", "r1-error", "gap", "gap-error"])
+def test_slices_leave_no_thread_running(monkeypatch, call, error):
+    _use_cpus(monkeypatch, 3)
+    before = threading.active_count()
+    if error is None:
+        call(monkeypatch)
+    else:
+        with pytest.raises(ValueError, match=error):
+            call(monkeypatch)
+    assert threading.active_count() == before
 
 
 def test_gap_off_center_region(disk):
@@ -316,8 +486,7 @@ def test_sampler_values_do_not_depend_on_worker_count(monkeypatch, cpus):
         threads.add(threading.get_ident())
         return true_ppf(n, s, u)
 
-    monkeypatch.setattr(pp.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
+    _use_cpus(monkeypatch, cpus)
     monkeypatch.setattr(pp, "radius_ppf", recording)
     assert np.array_equal(sample_disk_batch(10, 12.5, 99, 200), want)
     assert 1 <= len(threads) <= cpus
@@ -377,6 +546,17 @@ def test_empirical_r1_matches_two_sided_bins(order):
     density, stderr = _two_sided_r1(samples, edges)
     assert np.array_equal(hist.density, density)
     assert np.array_equal(hist.stderr, stderr)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_empirical_r1_does_not_depend_on_cpu_count(monkeypatch, cpus):
+    samples = sample_disk_batch(12, 30.0, 5, 41)
+    edges = np.linspace(0.0, 1.5, 9)
+    want = empirical_r1(samples, edges)
+    _use_cpus(monkeypatch, cpus)
+    got = empirical_r1(samples, edges)
+    assert np.array_equal(got.density, want.density)
+    assert np.array_equal(got.stderr, want.stderr)
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 128], ids=["negative", "2**128"])
