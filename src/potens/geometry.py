@@ -12,8 +12,10 @@ max(1, |Phi(z)|): identically 1 on K and growing like |z|/cap far away.
 
 Restricting boundaries to finite Laurent tails keeps every curve analytic by
 construction, makes univalence checkable on a grid, and turns phi(w) = z
-into a polynomial equation of degree m + 1, so Phi needs no iteration:
-the roots of many points are eigenvalues of one stack of companion matrices.
+into a polynomial equation of degree m + 1, so Phi needs no iteration.  The
+disk, scaled or shifted (m = 0), and the ellipses (m = 1) get their roots in
+closed form; longer tails get them as eigenvalues of one stack of companion
+matrices for many points at once.
 """
 
 from __future__ import annotations
@@ -226,8 +228,32 @@ def format_domain(emap: ExteriorMap) -> str:
 
 def phi_roots(emap: ExteriorMap, z: np.ndarray) -> np.ndarray:
     """All m + 1 roots w of phi(w) = z for each point of a 1-d array z,
-    shape (len(z), m + 1), from one stacked companion eigenvalue call."""
+    shape (len(z), m + 1).
+
+    With b = (c_0 - z) / cap and c = c_1 / cap, phi(w) = z reads w + b = 0
+    when m = 0 and w^2 + b w + c = 0 when m = 1, and both are solved in
+    closed form.  The root -b is the entry of the 1 x 1 companion matrix,
+    formed as np.roots forms it.  The quadratic's larger root is
+    -(b + sqrt(b^2 - 4c)) / 2 with the sign of the square root that adds to b,
+    so nothing cancels, and the other root is c over it (Vieta).  For m >= 2
+    the roots are eigenvalues of the companion matrices of all points, built
+    as np.roots builds them and stacked into one np.linalg.eigvals call: the
+    cubic and quartic formulas lose digits to cancellation on some inputs and
+    past m = 3 there is no formula, while eigenvalues are backward stable at
+    every degree.
+    """
     c, m = emap.laurent_coeffs, emap.tail_length
+    if m == 0:
+        return (-(c[0] - z) / complex(emap.cap))[:, None]
+    if m == 1:
+        b, c1 = (c[0] - z) / emap.cap, c[1] / emap.cap
+        # on b divided by a power of two near |b|: exact, and nothing overflows
+        scale = np.ldexp(1.0, np.maximum(np.frexp(np.abs(b))[1] - 1, 0))
+        bs = b / scale
+        root = np.sqrt(bs * bs - 4 * c1 / scale / scale)
+        root[bs.real * root.real + bs.imag * root.imag < 0] *= -1
+        big = (bs + root) * (-0.5 * scale)
+        return np.stack((big, c1 / big), axis=1)
     # divided by a complex cap, as np.roots divides, so the roots match it bit for bit
     poly = np.empty((z.size, m + 2), dtype=complex)
     poly[:, 0] = emap.cap
@@ -245,9 +271,10 @@ def big_phi_eval(emap: ExteriorMap, z):
     Multiplying phi(w) = z by w^m gives cap w^{m+1} + (c_0 - z) w^m + c_1
     w^{m-1} + ... + c_m = 0.  phi is univalent on |w| > 1, so when z lies on
     or outside the boundary exactly one root has |w| >= 1 and it is Phi(z);
-    when z lies inside K no root does.  The roots of all points come from one
-    np.linalg.eigvals call on their stacked companion matrices, built as
-    np.roots builds them, so each point gets exactly the roots of np.roots.
+    when z lies inside K no root does.  phi_roots gives the roots of all
+    points at once: in closed form when m <= 1, else from one np.linalg.eigvals
+    call on their stacked companion matrices, so each point gets exactly the
+    roots of np.roots.
 
     Returns (w, inside): w is the largest-modulus root and inside the flag
     |w| < 1 - BOUNDARY_TOL.  Outside K, w = Phi(z) with residual
@@ -263,20 +290,17 @@ def big_phi_eval(emap: ExteriorMap, z):
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:
         raise ValueError(f"Phi is defined for finite z only, got {complex(flat[bad[0]])!r}")
-    m = emap.tail_length
     roots = phi_roots(emap, flat)
     mod = np.abs(roots)
     rows = np.arange(flat.size)
     top = np.argmax(mod, axis=1)
     w = roots[rows, top]
     inside = mod[rows, top] < 1 - BOUNDARY_TOL
-    if m:
-        second = np.sort(mod, axis=1)[:, -2]
-        two = np.flatnonzero(~inside & (second >= 1 - BOUNDARY_TOL))
-        if two.size:
-            i = two[0]
-            raise ValueError(f"phi is not univalent: phi(w) = {complex(flat[i])!r} has roots "
-                             f"{roots[i].tolist()} on or outside the unit circle")
+    two = np.flatnonzero(np.count_nonzero(mod >= 1 - BOUNDARY_TOL, axis=1) > 1)
+    if two.size:
+        i = two[0]
+        raise ValueError(f"phi is not univalent: phi(w) = {complex(flat[i])!r} has roots "
+                         f"{roots[i].tolist()} on or outside the unit circle")
     ext = np.flatnonzero(~inside)
     resid = np.abs(emap._phi_raw(w[ext]) - flat[ext])
     miss = ext[resid > 1e-12 * (1.0 + np.abs(flat[ext]))]

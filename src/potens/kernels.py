@@ -213,8 +213,8 @@ def scaled_ratio(polys: OrthoPolySet, N: int, theta: float, a, b, weighted: bool
 
     a and b are offsets or arrays of them: arrays give the (len(a), len(b))
     matrix of ratios, scalars a complex.  One eval_all pass covers z and
-    every offset point.  With weighted, the kernels carry the weight split
-    evenly over both arguments; it is 1 on the curve.
+    every offset point.  With weighted, both kernels carry the weight split
+    evenly over their arguments, the weight of z included.
     """
     _check_order(polys, N)
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
@@ -222,13 +222,14 @@ def scaled_ratio(polys: OrthoPolySet, N: int, theta: float, a, b, weighted: bool
     b = np.atleast_1d(np.asarray(b, dtype=complex))
     z = complex(polys.map.boundary_point(theta))
     pts = np.concatenate(([z], z + a / N, z + b / N))
-    # one contiguous row per point, and each ratio formed in Python scalars as
-    # weighted_kernel and kernel_sum form it, so a = b = 0 gives exactly 1
+    # one contiguous row per point, each ratio formed in Python scalars as
+    # weighted_kernel and kernel_sum form it, and the denominator weighted as
+    # the numerator is, so a = b = 0 gives exactly 1
     vals = np.ascontiguousarray(polys.eval_all(pts, N - 1).T)
     va, vb = vals[1 : a.size + 1], np.conj(vals[a.size + 1 :])
-    denom = float(np.sum(vals[0] * np.conj(vals[0])).real)
-    wt = weight_at(polys.map, polys.s, pts[1:]).tolist() if weighted else [1.0] * (pts.size - 1)
-    wa, wb = wt[: a.size], wt[a.size :]
+    wt = weight_at(polys.map, polys.s, pts).tolist() if weighted else [1.0] * pts.size
+    wa, wb = wt[1 : a.size + 1], wt[a.size + 1 :]
+    denom = wt[0] * wt[0] * float(np.sum(vals[0] * np.conj(vals[0])).real)
     ratio = np.array([[wa[i] * wb[j] * complex(np.sum(va[i] * vb[j])) / denom
                        for j in range(b.size)] for i in range(a.size)])
     return complex(ratio[0, 0]) if scalar else ratio

@@ -415,7 +415,10 @@ def test_readme_cli_block_runs_and_its_table_matches_the_parser(tmp_path, capsys
     assert table == {c: opts - {"--config"} for c, opts in parser_options().items()}
 
 
-# outputs of the dense Cholesky path, kept under tests/data with the argv that made them
+# outputs of the dense Cholesky path, kept under tests/data with the argv that made them;
+# scaling_q05_w1 comes from the head-plus-tail path, whose weighted ratio divides by
+# the weight of z (its a = 0 and b = 0 rows moved by up to 8e-13, each toward a
+# 50-digit value)
 DATA = Path(__file__).resolve().parent / "data"
 OFFSETS = "--srule cn --s 2 --theta 0.7 --a=0.3+0.2i,-0.4,0 --b=-0.1,0.2-0.3i,0"
 SCALING_REFERENCE = {

@@ -1,10 +1,13 @@
 import dataclasses
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from potens import geometry
 from potens.errors import ConvergenceError
 from potens.geometry import (
     BOUNDARY_TOL,
@@ -125,24 +128,52 @@ def test_non_finite_map_data_rejected(cap, coeffs):
         ExteriorMap(cap, coeffs)
 
 
-def test_residual_failure_carries_rejected_root(ellipse_half, monkeypatch):
+def test_residual_failure_carries_rejected_root(ellipse_half, custom_map, monkeypatch):
     # a root that misses the residual contract is reported, not returned;
-    # only the point 5.0 gets a perturbed root, the others stay exact
-    true_eigvals = np.linalg.eigvals
+    # only the point 5.0 gets a perturbed root, the others stay exact.  The
+    # closed form (m = 1) and the companion eigenvalues (m = 2) both get one.
     returned = []
 
-    def perturbed(a):
-        roots = true_eigvals(a)
+    def perturbed(roots):
         k = np.argmax(np.abs(roots[1]))
         roots[1, k] *= 1 + 1e-6
         returned.append(complex(roots[1, k]))
         return roots
 
-    monkeypatch.setattr(np.linalg, "eigvals", perturbed)
-    with pytest.raises(ConvergenceError, match=r"z=\(5\+0j\)") as info:
-        big_phi_eval(ellipse_half, np.array([3.0, 5.0, 0.0, 7.0]))
-    assert returned and info.value.last == returned[-1]
-    assert abs(info.value.last - (2.5 + np.sqrt(5.75))) > 1e-6
+    true_roots, true_eigvals = geometry.phi_roots, np.linalg.eigvals
+    exact = {1: 2.5 + np.sqrt(5.75), 2: big_phi_eval(custom_map, 5.0)[0]}
+    for emap in (ellipse_half, custom_map):
+        returned.clear()
+        with monkeypatch.context() as patch:
+            if emap.tail_length == 1:
+                patch.setattr(geometry, "phi_roots", lambda e, z: perturbed(true_roots(e, z)))
+            else:
+                patch.setattr(np.linalg, "eigvals", lambda a: perturbed(true_eigvals(a)))
+            with pytest.raises(ConvergenceError, match=r"z=\(5\+0j\)") as info:
+                big_phi_eval(emap, np.array([3.0, 5.0, 0.0, 7.0]))
+        assert returned and info.value.last == returned[-1]
+        assert abs(info.value.last - exact[emap.tail_length]) > 1e-6
+
+
+@pytest.mark.parametrize("emap", [ellipse_map(0.5), ExteriorMap(1.5, (0.3 - 0.2j, 0.5 + 0.4j))],
+                         ids=["ellipse", "shifted"])
+def test_inversion_far_out_does_not_overflow(emap):
+    # b^2 of the quadratic formula would overflow past |z| ~ 1e154
+    z = np.array([1e160, 1e300, -1e300j, 1.7e308, -1.7e308j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, inside = big_phi_eval(emap, z)
+    assert not inside.any()
+    assert np.all(np.abs(w - z / emap.cap) <= 2 * np.spacing(np.abs(z / emap.cap)))
+
+
+@pytest.mark.parametrize("q, bound", [(0.5, 5e-16), (0.9, 2e-15)])
+def test_boundary_round_trip_stays_on_the_circle(q, bound):
+    # at q = 0.9 the bound is what exact Phi gives on the rounded boundary points
+    emap = ellipse_map(q)
+    w, inside = big_phi_eval(emap, emap.boundary_point(np.linspace(0, 2 * np.pi, 2001)))
+    assert not inside.any()
+    assert max(np.max(np.abs(w)) - 1, 0) <= bound
 
 
 @pytest.mark.parametrize("z", [complex("inf"), complex("-inf"), complex("nan"),
@@ -188,15 +219,28 @@ def test_inversion_on_random_maps(emap, r, t, x, y):
     if wind is not None:
         assert big_phi_eval(emap, z)[1] == (wind == 1)
     # one stacked call over points inside, on and outside K gives each point
-    # the largest root of np.roots, bit for bit, and the same inside decision
+    # the largest root and the same inside decision as a reference: np.roots,
+    # bit for bit, for the companion path (m >= 2); 30-digit roots of the same
+    # polynomial for the closed forms (m <= 1), within 1e-15 outside K and
+    # wherever |w| is not within 1e-12 of the inside threshold
     pts = np.array([emap.phi(w), z, emap.laurent_coeffs[0], complex(emap.boundary_point(t)),
                     emap.phi(1.01 * w / r), z + 0.1j])
     got, inside = big_phi_eval(emap, pts)
     for p, g, i in zip(pts, got, inside):
-        roots = np.roots((emap.cap, emap.laurent_coeffs[0] - p) + emap.laurent_coeffs[1:])
-        ref = roots[np.argmax(np.abs(roots))]
-        assert g == ref
-        assert i == (abs(ref) < 1 - BOUNDARY_TOL)
+        if emap.tail_length >= 2:
+            roots = np.roots((emap.cap, emap.laurent_coeffs[0] - p) + emap.laurent_coeffs[1:])
+            ref = roots[np.argmax(np.abs(roots))]
+            assert g == ref
+            assert i == (abs(ref) < 1 - BOUNDARY_TOL)
+            continue
+        with mpmath.workdps(30):
+            coeffs = [emap.cap, mpmath.mpc(emap.laurent_coeffs[0]) - mpmath.mpc(p),
+                      *emap.laurent_coeffs[1:]]
+            ref = max(mpmath.polyroots(coeffs, maxsteps=100, extraprec=60), key=abs)
+            if abs(ref) >= 1:
+                assert abs(mpmath.mpc(g) - ref) <= 1e-15 * abs(ref)
+            if abs(abs(ref) - (1 - BOUNDARY_TOL)) > 1e-12:
+                assert i == (abs(ref) < 1 - BOUNDARY_TOL)
 
 
 def test_maps_are_immutable(disk):

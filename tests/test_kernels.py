@@ -274,6 +274,15 @@ def test_scaled_ratio_general_map(ellipse_half):
     assert errs[2] < 0.01 and errs_w[2] < 0.01
 
 
+@pytest.mark.parametrize("n", [50, 500])
+def test_weighted_ratio_at_zero_offset_is_exactly_one(ellipse_half, custom_map, n):
+    # the weight of z divides out even where |Phi(z)| rounds a few ulp above 1
+    for emap in (ellipse_half, ellipse_map(0.9), custom_map):
+        polys = orthonormalize(moments(emap, n - 1, 2.0 * n))
+        for theta in 2 * np.pi * np.arange(64) / 64:
+            assert scaled_ratio(polys, n, theta, 0, 0, weighted=True).real == 1.0
+
+
 def test_reproducing_on_complex_map(custom_map):
     polys = orthonormalize(moments(custom_map, 9, 20.0))
     p = np.array([0.2, -0.1, 0.05j, 1.0, -0.3, 0.7])

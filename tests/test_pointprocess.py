@@ -228,16 +228,17 @@ def _divide_by_zero_warning():
 
 def test_caller_errstate_holds_in_every_slice(ellipse_half, monkeypatch):
     _use_cpus(monkeypatch, 3)
+    # thread objects, not idents: the ident of a finished slice can be reused
     threads = set()
     true_ppf, true_weight_at = pp.radius_ppf, pp.weight_at
 
     def ppf(n, s, u):
-        threads.add(threading.get_ident())
+        threads.add(threading.current_thread())
         _divide_by_zero_warning()
         return true_ppf(n, s, u)
 
     def weight(emap, s, z):
-        threads.add(threading.get_ident())
+        threads.add(threading.current_thread())
         _divide_by_zero_warning()
         return true_weight_at(emap, s, z)
 
@@ -255,7 +256,8 @@ def test_caller_errstate_holds_in_every_slice(ellipse_half, monkeypatch):
     with np.errstate(divide="ignore"):
         assert np.array_equal(sample_disk_batch(10, 12.5, 99, 20), want_sample)
         assert gap_probability(polys, 4, region, n_rad=4, n_ang=8).value == want_gap
-    assert len(threads) == 3
+    # the caller's thread, and two workers for the sample and for each gap pass
+    assert len(threads) == 1 + 2 * 4
 
 
 class _BadRadius:
