@@ -9,7 +9,7 @@ kernels, and determinantal statistics (correlations, gap probabilities, the
 exact disk sampler) in pointprocess.
 """
 
-from .errors import ConvergenceError, NotCoveredError
+from .errors import ConvergenceError
 from .geometry import (
     BOUNDARY_TOL,
     ExteriorMap,
@@ -17,15 +17,12 @@ from .geometry import (
     disk_map,
     ellipse_map,
     equilibrium_potential,
-    format_domain,
     level_line,
     parse_domain,
 )
-from .faber import FaberBasis, FaberPolynomial, RemainderEval, faber_all, remainder_eval
+from .faber import FaberBasis
 from .moments import (
-    EpsilonTable,
     MomentTable,
-    epsilon_table,
     exterior_gram,
     interior_gram,
     moments,
@@ -34,17 +31,12 @@ from .orthopoly import (
     ClosedForm,
     OrthoPolySet,
     closed_form,
-    delta_det,
-    exterior_asymptotic,
     kappa_asymptotic,
-    kappa_error_model,
     orthonormalize,
-    sigma_model,
 )
 from .kernels import (
     bergman_kernel,
     boundary_diag_asymptotic,
-    christoffel_check,
     h_limit,
     kernel_asymptotic,
     kernel_sum,
@@ -63,7 +55,6 @@ from .pointprocess import (
     RadialHistogram,
     corr_fn,
     empirical_r1,
-    expected_count_outside,
     gap_probability,
     gap_probability_radial_product,
     kernel_r1_binned,

@@ -210,10 +210,6 @@ def _pairs_from_text(text: str, command: str | None = None) -> dict:
     return pairs
 
 
-def config_from_text(text: str) -> StudyConfig:
-    return config_from_pairs(_pairs_from_text(text))
-
-
 # -- output ------------------------------------------------------------------------
 
 def _emit(cfg: StudyConfig, rows: list[str]) -> None:

@@ -1,7 +1,7 @@
-"""Shared exception types.
+"""The numerical exception type.
 
-The CLI maps these onto exit codes: configuration problems exit with 2,
-numerical non-convergence with 3.
+The CLI maps errors onto exit codes: configuration problems (ValueError)
+exit with 2, numerical non-convergence (ConvergenceError) with 3.
 """
 
 
@@ -18,6 +18,3 @@ class ConvergenceError(RuntimeError):
         self.last = last
         self.estimates = estimates
 
-
-class NotCoveredError(ValueError):
-    """Requested a prediction outside the range of the implemented error models."""

@@ -1,4 +1,4 @@
-"""Faber polynomials of the exterior map and their remainder functions.
+"""Faber polynomials of the exterior map and their Laurent series.
 
 F_n denotes the polynomial part of Phi^n * Phi'.  The construction goes
 through the classical Faber polynomials Ftilde_n (polynomial part of Phi^n),
@@ -15,35 +15,20 @@ Ftilde_{n+1} = Phi^{n+1} + O(1/z) gives (n+1) F_n = Ftilde_{n+1}'.
 The same recurrence run on composed series delivers the exact Laurent
 expansion of Ftilde_n(phi(w)) in w, from which everything downstream
 (exterior grams, remainder tails, boundary L2 norms) follows without any
-cancellation-prone subtraction.
+cancellation-prone subtraction.  The remainder E_n = F_n - Phi^n Phi' is
+held as its series tail: remainder_series(n) is E_n(phi(w)) phi'(w).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .geometry import ExteriorMap, big_phi_eval, phi_roots
+from .geometry import ExteriorMap, phi_roots
 
 # boundary nodes on which remainder_decay samples the roots of phi(w) = phi(e^{i t})
 _DECAY_NODES = 512
-
-
-@dataclass(frozen=True)
-class FaberPolynomial:
-    degree: int
-    mono_coeffs: np.ndarray  # ascending, length degree+1
-
-
-@dataclass(frozen=True)
-class RemainderEval:
-    """E_n(z) = F_n(z) - Phi^n(z) Phi'(z), with the two raw terms attached."""
-
-    value: complex
-    faber_term: complex
-    exterior_term: complex
 
 
 class FaberBasis:
@@ -196,18 +181,6 @@ class FaberBasis:
             out[j, : j + 1] = self.mono[j]
         return out
 
-    def polynomials(self) -> list[FaberPolynomial]:
-        polys = []
-        for n, coeffs in enumerate(self.mono):
-            lead = coeffs[-1]
-            expected = self.map.cap ** (-(n + 1))
-            if abs(lead - expected) > 1e-12 * abs(expected):
-                raise AssertionError(
-                    f"Faber leading coefficient off at degree {n}: {lead} vs {expected}"
-                )
-            polys.append(FaberPolynomial(n, coeffs.copy()))
-        return polys
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -237,28 +210,3 @@ def remainder_decay(emap: ExteriorMap) -> tuple[float, float]:
     slope = (np.abs(emap._phi_prime_raw(w))[:, None] * np.abs(other) ** (m + 1)
              / np.abs(np.polyval(emap._phi_prime_poly(), other)))
     return float(np.max(np.abs(other))), float(m * np.max(slope))
-
-
-def faber_all(emap: ExteriorMap, n_max: int) -> list[FaberPolynomial]:
-    """F_0..F_{n_max} by the classical recurrence (exact in the coefficients)."""
-    return FaberBasis(emap, n_max).polynomials()
-
-
-def remainder_eval(emap: ExteriorMap, basis: FaberBasis, n: int, z: complex) -> RemainderEval:
-    """E_n(z) for z on or outside the boundary.
-
-    The value is computed from the Laurent tail of F_n(phi(w)) phi'(w), which
-    stays accurate even where F_n and Phi^n Phi' agree to hundreds of digits;
-    the two raw terms are reported alongside.  w = Phi(z) is a polynomial
-    root whose residual meets 1e-12 (1+|z|) at every distance from the curve,
-    and phi' does not vanish on |w| >= 1, so no band near the curve is lost.
-    """
-    w, inside = big_phi_eval(emap, z)
-    if inside:
-        raise ValueError("remainder function is defined on the closure of the exterior only")
-    dphi = complex(emap._phi_prime_raw(np.asarray(w, dtype=complex)))
-    tail = basis.remainder_series(n)
-    value = complex(basis.eval_series(tail, w)) / dphi
-    faber_term = complex(basis.eval_all(z, n)[n])
-    exterior_term = w ** n / dphi
-    return RemainderEval(value, faber_term, exterior_term)

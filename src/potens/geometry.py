@@ -213,17 +213,6 @@ def parse_domain(record: str) -> ExteriorMap:
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
-def format_domain(emap: ExteriorMap) -> str:
-    """Text record of emap; parse_domain reads it back as an equal map."""
-    if emap.is_disk():
-        return "kind=disk"
-    q = _ellipse_q(emap)
-    if q is not None:
-        return f"kind=ellipse q={q:.17g}"
-    coeffs = ",".join(format_complex(c) for c in emap.laurent_coeffs)
-    return f"kind=custom cap={emap.cap:.17g} coeffs=[{coeffs}]"
-
-
 # -- operations ---------------------------------------------------------------
 
 def phi_roots(emap: ExteriorMap, z: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +28,10 @@ from .orthopoly import OrthoPolySet, orthonormalize
 # below 1e-19 of the value
 _H0_SERIES = tuple(2 * (i + 1) / math.factorial(i + 2) for i in range(20))
 _H1_SERIES = tuple(6 * (i + 1) / math.factorial(i + 3) for i in range(20))
+
+# orders of bergman_kernel's partial sums and its absolute stopping tolerance
+_BERGMAN_ORDERS = (16, 32, 64, 128, 256, 512)
+_BERGMAN_TOL = 1e-8
 
 
 def _check_order(polys: OrthoPolySet, n_points: int) -> None:
@@ -99,35 +102,30 @@ def boundary_diag_asymptotic(emap: ExteriorMap, N: int, s: float, theta: float) 
 
 # -- Bergman kernel ----------------------------------------------------------------
 
-def bergman_kernel(emap: ExteriorMap, z: complex, u: complex, tol: float = 1e-8,
-                   n_start: int = 16, n_max: int = 512) -> complex:
+def bergman_kernel(emap: ExteriorMap, z: complex, u: complex) -> complex:
     """Reproducing kernel of square-integrable holomorphic functions on D.
 
     Closed form on the disk; elsewhere the finite interior-weight kernels
-    K_n at doubling orders n = n_start, 2 n_start, ... are summed until two
-    in a row agree to tol.  At s = inf pi_k does not depend on the table
-    size, so every K_n is a partial sum of one set built at n_max.
+    K_n at the orders _BERGMAN_ORDERS are summed until two in a row agree to
+    _BERGMAN_TOL.  At s = inf pi_k does not depend on the table size, so
+    every K_n is a partial sum of one set built at the last order.
     """
     if not big_phi_eval(emap, np.array([z, u], dtype=complex))[1].all():
         raise ValueError("Bergman kernel arguments must lie in the interior domain")
     if emap.is_disk():
         return (1.0 / math.pi) / (1.0 - z * np.conj(u)) ** 2
-    orders = []
-    n = n_start
-    while n <= n_max:
-        orders.append(n)
-        n *= 2
-    if orders:
-        polys = orthonormalize(moments(emap, orders[-1] - 1, np.inf))
-        vals = polys.eval_all(np.array([z, u], dtype=complex), orders[-1] - 1)
-        terms = vals[:, 0] * np.conj(vals[:, 1])
-        prev = None
-        for n in orders:
-            val = complex(np.sum(terms[:n]))
-            if prev is not None and abs(val - prev) <= tol:
-                return val
-            prev = val
-    raise ConvergenceError(f"Bergman kernel series did not stabilize to {tol} by degree {n_max}")
+    n_max = _BERGMAN_ORDERS[-1]
+    polys = orthonormalize(moments(emap, n_max - 1, np.inf))
+    vals = polys.eval_all(np.array([z, u], dtype=complex), n_max - 1)
+    terms = vals[:, 0] * np.conj(vals[:, 1])
+    prev = None
+    for n in _BERGMAN_ORDERS:
+        val = complex(np.sum(terms[:n]))
+        if prev is not None and abs(val - prev) <= _BERGMAN_TOL:
+            return val
+        prev = val
+    raise ConvergenceError(f"Bergman kernel series did not stabilize to {_BERGMAN_TOL} "
+                           f"by degree {n_max}")
 
 
 # -- scaling limit machinery --------------------------------------------------------
@@ -235,7 +233,7 @@ def scaled_ratio(polys: OrthoPolySet, N: int, theta: float, a, b, weighted: bool
     return complex(ratio[0, 0]) if scalar else ratio
 
 
-# -- variational checks ---------------------------------------------------------------
+# -- reproducing check -------------------------------------------------------------
 
 def _faber_coords(polys: OrthoPolySet, p_mono: np.ndarray) -> np.ndarray:
     """Coordinates of a polynomial (ascending monomials) in the Faber basis."""
@@ -244,36 +242,6 @@ def _faber_coords(polys: OrthoPolySet, p_mono: np.ndarray) -> np.ndarray:
         raise ValueError("polynomial degree exceeds the basis")
     fmono = polys.basis.mono_table(deg)
     return np.linalg.solve(fmono.T, np.asarray(p_mono, dtype=complex))
-
-
-def weighted_norm_sq(polys: OrthoPolySet, p_mono: np.ndarray) -> float:
-    """||p||^2 under the equilibrium weight, via the moment table."""
-    b = _faber_coords(polys, p_mono)
-    g = polys.moment_table.entries[: len(b), : len(b)]
-    return float(np.real(np.conj(b) @ g @ b))
-
-
-@dataclass(frozen=True)
-class ChristoffelReport:
-    k_diag: float
-    ratios: list
-    all_bounded: bool
-
-
-def christoffel_check(polys: OrthoPolySet, N: int, z: complex,
-                      trials: list[np.ndarray]) -> ChristoffelReport:
-    """Verify K(z,z) >= |p(z)|^2 / ||p||^2 for each trial polynomial of degree < N."""
-    _check_order(polys, N)
-    kzz = kernel_sum(polys, N, z, z).real
-    ratios = []
-    ok = True
-    for p in trials:
-        if len(p) > N:
-            raise ValueError("trial degree must be < N")
-        val = abs(np.polyval(np.asarray(p)[::-1], z)) ** 2 / weighted_norm_sq(polys, p)
-        ratios.append(val)
-        ok = ok and val <= kzz * (1 + 1e-10) + 1e-12
-    return ChristoffelReport(kzz, ratios, ok)
 
 
 def reproducing_check(polys: OrthoPolySet, N: int, p_mono: np.ndarray, z: complex) -> float:

@@ -106,21 +106,6 @@ class MomentTable:
         return FaberBasis(self.map, self.n_max)
 
 
-@dataclass(frozen=True)
-class EpsilonTable:
-    """Relative deviation of the moments from their diagonal model.
-
-    ``i_d`` and ``i_o`` are the analogous deviations of the interior and
-    exterior parts alone; diagnostics only.
-    """
-
-    n_max: int
-    s: float
-    entries: np.ndarray
-    i_d: np.ndarray
-    i_o: np.ndarray
-
-
 def interior_gram(basis: FaberBasis) -> np.ndarray:
     """int_D F_j conj(F_k) dA for all j, k up to the basis degree."""
     outer = basis.outer_series_all()                                   # F_j(phi) phi'
@@ -223,49 +208,3 @@ def _head_tables(emap: ExteriorMap, size: int) -> tuple[FaberBasis, np.ndarray]:
     interior = interior_gram(basis)
     interior.flags.writeable = False
     return basis, interior
-
-
-def epsilon_table(mom: MomentTable) -> EpsilonTable:
-    """eps[k,j] = m[k,j] (k+1)(s-k-1)/(s pi) - delta_kj (interior-only rule at s=inf)."""
-    n = mom.n_max
-    k = np.arange(n + 1, dtype=float)[:, None]
-    eye = np.eye(n + 1)
-    if np.isfinite(mom.s):
-        s = mom.s
-        scale = (k + 1) * (s - k - 1) / (s * np.pi)
-        i_d = mom.interior_part * ((k + 1) / np.pi) - eye
-        i_o = mom.exterior_part * ((s - k - 1) / np.pi) - eye
-    else:
-        scale = (k + 1) / np.pi
-        i_d = mom.interior_part * scale - eye
-        i_o = np.zeros_like(i_d)
-    return EpsilonTable(n, mom.s, mom.entries * scale - eye, i_d, i_o)
-
-
-# -- closed forms (cross-checks and fast reference values) ---------------------
-
-def disk_moment(k: int, s: float) -> float:
-    if not np.isfinite(s):
-        return np.pi / (k + 1)
-    return s * np.pi / ((k + 1) * (s - k - 1))
-
-
-def ellipse_interior_moment(n: int, q: float) -> float:
-    return np.pi / (n + 1) * (1 - q ** (2 * n + 2))
-
-
-def ellipse_exterior_moment(n: int, q: float, s: float) -> float:
-    if not np.isfinite(s):
-        return 0.0
-    return np.pi * (1.0 / (s - n - 1) + q ** (2 * n + 2) / (s + n + 1))
-
-
-def ellipse_moment(n: int, q: float, s: float) -> float:
-    return ellipse_interior_moment(n, q) + ellipse_exterior_moment(n, q, s)
-
-
-def ellipse_epsilon(n: int, q: float, s: float) -> float:
-    if not np.isfinite(s):
-        return -q ** (2 * n + 2)
-    return -q ** (2 * n + 2) * (s - n - 1) / (s + n + 1)
-

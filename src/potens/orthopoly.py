@@ -1,4 +1,5 @@
-"""Orthonormal polynomials of the equilibrium weight and their predictors.
+"""Orthonormal polynomials of the equilibrium weight, the leading-coefficient
+predictor and the closed forms.
 
 Orthonormalization happens in the Faber basis, where the Gram matrix is the
 identity plus an exponentially small perturbation and therefore perfectly
@@ -7,6 +8,9 @@ at the same degrees.  Only the head of the moment table is factored: the
 coefficient rows there come from inverting its Cholesky factor, which makes
 every leading coefficient a positive real.  Past the head the table is its
 diagonal model, so pi_n = F_n / sqrt(m[n, n]), m[n, n] = s pi / ((n+1)(s-n-1)).
+
+kappa_asymptotic is the leading-order law of the leading coefficients, and
+closed_form gives pi_n exactly for the disk, the ellipses and the interval.
 """
 
 from __future__ import annotations
@@ -17,10 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotCoveredError
 from .faber import FaberBasis
-from .geometry import ExteriorMap, _ellipse_q, big_phi_eval
-from .moments import MomentTable, epsilon_table
+from .geometry import ExteriorMap, _ellipse_q
+from .moments import MomentTable
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,7 @@ def _first_bad_pivot(gram: np.ndarray) -> int:
     return gram.shape[0] - 1
 
 
-# -- asymptotic predictors ------------------------------------------------------
+# -- leading-coefficient predictor ---------------------------------------------
 
 def _s_factor(n: int, s: float) -> float:
     if not np.isfinite(s):
@@ -153,64 +156,6 @@ def _s_factor(n: int, s: float) -> float:
 def kappa_asymptotic(n: int, s: float, emap: ExteriorMap) -> float:
     """Leading-order prediction of the leading coefficient of pi_n."""
     return emap.cap ** (-(n + 1)) * math.sqrt((n + 1) / math.pi * _s_factor(n, s))
-
-
-def exterior_asymptotic(n: int, s: float, emap: ExteriorMap, z: complex) -> complex:
-    """Leading-order prediction of pi_n(z) for z outside the boundary."""
-    w, inside = big_phi_eval(emap, z)
-    if inside:
-        raise ValueError("exterior asymptotics require z outside the domain")
-    dphi = complex(emap._phi_prime_raw(np.asarray(w, dtype=complex)))
-    return math.sqrt((n + 1) / math.pi * _s_factor(n, s)) * w ** n / dphi
-
-
-def sigma_model(n: int, p: int | None = None, alpha: float | None = None,
-                regime: str | None = None, analytic_rho: float | None = None) -> float:
-    """Relative error scale of the exterior asymptotics for each boundary class.
-
-    analytic boundaries decay like rho^n; C^{p+1,alpha} classes decay
-    algebraically with the exponent depending on p and on whether the degree
-    stays away from its ceiling (regime 'ratio<1') or approaches it
-    (regime 'ratio=1').
-    """
-    if analytic_rho is not None:
-        if not (0 < analytic_rho < 1):
-            raise ValueError("analytic decay rate must lie in (0, 1)")
-        return analytic_rho ** n
-    if p is None or alpha is None or regime is None:
-        raise ValueError("smooth case needs p, alpha and regime")
-    if not (0 < alpha < 1):
-        raise ValueError("alpha must lie in (0, 1)")
-    if p + alpha <= 0.5:
-        raise ValueError("error models require p + alpha > 1/2")
-    if regime not in ("ratio<1", "ratio=1"):
-        raise ValueError("regime must be 'ratio<1' or 'ratio=1'")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if p >= 2:
-        return math.log(n) / n ** (p + alpha)
-    if p == 1:
-        if regime == "ratio<1":
-            return math.log(n) / n ** (1 + alpha)
-        return n ** (-2 * alpha)
-    if regime == "ratio<1":
-        return n ** (1 - 2 * alpha)
-    raise NotCoveredError("no decay model is available for p=0 when n/s -> 1")
-
-
-def kappa_error_model(n: int, p: int | None = None, alpha: float | None = None,
-                      analytic_rho: float | None = None) -> float:
-    """Error scale of the leading-coefficient prediction (distinct exponent
-    from sigma_model: rho^(2n) analytic, n^(-2(p+alpha)) otherwise)."""
-    if analytic_rho is not None:
-        if not (0 < analytic_rho < 1):
-            raise ValueError("analytic decay rate must lie in (0, 1)")
-        return analytic_rho ** (2 * n)
-    if p is None or alpha is None:
-        raise ValueError("smooth case needs p and alpha")
-    if p + alpha <= 0.5:
-        raise ValueError("error models require p + alpha > 1/2")
-    return float(n) ** (-2 * (p + alpha))
 
 
 # -- closed forms ----------------------------------------------------------------
@@ -285,26 +230,3 @@ def closed_form(domain: ExteriorMap | str, n: int, s: float) -> ClosedForm:
         denom = 1.0 - q ** (2 * n + 2)
     scale = math.sqrt(fac / denom)
     return ClosedForm("ellipse", n, float(s), scale * chebyshev_u_monic(n, q))
-
-
-# -- determinant diagnostics ------------------------------------------------------
-
-def delta_det(eps, n: int) -> float:
-    """det(I + eps) truncated at order n; positive and nonincreasing in n."""
-    entries = eps.entries if hasattr(eps, "entries") else np.asarray(eps)
-    block = np.eye(n + 1) + entries[: n + 1, : n + 1]
-    val = np.linalg.det(block)
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise ValueError(f"determinant unexpectedly non-real: {val}")
-    return float(val.real)
-
-
-def kappa_delta_identity(mom: MomentTable, n: int) -> tuple[float, float]:
-    """Both sides of kappa_n * cap^(n+1) = sqrt(m-model * Delta_{n-1}/Delta_n)."""
-    polys = orthonormalize(mom)
-    eps = epsilon_table(mom)
-    lhs = polys.kappas[n] * mom.map.cap ** (n + 1)
-    d_prev = delta_det(eps, n - 1) if n >= 1 else 1.0
-    d_cur = delta_det(eps, n)
-    rhs = math.sqrt((n + 1) / math.pi * _s_factor(n, mom.s) * d_prev / d_cur)
-    return lhs, rhs

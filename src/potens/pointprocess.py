@@ -54,7 +54,10 @@ class GapResult:
 
     ``terms[n]`` is the n-th alternating term (-1)^n e_n; ``value`` is the
     eigenproduct prod(1 - lambda) and ``series_sum`` the truncated sum of the
-    terms -- equal up to rounding, reported separately as a cross-check.
+    terms.  The terms can exceed the value by many orders and cancel in the
+    sum, so |series_sum - value| is of order eps * max|terms|, not of order
+    eps * value: the sum is a relative cross-check only where no term is
+    much larger than the value.
     """
 
     value: float
@@ -372,8 +375,3 @@ def _power_integrals(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         log_ratio = np.log1p((b - a) / a)
     return -top * np.expm1(-np.abs(p) * log_ratio) / np.abs(p)
-
-
-def expected_count_outside(N: int, s: float) -> float:
-    """Mean number of points outside the unit circle: sum (n+1)/s."""
-    return sum((n + 1) / s for n in range(N))

@@ -20,10 +20,17 @@ Two kernel oracles bypass the head-plus-tail polynomial set: dense_kernel
 factors the whole N x N Faber Gram of the exact sums, and
 ellipse_kernel_ratio evaluates the closed-form ellipse polynomials by their
 three-term recurrence.
+
+The remaining oracles are closed forms and diagnostics that no study reads:
+the disk and ellipse moments, the relative deviation eps of a moment table
+from its diagonal model (epsilon_table) with its truncated determinants
+(delta_det, kappa_delta_identity), the leading-order exterior law of pi_n
+(exterior_asymptotic), and the Christoffel bound (christoffel_check).
 """
 
 import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -31,8 +38,10 @@ from scipy.linalg import solve_triangular
 from scipy.special import roots_jacobi, roots_legendre
 
 from potens.faber import FaberBasis
-from potens.geometry import ExteriorMap
-from potens.moments import exterior_gram, interior_gram
+from potens.geometry import ExteriorMap, big_phi_eval
+from potens.kernels import _check_order, _faber_coords, kernel_sum
+from potens.moments import MomentTable, exterior_gram, interior_gram
+from potens.orthopoly import OrthoPolySet, orthonormalize
 
 
 def _interior_monomial_gram(emap: ExteriorMap, n_max: int, r0: float,
@@ -391,3 +400,108 @@ def ellipse_kernel_ratio(q: float, n_pts: int, s: float, theta: float, a, b) -> 
     va, vb = u[:, 1 : a.size + 1], u[:, a.size + 1 :]
     num = (va * kappa2[:, None]).T @ np.conj(vb)
     return num / np.sum(kappa2 * np.abs(u[:, 0]) ** 2)
+
+
+# -- closed-form moments of the disk and the ellipses ---------------------------
+
+def disk_moment(k: int, s: float) -> float:
+    if not np.isfinite(s):
+        return np.pi / (k + 1)
+    return s * np.pi / ((k + 1) * (s - k - 1))
+
+
+def ellipse_interior_moment(n: int, q: float) -> float:
+    return np.pi / (n + 1) * (1 - q ** (2 * n + 2))
+
+
+def ellipse_exterior_moment(n: int, q: float, s: float) -> float:
+    if not np.isfinite(s):
+        return 0.0
+    return np.pi * (1.0 / (s - n - 1) + q ** (2 * n + 2) / (s + n + 1))
+
+
+def ellipse_moment(n: int, q: float, s: float) -> float:
+    return ellipse_interior_moment(n, q) + ellipse_exterior_moment(n, q, s)
+
+
+def ellipse_epsilon(n: int, q: float, s: float) -> float:
+    if not np.isfinite(s):
+        return -q ** (2 * n + 2)
+    return -q ** (2 * n + 2) * (s - n - 1) / (s + n + 1)
+
+
+# -- deviation from the diagonal model and its determinants -----------------------
+
+@dataclass(frozen=True)
+class EpsilonTable:
+    """Relative deviation of the moments from their diagonal model."""
+
+    n_max: int
+    s: float
+    entries: np.ndarray
+
+
+def epsilon_table(mom: MomentTable) -> EpsilonTable:
+    """eps[k,j] = m[k,j] (k+1)(s-k-1)/(s pi) - delta_kj (interior-only rule at s=inf)."""
+    k = np.arange(mom.n_max + 1, dtype=float)[:, None]
+    scale = (k + 1) * (1.0 - (k + 1) / mom.s) / np.pi
+    return EpsilonTable(mom.n_max, mom.s, mom.entries * scale - np.eye(mom.n_max + 1))
+
+
+def delta_det(eps: EpsilonTable, n: int) -> float:
+    """det(I + eps) truncated at order n; positive and nonincreasing in n."""
+    val = np.linalg.det(np.eye(n + 1) + eps.entries[: n + 1, : n + 1])
+    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
+        raise ValueError(f"determinant unexpectedly non-real: {val}")
+    return float(val.real)
+
+
+def kappa_delta_identity(mom: MomentTable, n: int) -> tuple[float, float]:
+    """Both sides of kappa_n * cap^(n+1) = sqrt(m-model * Delta_{n-1}/Delta_n)."""
+    eps = epsilon_table(mom)
+    lhs = orthonormalize(mom).kappas[n] * mom.map.cap ** (n + 1)
+    d_prev = delta_det(eps, n - 1) if n >= 1 else 1.0
+    rhs = math.sqrt((n + 1) / math.pi * (1.0 - (n + 1) / mom.s) * d_prev / delta_det(eps, n))
+    return lhs, rhs
+
+
+# -- exterior law and Christoffel bound ---------------------------------------------
+
+def exterior_asymptotic(n: int, s: float, emap: ExteriorMap, z: complex) -> complex:
+    """Leading-order prediction sqrt((n+1)/pi (1-(n+1)/s)) Phi^n Phi' of pi_n(z)
+    for z outside the boundary."""
+    w, inside = big_phi_eval(emap, z)
+    if inside:
+        raise ValueError("exterior asymptotics require z outside the domain")
+    dphi = complex(emap.phi_prime(w))
+    return math.sqrt((n + 1) / math.pi * (1.0 - (n + 1) / s)) * w ** n / dphi
+
+
+def weighted_norm_sq(polys: OrthoPolySet, p_mono: np.ndarray) -> float:
+    """||p||^2 under the equilibrium weight, via the moment table."""
+    b = _faber_coords(polys, p_mono)
+    g = polys.moment_table.entries[: len(b), : len(b)]
+    return float(np.real(np.conj(b) @ g @ b))
+
+
+@dataclass(frozen=True)
+class ChristoffelReport:
+    k_diag: float
+    ratios: list
+    all_bounded: bool
+
+
+def christoffel_check(polys: OrthoPolySet, N: int, z: complex,
+                      trials: list) -> ChristoffelReport:
+    """Verify K(z,z) >= |p(z)|^2 / ||p||^2 for each trial polynomial of degree < N."""
+    _check_order(polys, N)
+    kzz = kernel_sum(polys, N, z, z).real
+    ratios = []
+    ok = True
+    for p in trials:
+        if len(p) > N:
+            raise ValueError("trial degree must be < N")
+        val = abs(np.polyval(np.asarray(p)[::-1], z)) ** 2 / weighted_norm_sq(polys, p)
+        ratios.append(val)
+        ok = ok and val <= kzz * (1 + 1e-10) + 1e-12
+    return ChristoffelReport(kzz, ratios, ok)

@@ -173,11 +173,11 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):
-    # a config file passes the same key check as config_from_text
+    # a config file passes the same key check as config_from_pairs
     cfgfile = tmp_path / "study.cfg"
     cfgfile.write_text("domain=disk\nnmax=2\ns=25\nbogus=1\n")
     with pytest.raises(cli.ConfigError):
-        cli.config_from_text(cfgfile.read_text())
+        cli.config_from_pairs(cli._pairs_from_text(cfgfile.read_text()))
     assert cli.main(["poly", "--config", str(cfgfile)]) == 2
     assert "bogus" in capsys.readouterr().err
 

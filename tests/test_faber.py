@@ -1,51 +1,61 @@
 import numpy as np
 import pytest
 
-from potens.faber import FaberBasis, faber_all, remainder_eval
+from potens.faber import FaberBasis
 from potens.geometry import ExteriorMap, big_phi_eval
 
 from _bruteforce import faber_oracle_coeffs, remainder_product_integral
 
 
+def _remainder(basis, n, z):
+    """(E_n(z), F_n(z), Phi^n(z) Phi'(z)) for z outside the boundary; E_n is
+    the series tail remainder_series(n) at w = Phi(z), divided by phi'(w)."""
+    w, inside = big_phi_eval(basis.map, z)
+    assert not inside
+    dphi = complex(basis.map.phi_prime(w))
+    value = complex(basis.eval_series(basis.remainder_series(n), w)) / dphi
+    return value, complex(basis.eval_all(z, n)[n]), w ** n / dphi
+
+
 def test_disk_faber_are_monomials(disk):
-    for n, poly in enumerate(faber_all(disk, 6)):
+    for n, mono in enumerate(FaberBasis(disk, 6).mono):
         expect = np.zeros(n + 1)
         expect[n] = 1.0
-        assert np.allclose(poly.mono_coeffs, expect, atol=1e-14)
+        assert np.allclose(mono, expect, atol=1e-14)
 
 
 def test_ellipse_faber_are_monic_chebyshev(ellipse_half, ellipse_quarter):
-    polys = faber_all(ellipse_half, 4)
-    assert np.allclose(polys[1].mono_coeffs, [0, 1], atol=1e-14)
-    assert np.allclose(polys[2].mono_coeffs, [-0.5, 0, 1], atol=1e-14)
-    polys = faber_all(ellipse_quarter, 3)
-    assert np.allclose(polys[3].mono_coeffs, [0, -0.5, 0, 1], atol=1e-14)
+    mono = FaberBasis(ellipse_half, 4).mono
+    assert np.allclose(mono[1], [0, 1], atol=1e-14)
+    assert np.allclose(mono[2], [-0.5, 0, 1], atol=1e-14)
+    mono = FaberBasis(ellipse_quarter, 3).mono
+    assert np.allclose(mono[3], [0, -0.5, 0, 1], atol=1e-14)
 
 
 def test_recurrence_matches_chebyshev_recurrence(ellipse_half):
     # U_{k+1} = z U_k - q U_{k-1}
-    polys = faber_all(ellipse_half, 10)
+    mono = FaberBasis(ellipse_half, 10).mono
     for k in range(1, 10):
         lifted = np.zeros(k + 2, dtype=complex)
-        lifted[1:] = polys[k].mono_coeffs
-        lifted[: k] -= 0.5 * polys[k - 1].mono_coeffs
-        assert np.allclose(polys[k + 1].mono_coeffs, lifted, atol=1e-13)
+        lifted[1:] = mono[k]
+        lifted[: k] -= 0.5 * mono[k - 1]
+        assert np.allclose(mono[k + 1], lifted, atol=1e-13)
 
 
 def test_leading_coefficient_invariant(custom_map):
     cap25 = ExteriorMap(2.5, (0.1, 0.05j))
     for emap in (custom_map, cap25):
-        for n, poly in enumerate(faber_all(emap, 12)):
-            lead = poly.mono_coeffs[-1]
+        for n, mono in enumerate(FaberBasis(emap, 12).mono):
+            lead = mono[-1]
             assert abs(lead - emap.cap ** (-(n + 1))) <= 1e-12 * emap.cap ** (-(n + 1))
 
 
 def test_oracle_agrees_with_recurrence(disk, ellipse_half, ellipse_quarter, custom_map):
     for emap in (disk, ellipse_half, ellipse_quarter, custom_map):
-        polys = faber_all(emap, 12)
+        mono = FaberBasis(emap, 12).mono
         for n in range(13):
             oracle = faber_oracle_coeffs(emap, n)
-            assert np.max(np.abs(oracle - polys[n].mono_coeffs)) < 1e-10
+            assert np.max(np.abs(oracle - mono[n])) < 1e-10
 
 
 def test_oracle_examples(disk, ellipse_half):
@@ -56,17 +66,17 @@ def test_oracle_examples(disk, ellipse_half):
 def test_remainder_zero_on_disk(disk):
     basis = FaberBasis(disk, 5)
     for n in range(6):
-        r = remainder_eval(disk, basis, n, 2.0)
-        assert abs(r.value) < 1e-14
-        assert r.faber_term == pytest.approx(2.0 ** n)
+        value, faber_term, _ = _remainder(basis, n, 2.0)
+        assert abs(value) < 1e-14
+        assert faber_term == pytest.approx(2.0 ** n)
 
 
 def test_remainder_example_ellipse(ellipse_half):
     basis = FaberBasis(ellipse_half, 3)
-    r = remainder_eval(ellipse_half, basis, 0, 2.25)
-    assert r.value == pytest.approx(1 - 1 / 0.875, abs=1e-12)
-    assert r.faber_term == pytest.approx(1.0)
-    assert r.exterior_term == pytest.approx(1 / 0.875)
+    value, faber_term, exterior_term = _remainder(basis, 0, 2.25)
+    assert value == pytest.approx(1 - 1 / 0.875, abs=1e-12)
+    assert faber_term == pytest.approx(1.0)
+    assert exterior_term == pytest.approx(1 / 0.875)
 
 
 def test_remainder_closed_form_ellipse(ellipse_half):
@@ -78,22 +88,16 @@ def test_remainder_closed_form_ellipse(ellipse_half):
         w, _ = big_phi_eval(ellipse_half, z)
         for n in range(9):
             expect = -(q ** (n + 1)) * w ** (-(n + 2)) / ellipse_half.phi_prime(w)
-            got = remainder_eval(ellipse_half, basis, n, z).value
+            got = _remainder(basis, n, z)[0]
             assert abs(got - expect) < 1e-12 * max(1.0, abs(expect))
-
-
-def test_remainder_rejects_interior(ellipse_half):
-    basis = FaberBasis(ellipse_half, 2)
-    with pytest.raises(ValueError):
-        remainder_eval(ellipse_half, basis, 1, 0.0)
 
 
 def test_double_zero_at_infinity(ellipse_half, custom_map):
     for emap in (ellipse_half, custom_map):
         basis = FaberBasis(emap, 10)
         for n in range(11):
-            e6 = remainder_eval(emap, basis, n, 1e6).value
-            e7 = remainder_eval(emap, basis, n, 1e7).value
+            e6 = _remainder(basis, n, 1e6)[0]
+            e7 = _remainder(basis, n, 1e7)[0]
             assert np.isfinite(abs(e6) * 1e12)
             # |z^2 E_n| stays bounded: factor-100 radius scales E by ~1e-2
             if abs(e6) > 0:
@@ -120,27 +124,26 @@ def test_remainder_series_matches_subtraction(custom_map):
     basis = FaberBasis(custom_map, 6)
     z = 1.4 + 0.9j
     for n in range(7):
-        r = remainder_eval(custom_map, basis, n, z)
-        assert abs(r.value - (r.faber_term - r.exterior_term)) < 1e-11
+        value, faber_term, exterior_term = _remainder(basis, n, z)
+        assert abs(value - (faber_term - exterior_term)) < 1e-11
 
 
 def test_long_tail_map_oracle_agreement():
     emap = ExteriorMap(1.2, (0.1, 0.15, 0.05j, -0.04))
     emap.validate()
-    polys = faber_all(emap, 10)
+    mono = FaberBasis(emap, 10).mono
     for n in range(11):
-        assert np.max(np.abs(faber_oracle_coeffs(emap, n) - polys[n].mono_coeffs)) < 1e-10
+        assert np.max(np.abs(faber_oracle_coeffs(emap, n) - mono[n])) < 1e-10
 
 
 def test_composed_series_matches_monomials():
     emap = ExteriorMap(1.2, (0.1, 0.15, 0.05j, -0.04))
     basis = FaberBasis(emap, 8)
-    polys = basis.polynomials()
     w = 1.3 * np.exp(1j * 2 * np.pi * np.arange(16) / 16)
     z = emap.phi(w)
     for n in (0, 3, 8):
         via_series = basis.eval_series(basis.outer_series(n), w) / emap.phi_prime(w)
-        via_mono = np.polyval(polys[n].mono_coeffs[::-1], z)
+        via_mono = np.polyval(basis.mono[n][::-1], z)
         assert np.max(np.abs(via_series - via_mono)) < 1e-12
 
 

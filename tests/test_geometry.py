@@ -15,7 +15,6 @@ from potens.geometry import (
     big_phi_eval,
     ellipse_map,
     equilibrium_potential,
-    format_domain,
     level_line,
     parse_complex,
     parse_domain,
@@ -257,11 +256,10 @@ def test_parse_complex():
 
 
 def test_domain_record_round_trip(disk, ellipse_half, custom_map):
-    for emap in (disk, ellipse_half, custom_map):
-        assert parse_domain(format_domain(emap)) == emap
-    assert format_domain(disk) == "kind=disk"
-    assert format_domain(ellipse_half) == "kind=ellipse q=0.5"
-    assert format_domain(custom_map).startswith("kind=custom cap=1 ")
+    # records are read only: each literal record gives back its map
+    assert parse_domain("kind=disk") == disk
+    assert parse_domain("kind=ellipse q=0.5") == ellipse_half
+    assert parse_domain("kind=custom cap=1 coeffs=[0,0.2,0.1i]") == custom_map
     # the kind follows the map, not the text it was written as
     assert parse_domain("kind=custom cap=1 coeffs=[0]") == disk
     assert parse_domain("kind=custom cap=1 coeffs=[0,0.5]") == ellipse_half

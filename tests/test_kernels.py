@@ -9,7 +9,6 @@ from potens.kernels import (
     _h1,
     bergman_kernel,
     boundary_diag_asymptotic,
-    christoffel_check,
     h_limit,
     kernel_asymptotic,
     kernel_sum,
@@ -26,7 +25,13 @@ from potens.geometry import ExteriorMap, disk_map, ellipse_map
 from potens.moments import moments
 from potens.orthopoly import orthonormalize
 
-from _bruteforce import dense_kernel, ellipse_kernel_ratio, h_limit_mp, kernel_sum_mp
+from _bruteforce import (
+    christoffel_check,
+    dense_kernel,
+    ellipse_kernel_ratio,
+    h_limit_mp,
+    kernel_sum_mp,
+)
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +170,7 @@ def test_bergman_disk(disk):
 def test_bergman_series_stabilizes():
     from potens.geometry import ellipse_map
     emap = ellipse_map(0.3)
-    v1 = bergman_kernel(emap, 0, 0, tol=1e-8)
+    v1 = bergman_kernel(emap, 0, 0)
     # doubling the degree changes nothing beyond tol
     polys = orthonormalize(moments(emap, 63, np.inf))
     v2 = kernel_sum(polys, 64, 0, 0)

@@ -8,19 +8,19 @@ from hypothesis import strategies as st
 
 from potens.faber import FaberBasis
 from potens.geometry import ExteriorMap, ellipse_map
-from potens.moments import (
+from potens.moments import exterior_gram, interior_gram, moments
+
+from _bruteforce import (
     disk_moment,
     ellipse_epsilon,
     ellipse_exterior_moment,
     ellipse_interior_moment,
     ellipse_moment,
     epsilon_table,
-    exterior_gram,
-    interior_gram,
-    moments,
+    exterior_quadrature,
+    gram_quadrature,
+    remainder_product_integral,
 )
-
-from _bruteforce import exterior_quadrature, gram_quadrature, remainder_product_integral
 
 # the module itself: the package re-exports a function named `moments`
 mm = importlib.import_module("potens.moments")

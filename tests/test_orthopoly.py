@@ -7,23 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from potens.errors import NotCoveredError
 from potens.geometry import ExteriorMap, ellipse_map
 from potens.faber import FaberBasis
-from potens.moments import epsilon_table, moments
-from potens.orthopoly import (
-    _lower_inverse,
-    closed_form,
-    delta_det,
-    exterior_asymptotic,
-    kappa_asymptotic,
-    kappa_delta_identity,
-    kappa_error_model,
-    orthonormalize,
-    sigma_model,
-)
+from potens.moments import moments
+from potens.orthopoly import _lower_inverse, closed_form, kappa_asymptotic, orthonormalize
 
-from _bruteforce import gram_quadrature, gram_schmidt_polys, monomial_gram, orthopoly_det
+from _bruteforce import (
+    delta_det,
+    epsilon_table,
+    exterior_asymptotic,
+    gram_quadrature,
+    gram_schmidt_polys,
+    kappa_delta_identity,
+    monomial_gram,
+    orthopoly_det,
+)
 from test_moments import _random_maps
 
 
@@ -140,26 +138,6 @@ def test_exterior_asymptotic_rate_is_geometric(ellipse_half):
             for n in range(4, 17)]
     slope = np.polyfit(np.arange(4, 17), np.log(devs), 1)[0]
     assert slope < math.log(0.95)  # geometric decay, not algebraic
-
-
-def test_sigma_model_table():
-    assert sigma_model(10, analytic_rho=0.7) == pytest.approx(0.7 ** 10)
-    assert sigma_model(100, p=2, alpha=0.5, regime="ratio<1") == pytest.approx(math.log(100) / 100 ** 2.5)
-    assert sigma_model(100, p=2, alpha=0.5, regime="ratio=1") == pytest.approx(math.log(100) / 100 ** 2.5)
-    assert sigma_model(50, p=1, alpha=0.25, regime="ratio<1") == pytest.approx(math.log(50) / 50 ** 1.25)
-    assert sigma_model(16, p=0, alpha=0.75, regime="ratio<1") == pytest.approx(0.25)
-    assert sigma_model(50, p=1, alpha=0.25, regime="ratio=1") == pytest.approx(50 ** -0.5)
-    with pytest.raises(NotCoveredError):
-        sigma_model(16, p=0, alpha=0.75, regime="ratio=1")
-    with pytest.raises(ValueError):
-        sigma_model(16, p=0, alpha=0.25, regime="ratio<1")  # p+alpha <= 1/2
-    with pytest.raises(ValueError):
-        sigma_model(16, analytic_rho=1.2)
-
-
-def test_kappa_error_model():
-    assert kappa_error_model(8, analytic_rho=0.5) == pytest.approx(0.5 ** 16)
-    assert kappa_error_model(9, p=1, alpha=0.5) == pytest.approx(9.0 ** -3)
 
 
 def test_closed_form_disk_and_ellipse(disk, ellipse_half):
