@@ -364,12 +364,16 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The potens parser.  Every subcommand is registered, but with a known
+    command only that one gets its options: argv can name no other."""
     parser = argparse.ArgumentParser(prog="potens",
                                      description="potential-theoretic ensemble studies")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name, allow_abbrev=False)
+        if command in _COMMANDS and name != command:
+            continue
         p.add_argument("--config", help="key=value config file")
         for key, (_, parse, help_text, readers) in _OPTIONS.items():
             if name in readers.split():
@@ -384,7 +388,8 @@ def _namespace_pairs(ns: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    ns = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         pairs = {}
         if ns.config:

@@ -10,7 +10,8 @@ class ConvergenceError(RuntimeError):
 
     Attributes carry the evidence: ``last`` holds the rejected root of the
     exterior-map inversion and ``estimates`` the rejected values (the
-    interior Gram matrix that lost Hermitian symmetry).
+    interior Gram matrix that lost Hermitian symmetry, the gap matrix's
+    eigenvalues above 1).
     """
 
     def __init__(self, message, last=None, estimates=None):

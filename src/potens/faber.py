@@ -21,6 +21,7 @@ held as its series tail: remainder_series(n) is E_n(phi(w)) phi'(w).
 
 from __future__ import annotations
 
+from collections import deque
 from functools import cached_property
 
 import numpy as np
@@ -152,26 +153,34 @@ class FaberBasis:
         Returns an array of shape (n_upto+1,) + shape(z); stable for |z| of
         order the boundary scale even at degree 10^4.  The recurrence reads
         only the map, so n_upto may exceed n_max.
+
+        Each degree advances one state of shape (2,) + shape(z), rows
+        Ftilde_n(z) and Ftilde_n'(z), so one numpy call serves both rows.
+        Only the m + 1 latest states, the ones the recurrence reads, are
+        kept, so besides the output the working memory is m + 3 states and
+        one copy of z, whatever n_upto.
         """
         n_upto = self.n_max if n_upto is None else n_upto
         z = np.asarray(z, dtype=complex)
         m = self.map.tail_length
         cap = self.map.cap
         c = self.map.laurent_coeffs
-        ft = [np.ones_like(z)]
-        fd = [np.zeros_like(z)]
+        zc = z - c[0]
+        state = np.zeros((2,) + z.shape, dtype=complex)
+        state[0] = 1.0
+        recent = deque([state], maxlen=m + 1)  # recent[-1 - k] holds degree n - k
         out = np.empty((n_upto + 1,) + z.shape, dtype=complex)
         for n in range(n_upto + 1):
-            val = (z - c[0]) * ft[n]
-            der = ft[n] + (z - c[0]) * fd[n]
+            nxt = zc * state
+            nxt[1] += state[0]                 # Ftilde_n + (z - c_0) Ftilde_n'
             for k in range(1, min(m, n - 1) + 1):
-                val = val - c[k] * ft[n - k]
-                der = der - c[k] * fd[n - k]
+                nxt -= c[k] * recent[-1 - k]
             if 1 <= n <= m:
-                val = val - (n + 1) * c[n]
-            ft.append(val / cap)
-            fd.append(der / cap)
-            out[n] = fd[n + 1] / (n + 1)
+                nxt[0] -= (n + 1) * c[n]
+            nxt /= cap
+            np.divide(nxt[1], n + 1, out=out[n, ...])
+            recent.append(nxt)
+            state = nxt
         return out
 
     def mono_table(self, n_upto: int) -> np.ndarray:

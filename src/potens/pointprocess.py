@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .geometry import ExteriorMap, disk_map
 from .kernels import _check_order, weight_at, weighted_limit
 from .orthopoly import OrthoPolySet
@@ -165,6 +166,10 @@ def _spread(fill, count: int) -> None:
 
 # -- gap probabilities --------------------------------------------------------------
 
+# rounding allowance above 1 for the eigenvalues of Lambda on the finest pass
+_LAMBDA_TOL = 1e-12
+
+
 def _region_nodes(region: DiskRegion, n_rad: int, n_ang: int):
     """Polar tensor nodes and area weights, shape (radii, n_ang) each; radial
     panels split where the weight kernel loses smoothness (the unit circle,
@@ -187,8 +192,8 @@ def _region_nodes(region: DiskRegion, n_rad: int, n_ang: int):
 
 def _gap_eigenvalues(polys: OrthoPolySet, N: int, region: DiskRegion,
                      n_rad: int, n_ang: int) -> tuple[np.ndarray, tuple]:
-    """Eigenvalues of Lambda on one quadrature pass, with the pass's node
-    counts (radii, angles)."""
+    """Eigenvalues of Lambda on one quadrature pass, ascending and unclipped,
+    with the pass's node counts (radii, angles)."""
     pts, u = _region_nodes(region, n_rad, n_ang)
     shape = pts.shape
     pts, u = pts.ravel(), u.ravel()
@@ -201,8 +206,7 @@ def _gap_eigenvalues(polys: OrthoPolySet, N: int, region: DiskRegion,
         psi[:, lo:hi] = polys.eval_all(pts[lo:hi], N - 1) * (wts * np.sqrt(u[lo:hi]))[None, :]
 
     _spread(fill, pts.size)
-    lam = np.linalg.eigvalsh(psi @ psi.conj().T)
-    return np.clip(lam, 0.0, None), shape
+    return np.linalg.eigvalsh(psi @ psi.conj().T), shape
 
 
 def gap_probability(polys: OrthoPolySet, N: int, region: DiskRegion,
@@ -210,8 +214,13 @@ def gap_probability(polys: OrthoPolySet, N: int, region: DiskRegion,
     """Probability that the region holds no points, by Fredholm truncation.
 
     Refines the quadrature twice; a non-monotone refinement pattern triggers
-    a warning carrying both estimates.  A region of radius 0 is empty (value
-    1); a negative radius raises ValueError.
+    a warning carrying both estimates.  Lambda is a compression of a
+    projection, so its eigenvalues lie in [0, 1]; they are clipped at 0, and
+    an eigenvalue of the finest pass above 1 + _LAMBDA_TOL raises
+    ConvergenceError, with those eigenvalues as ``estimates``: the quadrature
+    is too coarse for the order.  Coarser passes only feed the warning.  A
+    region of radius 0 is empty (value 1); a negative radius raises
+    ValueError.
     """
     if n_rad < 1 or n_ang < 1:
         raise ValueError(f"gap quadrature needs at least one node each way (got {n_rad} x {n_ang})")
@@ -220,10 +229,17 @@ def gap_probability(polys: OrthoPolySet, N: int, region: DiskRegion,
     if region.radius == 0:
         return GapResult(1.0, 1.0, np.array([1.0]), (0, 0))
     vals = []
-    lam = shape = None
+    raw = lam = shape = None
     for mult in (1, 2, 4):
-        lam, shape = _gap_eigenvalues(polys, N, region, n_rad * mult, n_ang * mult)
+        raw, shape = _gap_eigenvalues(polys, N, region, n_rad * mult, n_ang * mult)
+        lam = np.clip(raw, 0.0, None)
         vals.append(float(np.prod(1.0 - lam)))
+    over = raw[raw > 1.0 + _LAMBDA_TOL]
+    if over.size:
+        raise ConvergenceError(
+            f"gap quadrature too coarse for N={N}: {over.size} eigenvalues of Lambda exceed 1, "
+            f"the largest {float(over[-1])!r}, on the finest pass ({shape[0]} x {shape[1]} nodes)",
+            estimates=over)
     d1, d2 = abs(vals[1] - vals[0]), abs(vals[2] - vals[1])
     if d2 > d1 and d2 > 1e-10:
         warnings.warn(

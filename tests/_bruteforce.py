@@ -19,7 +19,8 @@ inversion is checked against the winding number of the boundary curve
 Two kernel oracles bypass the head-plus-tail polynomial set: dense_kernel
 factors the whole N x N Faber Gram of the exact sums, and
 ellipse_kernel_ratio evaluates the closed-form ellipse polynomials by their
-three-term recurrence.
+three-term recurrence.  faber_eval_lists runs the Faber recurrence on two
+growing lists, the reference that FaberBasis.eval_all matches bit for bit.
 
 The remaining oracles are closed forms and diagnostics that no study reads:
 the disk and ellipse moments, the relative deviation eps of a moment table
@@ -369,6 +370,29 @@ def annulus_density_mp(N: int, s, edges) -> list:
                                for n in range(N))
             out.append(float(mass / (mpmath.pi * (mpmath.mpf(hi) ** 2 - mpmath.mpf(lo) ** 2))))
         return out
+
+
+def faber_eval_lists(emap: ExteriorMap, z, n_upto: int) -> np.ndarray:
+    """F_0(z)..F_{n_upto}(z) by the joint (Ftilde, Ftilde') recurrence on two
+    growing lists, one array per degree and row: the arithmetic of
+    FaberBasis.eval_all, operation for operation, without its stacked state."""
+    z = np.asarray(z, dtype=complex)
+    m, cap, c = emap.tail_length, emap.cap, emap.laurent_coeffs
+    ft = [np.ones_like(z)]
+    fd = [np.zeros_like(z)]
+    out = np.empty((n_upto + 1,) + z.shape, dtype=complex)
+    for n in range(n_upto + 1):
+        val = (z - c[0]) * ft[n]
+        der = ft[n] + (z - c[0]) * fd[n]
+        for k in range(1, min(m, n - 1) + 1):
+            val = val - c[k] * ft[n - k]
+            der = der - c[k] * fd[n - k]
+        if 1 <= n <= m:
+            val = val - (n + 1) * c[n]
+        ft.append(val / cap)
+        fd.append(der / cap)
+        out[n] = fd[n + 1] / (n + 1)
+    return out
 
 
 def dense_kernel(emap: ExteriorMap, n_pts: int, s: float, z, u) -> np.ndarray:

@@ -225,16 +225,20 @@ def test_non_finite_domain_exits_2(domain, capsys):
     assert out == ""
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_in_a_fresh_interpreter_is_quiet():
+    # what a benchmark or script pays before its first call: the import must
+    # succeed silently on one BLAS thread, start no thread and load no scipy
     src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = ("import sys, potens.cli; "
+    code = ("import sys, threading, potens.cli; "
+            "print(threading.active_count()); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    assert res.stderr == ""
+    assert res.stdout.splitlines() == ["1", "[]"]
 
 
 def test_exit_code_nonconvergence(monkeypatch, capsys):
@@ -275,6 +279,32 @@ def parser_options() -> dict:
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
             for name, p in sub.choices.items()}
+
+
+def readme_cli_argv() -> list:
+    """The argv, without the leading potens, of the README's CLI block."""
+    section = readme_section("CLI")
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    lines = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert all(argv[0] == "potens" for argv in lines)
+    return [argv[1:] for argv in lines]
+
+
+def test_one_subcommand_parser_matches_the_full_parser(capsys):
+    # main builds the options of the named subcommand only; its help text,
+    # the usage line of parse errors and the parsed namespace stay the same
+    full = cli.build_parser()
+    sub = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction))
+    argvs = readme_cli_argv()
+    assert sorted(argv[0] for argv in argvs) == sorted(cli._COMMANDS)
+    for argv in argvs:
+        one = cli.build_parser(argv[0])
+        assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
+        assert one.format_usage() == full.format_usage()
+        with pytest.raises(SystemExit) as exc:
+            cli.main([argv[0], "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == sub.choices[argv[0]].format_help()
 
 
 def test_accepted_options_are_the_table():
@@ -397,19 +427,15 @@ def test_readme_quick_start_block_runs(capsys):
 
 
 def test_readme_cli_block_runs_and_its_table_matches_the_parser(tmp_path, capsys):
-    section = readme_section("CLI")
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
-    lines = [line for line in block.splitlines() if line.strip()]
-    assert len(lines) == 6
-    for line in lines:
-        argv = shlex.split(line)
-        assert argv[0] == "potens"
-        argv = argv[1:]
+    argvs = readme_cli_argv()
+    assert len(argvs) == 6
+    for argv in argvs:
         if "--out" in argv:
             i = argv.index("--out") + 1
             argv[i] = str(tmp_path / argv[i])
-        assert cli.main(argv) == 0, (line, capsys.readouterr().err)
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
         capsys.readouterr()
+    section = readme_section("CLI")
     table = {m.group(1): set(re.findall(r"--[\w-]+", m.group(2)))
              for m in re.finditer(r"^\| `(\w+)` \|(.*)\|$", section, re.M)}
     assert table == {c: opts - {"--config"} for c, opts in parser_options().items()}
@@ -433,8 +459,6 @@ EXACT_REFERENCE = {
     "gap_ellipse_bench": "gap --domain ellipse --q 0.5 --N 8 --s 16 --center=1.3+0.02i "
                          "--radius 0.4 --nodes-radial 24 --nodes-angular 64",
     "gap_disk_readme": "gap --domain disk --N 4 --s 6 --radius 0.5",
-    "gap_disk_n64": "gap --domain disk --N 64 --s 100 --radius 0.95 --center 0.1 "
-                    "--nodes-radial 12 --nodes-angular 32",
     "gap_ellipse_n100": "gap --domain ellipse --q 0.5 --N 100 --s 200 --center=1.3 --radius 0.2 "
                         "--nodes-radial 12 --nodes-angular 32",
     "sample_disk_readme": "sample --domain disk --N 8 --s 12 --seed 42",
@@ -467,3 +491,27 @@ def test_gap_and_sample_csv_are_byte_identical_to_the_dense_path(name, capsys):
     code, out = run_cli(shlex.split(EXACT_REFERENCE[name]), capsys)
     assert code == 0
     assert out == (DATA / f"{name}.csv").read_text()
+
+
+# gap argv whose finest pass has eigenvalues of Lambda above 1, with the evidence printed
+OVERSHOOT = {
+    "gap_disk_n64": ("gap --domain disk --N 64 --s 100 --radius 0.95 --center 0.1 "
+                     "--nodes-radial 12 --nodes-angular 32",
+                     "6 eigenvalues of Lambda exceed 1, the largest 1.06111814724"),
+    "gap_ellipse_q03_n80": ("gap --domain ellipse --q 0.3 --N 80 --s 160 --center 0.2 "
+                            "--radius 1.0 --nodes-radial 12 --nodes-angular 32",
+                            "11 eigenvalues of Lambda exceed 1, the largest 1.14472677295"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSHOOT))
+def test_gap_with_eigenvalues_above_one_on_the_finest_pass_exits_3(name, capsys):
+    # both quadratures are too coarse for their order: without the check
+    # the first printed 8.8e-37, some 30 orders below the 3.8e-6 of the
+    # centered disk of that radius, and the second a negative probability
+    argv, message = OVERSHOOT[name]
+    code = cli.main(shlex.split(argv))
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("numerical non-convergence: gap quadrature too coarse")
+    assert message in captured.err and "finest pass (48 x 128 nodes)" in captured.err

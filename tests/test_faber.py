@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from potens.faber import FaberBasis
-from potens.geometry import ExteriorMap, big_phi_eval
+from potens.geometry import ExteriorMap, big_phi_eval, disk_map, ellipse_map
 
-from _bruteforce import faber_oracle_coeffs, remainder_product_integral
+from _bruteforce import faber_eval_lists, faber_oracle_coeffs, remainder_product_integral
 
 
 def _remainder(basis, n, z):
@@ -154,3 +156,51 @@ def test_signs_identity_machinery(ellipse_half):
     val = remainder_product_integral(basis, 0, 0, 5.0)
     assert val.real > 0
     assert abs(val.imag) < 1e-12
+
+
+# m = 0, 1, 1, 2, 3: the disk, two ellipses and two custom tails
+EVAL_MAPS = {
+    "disk": disk_map(),
+    "ellipse_q05": ellipse_map(0.5),
+    "ellipse_q09": ellipse_map(0.9),
+    "custom_m2": ExteriorMap(1.0, (0j, 0.2, 0.1j)),
+    "custom_m3": ExteriorMap(1.3, (0.1, 0.3, 0, 0.05)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_MAPS))
+def test_eval_all_is_bit_identical_to_the_two_list_recurrence(name):
+    # the stacked state applies each IEEE operation of the reference in the
+    # same order to each row, so the values agree bit for bit
+    emap = EVAL_MAPS[name]
+    basis = FaberBasis(emap, 12)
+    rng = np.random.default_rng(7)
+    for shape in ((5,), (300,), (7, 11)):
+        z = rng.uniform(-2.0, 2.0, shape) + 1j * rng.uniform(-2.0, 2.0, shape)
+        for n_upto in (0, 1, 2, 3, 4, 12, 120):
+            got = basis.eval_all(z, n_upto)
+            want = faber_eval_lists(emap, z, n_upto)
+            assert got.shape == (n_upto + 1,) + shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (shape, n_upto)
+
+
+def test_eval_all_of_a_scalar_is_the_entry_of_a_one_point_array():
+    basis = FaberBasis(EVAL_MAPS["custom_m3"], 12)
+    z = 0.4 - 1.1j
+    got = basis.eval_all(z, 60)
+    assert got.shape == (61,)
+    assert np.array_equal(got.view(np.uint64), basis.eval_all(np.array([z]), 60)[:, 0].view(np.uint64))
+
+
+def test_eval_all_peak_memory_is_below_twice_its_output():
+    # the recurrence keeps only the m + 1 states it reads; the two-list
+    # recurrence held 2 (n_upto + 2) arrays besides the output
+    basis = FaberBasis(ellipse_map(0.5), 4)
+    z = np.exp(1j * np.linspace(0.0, 2 * np.pi, 20_000)) * 1.1
+    tracemalloc.start()
+    try:
+        out = basis.eval_all(z, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.nbytes, (peak, out.nbytes)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import potens.pointprocess as pp
+from potens.errors import ConvergenceError
 from potens.geometry import ellipse_map
 from potens.kernels import weighted_kernel
 from potens.moments import moments
@@ -113,6 +114,21 @@ def test_gap_series_sum_is_off_by_rounding_of_the_largest_term(ellipse_half):
     biggest = float(np.max(np.abs(res.terms)))
     assert biggest > 1e13 * res.value > 0
     assert abs(res.series_sum - res.value) <= np.finfo(float).eps * biggest
+
+
+def test_gap_rejects_eigenvalues_above_one_on_the_finest_pass_only(ellipse_half, disk):
+    # Lambda compresses a projection, so no eigenvalue may exceed 1; the
+    # N = 100 ellipse region overshoots on its coarsest pass only and returns
+    polys = orthonormalize(moments(ellipse_half, 99, 200.0))
+    region = DiskRegion(1.3, 0.2)
+    coarse, _ = pp._gap_eigenvalues(polys, 100, region, 12, 32)
+    assert coarse[-1] > 1.2
+    assert 0 < gap_probability(polys, 100, region, n_rad=12, n_ang=32).value < 1
+    polys = orthonormalize(moments(disk, 63, 100.0))
+    with pytest.raises(ConvergenceError, match=r"6 eigenvalues .* \(48 x 128 nodes\)") as info:
+        gap_probability(polys, 64, DiskRegion(0.1, 0.95), n_rad=12, n_ang=32)
+    assert info.value.estimates.shape == (6,)
+    assert np.all(info.value.estimates > 1 + 1e-12) and info.value.estimates[-1] > 1.06
 
 
 def test_gap_empty_and_full(polys_4_6):
