@@ -365,15 +365,17 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The potens parser.  Every subcommand is registered, but with a known
-    command only that one gets its options: argv can name no other."""
+    """The potens parser.  With a known command only that subcommand is
+    registered, since argv can name no other; the metavar of the full table
+    keeps the usage line the same.  It would also rename the action in
+    "argument command:" errors, which a known command cannot raise."""
     parser = argparse.ArgumentParser(prog="potens",
                                      description="potential-theoretic ensemble studies")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    known = command in _COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if known else None)
+    for name in [command] if known else _COMMANDS:
         p = sub.add_parser(name, allow_abbrev=False)
-        if command in _COMMANDS and name != command:
-            continue
         p.add_argument("--config", help="key=value config file")
         for key, (_, parse, help_text, readers) in _OPTIONS.items():
             if name in readers.split():

@@ -131,20 +131,6 @@ class FaberBasis:
         tail[self._off:] = 0.0
         return tail
 
-    def eval_series(self, coeffs: np.ndarray, w) -> np.ndarray:
-        """Evaluate a stored Laurent series at points w (|w| >= 1)."""
-        w = np.asarray(w, dtype=complex)
-        neg, nonneg = coeffs[: self._off], coeffs[self._off:]
-        # Horner in 1/w for the tail, Horner in w for the polynomial part
-        invw = 1.0 / w
-        out = np.zeros_like(w)
-        for a in neg:                      # lowest power first
-            out = (out + a) * invw
-        poly = np.zeros_like(w)
-        for a in nonneg[::-1]:
-            poly = poly * w + a
-        return out + poly
-
     # -- pointwise evaluation ---------------------------------------------------
 
     def eval_all(self, z, n_upto: int | None = None) -> np.ndarray:

@@ -47,7 +47,7 @@ class MomentTable:
     the Faber tables ``head_basis``.  From head_degree on the table is its
     diagonal model pi/(k+1) + pi/(s-k-1) (eps = 0), and every entry of eps
     that this drops is at most ``tail_bound`` (0 when the head is the whole
-    table).  The dense (n_max+1)^2 arrays and the Faber tables
+    table).  The dense (n_max+1)^2 ``entries`` and the Faber tables
     of every degree are built on first read, for diagnostics.
     """
 
@@ -85,14 +85,6 @@ class MomentTable:
         """The model m[k, k] of the degrees head_degree..n_max."""
         model = self._interior_model() + self._exterior_model()
         return model[self.head_degree :]
-
-    @cached_property
-    def interior_part(self) -> np.ndarray:
-        return self._dense(self.interior_head, self._interior_model())
-
-    @cached_property
-    def exterior_part(self) -> np.ndarray:
-        return self._dense(self.exterior_head, self._exterior_model())
 
     @cached_property
     def entries(self) -> np.ndarray:

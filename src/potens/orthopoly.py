@@ -83,9 +83,6 @@ class OrthoPolySet:
         out[:k] = head
         return out
 
-    def eval(self, n: int, z):
-        return self.eval_all(z, n)[n]
-
 
 def orthonormalize(mom: MomentTable) -> OrthoPolySet:
     """Cholesky-orthonormalize the Faber basis against the head of the

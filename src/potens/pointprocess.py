@@ -278,13 +278,18 @@ def radius_ppf(n: int, s: float, u):
     if not (math.isfinite(s) and s > n + 1):
         raise ValueError(f"radius law needs finite s > n + 1 (got n={n}, s={s})")
     u = np.asarray(u, dtype=float)
-    ok = (u >= 0.0) & (u < 1.0)
-    if not np.all(ok):
+    # min and max propagate NaN; the offending value is looked up only on failure
+    if not (u.min(initial=0.0) >= 0.0 and u.max(initial=0.0) < 1.0):
+        ok = (u >= 0.0) & (u < 1.0)
         raise ValueError(f"radius_ppf needs u in [0, 1) (got u={float(u[~ok][0])!r})")
-    split = (s - n - 1) / s
-    r = np.where(u <= split,
-                 (u * s / (s - n - 1)) ** (1.0 / (2 * n + 2)),
-                 (((n + 1) / s) / (1.0 - u)) ** (1.0 / (2.0 * (s - n - 1))))
+    # the augmented operations run in place on arrays and rebind on the
+    # scalars of a 0-d u; either way each branch rounds as the plain formula
+    inner = u * s
+    inner /= s - n - 1
+    inner **= 1.0 / (2 * n + 2)
+    outer = ((n + 1) / s) / (1.0 - u)
+    outer **= 1.0 / (2.0 * (s - n - 1))
+    r = np.where(u <= (s - n - 1) / s, inner, outer)
     return float(r) if r.ndim == 0 else r
 
 
@@ -296,23 +301,43 @@ def sample_disk_batch(N: int, s: float, seed: int, count: int) -> np.ndarray:
     """count independent configurations, shape (count, N) complex.
 
     Point index n is drawn from its own Philox stream, so the N streams are
-    independent work: each fills row n of an (N, count) buffer, inverting the
-    radial law on all count uniforms at once, and the rows are split into
-    one slice per usable CPU (numpy releases the GIL in the draws, the
-    powers and the complex exponential).  The result is the transposed
+    independent work: each fills row n of an (N, count) buffer in place, and
+    the rows are split into one slice per usable CPU (numpy releases the GIL
+    in the draws, the powers and the trigonometric functions).  The stream
+    writes its 2 count uniforms straight into the row, so the radius uniform
+    of configuration c sits in its real part and the angle uniform in its
+    imaginary part; the radial law is inverted on all count radius uniforms
+    at once, and the angles become cos and sin in place.  The values are
+    those of r(u_re) * exp(2 pi i u_im).  The result is the transposed
     buffer, an F-ordered view; the values do not depend on the number of
     slices.  An exception raised while filling a row reaches the caller.
+    Raises ValueError for negative N or count, s not finite or s <= N, and
+    a seed that is not an integer (bool excluded) in [0, 2**128).
     """
+    if N < 0 or count < 0:
+        raise ValueError(f"sampler needs N >= 0 and count >= 0 (got N={N!r}, count={count!r})")
     if not (np.isfinite(s) and s > N):
         raise ValueError(f"sampler requires finite s > N (got s={s}, N={N})")
-    if not 0 <= seed < 2 ** 128:
-        raise ValueError(f"sampler seed must lie in [0, 2**128) (got seed={seed!r})")
+    # a float or bool seed would reach Philox truncated to an integer key
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed < 2 ** 128):
+        raise ValueError(f"sampler seed must be an integer in [0, 2**128) (got seed={seed!r})")
     buf = np.empty((N, count), dtype=complex)
 
     def fill(lo: int, hi: int) -> None:
         for n in range(lo, hi):
-            u = _stream(seed, n).random(2 * count)
-            buf[n] = radius_ppf(n, s, u[0::2]) * np.exp(2j * np.pi * u[1::2])
+            row = buf[n]
+            # stream positions 2c and 2c + 1 land in the real and imaginary part of point c
+            _stream(seed, n).random(out=row.view(float))
+            r = radius_ppf(n, s, row.real)
+            # exp(i theta) of glibc's cexp is (cos theta, sin theta) bit for bit
+            row.imag *= 2.0 * np.pi
+            np.cos(row.imag, out=row.real)
+            np.sin(row.imag, out=row.imag)
+            # two real products: numpy's complex multiply rounds differently in its
+            # vector body and its scalar tail, so count would change the last bit
+            row.real *= r
+            row.imag *= r
 
     _spread(fill, N)
     return buf.T

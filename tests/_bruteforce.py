@@ -26,7 +26,11 @@ The remaining oracles are closed forms and diagnostics that no study reads:
 the disk and ellipse moments, the relative deviation eps of a moment table
 from its diagonal model (epsilon_table) with its truncated determinants
 (delta_det, kappa_delta_identity), the leading-order exterior law of pi_n
-(exterior_asymptotic), and the Christoffel bound (christoffel_check).
+(exterior_asymptotic), and the Christoffel bound (christoffel_check).  So
+are the evaluators that only tests call: a Laurent series at w
+(eval_series), one orthonormal polynomial (ortho_eval), and the dense
+interior and exterior parts of a moment table (interior_part,
+exterior_part).
 """
 
 import cmath
@@ -192,8 +196,8 @@ def remainder_product_integral(basis, j: int, k: int, s: float,
     total = 0.0 + 0j
     for vi, wi in zip(v, wv):
         w = tau / vi
-        ej = basis.eval_series(tj, w)
-        ek = basis.eval_series(tk, w)
+        ej = eval_series(basis, tj, w)
+        ek = eval_series(basis, tk, w)
         ang = np.mean(ej * np.conj(ek))
         total += wi * ang * (1.0 - vi ** (2 * s)) / vi ** 3
     return 2 * np.pi * total
@@ -424,6 +428,41 @@ def ellipse_kernel_ratio(q: float, n_pts: int, s: float, theta: float, a, b) -> 
     va, vb = u[:, 1 : a.size + 1], u[:, a.size + 1 :]
     num = (va * kappa2[:, None]).T @ np.conj(vb)
     return num / np.sum(kappa2 * np.abs(u[:, 0]) ** 2)
+
+
+# -- evaluators that only tests call ----------------------------------------------
+
+def eval_series(basis: FaberBasis, coeffs: np.ndarray, w) -> np.ndarray:
+    """Evaluate a Laurent series stored like basis.outer_series(n), power p
+    at index p + basis.offset, at points w (|w| >= 1)."""
+    w = np.asarray(w, dtype=complex)
+    neg, nonneg = coeffs[: basis.offset], coeffs[basis.offset:]
+    # Horner in 1/w for the tail, Horner in w for the polynomial part
+    invw = 1.0 / w
+    out = np.zeros_like(w)
+    for a in neg:                      # lowest power first
+        out = (out + a) * invw
+    poly = np.zeros_like(w)
+    for a in nonneg[::-1]:
+        poly = poly * w + a
+    return out + poly
+
+
+def ortho_eval(polys: OrthoPolySet, n: int, z):
+    """pi_n(z)."""
+    return polys.eval_all(z, n)[n]
+
+
+def interior_part(mom: MomentTable) -> np.ndarray:
+    """The dense interior part of a moment table: its exact head, then the
+    diagonal model pi/(k+1)."""
+    return mom._dense(mom.interior_head, mom._interior_model())
+
+
+def exterior_part(mom: MomentTable) -> np.ndarray:
+    """The dense exterior part of a moment table: its exact head, then the
+    diagonal model pi/(s-k-1)."""
+    return mom._dense(mom.exterior_head, mom._exterior_model())
 
 
 # -- closed-form moments of the disk and the ellipses ---------------------------

@@ -6,7 +6,12 @@ import pytest
 from potens.faber import FaberBasis
 from potens.geometry import ExteriorMap, big_phi_eval, disk_map, ellipse_map
 
-from _bruteforce import faber_eval_lists, faber_oracle_coeffs, remainder_product_integral
+from _bruteforce import (
+    eval_series,
+    faber_eval_lists,
+    faber_oracle_coeffs,
+    remainder_product_integral,
+)
 
 
 def _remainder(basis, n, z):
@@ -15,7 +20,7 @@ def _remainder(basis, n, z):
     w, inside = big_phi_eval(basis.map, z)
     assert not inside
     dphi = complex(basis.map.phi_prime(w))
-    value = complex(basis.eval_series(basis.remainder_series(n), w)) / dphi
+    value = complex(eval_series(basis, basis.remainder_series(n), w)) / dphi
     return value, complex(basis.eval_all(z, n)[n]), w ** n / dphi
 
 
@@ -144,7 +149,7 @@ def test_composed_series_matches_monomials():
     w = 1.3 * np.exp(1j * 2 * np.pi * np.arange(16) / 16)
     z = emap.phi(w)
     for n in (0, 3, 8):
-        via_series = basis.eval_series(basis.outer_series(n), w) / emap.phi_prime(w)
+        via_series = eval_series(basis, basis.outer_series(n), w) / emap.phi_prime(w)
         via_mono = np.polyval(basis.mono[n][::-1], z)
         assert np.max(np.abs(via_series - via_mono)) < 1e-12
 
