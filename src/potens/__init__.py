@@ -43,6 +43,7 @@ from .kernels import (
     omega_of,
     reproducing_check,
     scaled_ratio,
+    scaled_ratios,
     scaling_predictor,
     tau_of,
     weight_at,

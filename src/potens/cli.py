@@ -9,6 +9,7 @@ Exit codes: 0 ok, 2 configuration error, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -16,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
+from .faber import FaberBasis
 from .geometry import (ExteriorMap, disk_map, ellipse_map, format_complex, level_line,
                        parse_complex, parse_domain)
-from .kernels import scaled_ratio, scaling_predictor
+from .kernels import scaled_ratios, scaling_predictor
 from .moments import moments
 from .orthopoly import kappa_asymptotic, orthonormalize
 from .pointprocess import (
@@ -90,9 +92,9 @@ class StudyConfig:
         return n / self.s_value
 
     def validate(self, command: str | None = None) -> "StudyConfig":
-        """Reject out-of-range values.  poly reads --N as degrees, which need
-        s >= degree + 2; every other command reads kernel orders N, which
-        need N <= floor(s-1)."""
+        """Reject out-of-range and non-finite values.  poly reads --N as
+        degrees, which need s >= degree + 2; every other command reads kernel
+        orders N, which need N <= floor(s-1)."""
         if self.nmax < 0:
             raise ConfigError(f"nmax={self.nmax} is negative")
         if self.bins < 1:
@@ -100,8 +102,15 @@ class StudyConfig:
         for n in self.n_list:
             if n < 1:
                 raise ConfigError(f"--N={n} is below 1")
-        if not self.radius >= 0:
-            raise ConfigError(f"--radius={self.radius!r} must be >= 0")
+        if not 0 <= self.radius < math.inf:
+            raise ConfigError(f"--radius={self.radius!r} must be finite and >= 0")
+        if not math.isfinite(self.theta):
+            raise ConfigError(f"--theta={self.theta!r} must be finite")
+        for key, values in (("a", self.a_list), ("b", self.b_list), ("center", (self.center,)),
+                            ("levels", self.levels)):
+            for value in values:
+                if not cmath.isfinite(value):
+                    raise ConfigError(f"--{key}={format_complex(value)} must be finite")
         if not 0 <= self.seed < 2 ** 128:
             raise ConfigError(f"seed {self.seed} outside the Philox key range [0, 2**128)")
         if self.srule == "inf" or self.s_value is not None:
@@ -246,10 +255,16 @@ def cmd_poly(cfg: StudyConfig) -> None:
         polys = orthonormalize(moments(emap, max(degrees), s))
         get = lambda n: (polys.kappas[n], s, polys.mono_coeffs[n, : n + 1])
     else:
+        # F_n does not depend on s: one Faber table serves every tail row, and
+        # only a degree inside its own head reads the head product
+        basis = FaberBasis(emap, max(degrees))
+
         def get(n):
             s = cfg.s_for(n)
             p = orthonormalize(moments(emap, n, s))
-            return p.kappas[n], s, p.mono_coeffs[n, : n + 1]
+            if n < p.head_degree:
+                return p.kappas[n], s, p.mono_coeffs[n, : n + 1]
+            return p.kappas[n], s, p.tail_scales[n - p.head_degree] * basis.mono[n]
     for n in degrees:
         exact, s, coeffs = get(n)
         pred = kappa_asymptotic(n, s, emap)
@@ -266,12 +281,11 @@ def cmd_scaling(cfg: StudyConfig) -> None:
     theta = cfg.theta
     emap = cfg.domain
     rows = ["N,a,b,ratio_re,ratio_im,predictor_re,predictor_im,abs_err"]
-    for n in cfg.orders():
-        s = cfg.s_for(n)
+    orders = [(n, orthonormalize(moments(emap, n - 1, cfg.s_for(n)))) for n in cfg.orders()]
+    ratio_sets = scaled_ratios(orders, theta, np.array(cfg.a_list), np.array(cfg.b_list),
+                               weighted=cfg.weighted)
+    for (n, _), ratios in zip(orders, ratio_sets):
         ell = cfg.ell_for(n)
-        polys = orthonormalize(moments(emap, n - 1, s))
-        ratios = scaled_ratio(polys, n, theta, np.array(cfg.a_list), np.array(cfg.b_list),
-                              weighted=cfg.weighted)
         for i, a in enumerate(cfg.a_list):
             for j, b in enumerate(cfg.b_list):
                 ratio = complex(ratios[i, j])

@@ -35,6 +35,8 @@ _BERGMAN_TOL = 1e-8
 
 
 def _check_order(polys: OrthoPolySet, n_points: int) -> None:
+    if n_points < 1:
+        raise ValueError(f"kernel order N={n_points} is below 1")
     if n_points > polys.n_max + 1:
         raise ValueError(f"kernel order {n_points} exceeds available degrees ({polys.n_max + 1})")
     if np.isfinite(polys.s) and n_points > math.floor(polys.s - 1):
@@ -210,27 +212,48 @@ def scaled_ratio(polys: OrthoPolySet, N: int, theta: float, a, b, weighted: bool
     """K_N(z + a/N, z + b/N) / K_N(z, z) at the boundary point z = phi(e^{i theta}).
 
     a and b are offsets or arrays of them: arrays give the (len(a), len(b))
-    matrix of ratios, scalars a complex.  One eval_all pass covers z and
-    every offset point.  With weighted, both kernels carry the weight split
-    evenly over their arguments, the weight of z included.
+    matrix of ratios, scalars a complex.  The one-order case of
+    scaled_ratios.
     """
-    _check_order(polys, N)
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    ratio = scaled_ratios([(N, polys)], theta, a, b, weighted)[0]
+    return complex(ratio[0, 0]) if np.ndim(a) == 0 and np.ndim(b) == 0 else ratio
+
+
+def scaled_ratios(orders, theta: float, a, b, weighted: bool = False) -> list:
+    """scaled_ratio's (len(a), len(b)) matrix for each (N, polys) of orders.
+
+    Every polys must be on one map.  The Faber values F_n read only the map,
+    so one FaberBasis.eval_all pass, up to the largest N, covers z and every
+    offset point of every order; each order turns its own column block into
+    pi_n.  With weighted, both kernels carry the weight split evenly over
+    their arguments, the weight of z included.
+    """
+    orders = list(orders)
+    emap = orders[0][1].map
+    for N, polys in orders:
+        _check_order(polys, N)
+        if polys.map != emap:
+            raise ValueError("scaled_ratios needs every order on one map")
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     b = np.atleast_1d(np.asarray(b, dtype=complex))
-    z = complex(polys.map.boundary_point(theta))
-    pts = np.concatenate(([z], z + a / N, z + b / N))
-    # one contiguous row per point, each ratio formed in Python scalars as
-    # weighted_kernel and kernel_sum form it, and the denominator weighted as
-    # the numerator is, so a = b = 0 gives exactly 1
-    vals = np.ascontiguousarray(polys.eval_all(pts, N - 1).T)
-    va, vb = vals[1 : a.size + 1], np.conj(vals[a.size + 1 :])
-    wt = weight_at(polys.map, polys.s, pts).tolist() if weighted else [1.0] * pts.size
-    wa, wb = wt[1 : a.size + 1], wt[a.size + 1 :]
-    denom = wt[0] * wt[0] * float(np.sum(vals[0] * np.conj(vals[0])).real)
-    ratio = np.array([[wa[i] * wb[j] * complex(np.sum(va[i] * vb[j])) / denom
-                       for j in range(b.size)] for i in range(a.size)])
-    return complex(ratio[0, 0]) if scalar else ratio
+    z = complex(emap.boundary_point(theta))
+    width = 1 + a.size + b.size
+    pts = np.concatenate([np.concatenate(([z], z + a / N, z + b / N)) for N, _ in orders])
+    faber = orders[0][1].moment_table.head_basis.eval_all(pts, max(N for N, _ in orders) - 1)
+    out = []
+    for k, (N, polys) in enumerate(orders):
+        cols = slice(k * width, (k + 1) * width)
+        # one contiguous row per point, each ratio formed in Python scalars as
+        # weighted_kernel and kernel_sum form it, and the denominator weighted
+        # as the numerator is, so a = b = 0 gives exactly 1
+        vals = np.ascontiguousarray(polys.from_faber(faber[:N, cols]).T)
+        va, vb = vals[1 : a.size + 1], np.conj(vals[a.size + 1 :])
+        wt = weight_at(emap, polys.s, pts[cols]).tolist() if weighted else [1.0] * width
+        wa, wb = wt[1 : a.size + 1], wt[a.size + 1 :]
+        denom = wt[0] * wt[0] * float(np.sum(vals[0] * np.conj(vals[0])).real)
+        out.append(np.array([[wa[i] * wb[j] * complex(np.sum(va[i] * vb[j])) / denom
+                              for j in range(b.size)] for i in range(a.size)]))
+    return out
 
 
 # -- reproducing check -------------------------------------------------------------

@@ -75,13 +75,24 @@ class OrthoPolySet:
     def eval_all(self, z, n_upto: int | None = None) -> np.ndarray:
         """Values pi_0(z)..pi_n(z); shape (n+1,) + shape(z)."""
         n_upto = self.n_max if n_upto is None else n_upto
-        out = self.moment_table.head_basis.eval_all(z, n_upto)
-        k = min(n_upto + 1, self.head_degree)
-        head = np.tensordot(self.head_coeffs[:k, :k], out[:k], axes=(1, 0))
-        scales = self.tail_scales[: n_upto + 1 - k]
-        out[k:] *= scales.reshape(scales.shape + (1,) * (out.ndim - 1))
-        out[:k] = head
-        return out
+        self._check_rows(n_upto)
+        return self.from_faber(self.moment_table.head_basis.eval_all(z, n_upto))
+
+    def from_faber(self, vals: np.ndarray) -> np.ndarray:
+        """Turn F_0(z)..F_n(z), rows of vals, into pi_0(z)..pi_n(z) in place
+        and return vals.  vals may be a view, such as a column block of one
+        Faber evaluation that several sets share: their F_n read only the map."""
+        self._check_rows(vals.shape[0] - 1)
+        k = min(vals.shape[0], self.head_degree)
+        head = np.tensordot(self.head_coeffs[:k, :k], vals[:k], axes=(1, 0))
+        scales = self.tail_scales[: vals.shape[0] - k]
+        vals[k:] *= scales.reshape(scales.shape + (1,) * (vals.ndim - 1))
+        vals[:k] = head
+        return vals
+
+    def _check_rows(self, n_upto: int) -> None:
+        if not -1 <= n_upto <= self.n_max:
+            raise ValueError(f"n_upto={n_upto} outside [-1, n_max={self.n_max}]")
 
 
 def orthonormalize(mom: MomentTable) -> OrthoPolySet:

@@ -219,9 +219,10 @@ def gap_probability(polys: OrthoPolySet, N: int, region: DiskRegion,
     an eigenvalue of the finest pass above 1 + _LAMBDA_TOL raises
     ConvergenceError, with those eigenvalues as ``estimates``: the quadrature
     is too coarse for the order.  Coarser passes only feed the warning.  A
-    region of radius 0 is empty (value 1); a negative radius raises
-    ValueError.
+    region of radius 0 is empty (value 1); a negative radius, or an order N
+    outside 1..n_max + 1 or above floor(s - 1), raises ValueError.
     """
+    _check_order(polys, N)
     if n_rad < 1 or n_ang < 1:
         raise ValueError(f"gap quadrature needs at least one node each way (got {n_rad} x {n_ang})")
     if not region.radius >= 0:

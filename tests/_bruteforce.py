@@ -20,7 +20,9 @@ Two kernel oracles bypass the head-plus-tail polynomial set: dense_kernel
 factors the whole N x N Faber Gram of the exact sums, and
 ellipse_kernel_ratio evaluates the closed-form ellipse polynomials by their
 three-term recurrence.  faber_eval_lists runs the Faber recurrence on two
-growing lists, the reference that FaberBasis.eval_all matches bit for bit.
+growing lists, the reference that FaberBasis.eval_all matches bit for bit,
+and poly_rows_per_degree builds every row of poly --srule cn from a table
+of its own degree, the reference for its one shared Faber table.
 
 The remaining oracles are closed forms and diagnostics that no study reads:
 the disk and ellipse moments, the relative deviation eps of a moment table
@@ -45,7 +47,7 @@ from scipy.special import roots_jacobi, roots_legendre
 from potens.faber import FaberBasis
 from potens.geometry import ExteriorMap, big_phi_eval
 from potens.kernels import _check_order, _faber_coords, kernel_sum
-from potens.moments import MomentTable, exterior_gram, interior_gram
+from potens.moments import MomentTable, exterior_gram, interior_gram, moments
 from potens.orthopoly import OrthoPolySet, orthonormalize
 
 
@@ -428,6 +430,18 @@ def ellipse_kernel_ratio(q: float, n_pts: int, s: float, theta: float, a, b) -> 
     va, vb = u[:, 1 : a.size + 1], u[:, a.size + 1 :]
     num = (va * kappa2[:, None]).T @ np.conj(vb)
     return num / np.sum(kappa2 * np.abs(u[:, 0]) ** 2)
+
+
+def poly_rows_per_degree(emap: ExteriorMap, degrees, s_of) -> list:
+    """(n, s, kappa_n, monomial coefficients of pi_n) for each degree n at
+    s = s_of(n), each from an orthonormal set of its own: a moment table of
+    degrees 0..n and the dense mono_coeffs, whose tail rows read a Faber
+    table of degree n.  The per-degree route that poly --srule cn matches."""
+    rows = []
+    for n in degrees:
+        polys = orthonormalize(moments(emap, n, s_of(n)))
+        rows.append((n, s_of(n), polys.kappas[n], polys.mono_coeffs[n, : n + 1]))
+    return rows
 
 
 # -- evaluators that only tests call ----------------------------------------------

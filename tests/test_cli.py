@@ -7,10 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import potens.cli as cli
 from potens.errors import ConvergenceError
+from potens.faber import FaberBasis
+from potens.geometry import ExteriorMap, disk_map, ellipse_map, format_complex
+
+from _bruteforce import poly_rows_per_degree
 
 
 def run_cli(args, capsys):
@@ -353,6 +358,14 @@ def test_each_subcommand_accepts_only_the_options_it_reads(command, key, tmp_pat
      "pair (degree=0, s=0.0) violates s >= degree + 2 under --srule cn"),
     ("poly --N 1 --srule cn --s 2",
      "pair (degree=1, s=2.0) violates s >= degree + 2 under --srule cn"),
+    ("scaling --N 10 --s 20 --theta inf", "--theta=inf must be finite"),
+    ("scaling --N 10 --s 20 --theta nan", "--theta=nan must be finite"),
+    ("scaling --N 10 --s 20 --a=inf", "--a=inf must be finite"),
+    ("scaling --N 10 --s 20 --a=0.1,1+infi", "--a=1+infi must be finite"),
+    ("scaling --N 10 --s 20 --b=nan", "--b=nan must be finite"),
+    ("gap --N 4 --s 6 --radius inf", "--radius=inf must be finite"),
+    ("gap --N 4 --s 6 --center=nan", "--center=nan must be finite"),
+    ("levelsets --levels 1,inf --bins 4", "--levels=inf must be finite"),
 ])
 def test_out_of_range_values_exit_2_without_traceback(argv, reason, capsys):
     code = cli.main(argv.split())
@@ -439,6 +452,47 @@ def test_readme_cli_block_runs_and_its_table_matches_the_parser(tmp_path, capsys
     table = {m.group(1): set(re.findall(r"--[\w-]+", m.group(2)))
              for m in re.finditer(r"^\| `(\w+)` \|(.*)\|$", section, re.M)}
     assert table == {c: opts - {"--config"} for c, opts in parser_options().items()}
+
+
+def test_scaling_evaluates_the_faber_recurrence_once_per_run(monkeypatch, capsys):
+    # the Faber values read only the map, so every order shares one pass up to
+    # the largest N, over z and the offset points of every order
+    sizes = []
+    true_eval_all = FaberBasis.eval_all
+
+    def counting(self, z, n_upto=None):
+        sizes.append((np.size(z), n_upto))
+        return true_eval_all(self, z, n_upto)
+
+    monkeypatch.setattr(FaberBasis, "eval_all", counting)
+    code, _ = run_cli(["scaling", "--domain", "ellipse", "--q", "0.5", "--N", "30,70,90",
+                       "--srule", "cn", "--s", "2", "--a=0.1,0.2i", "--b=-0.3"], capsys)
+    assert code == 0 and sizes == [(3 * 4, 89)]
+
+
+POLY_CN = {
+    "ellipse 0.5": ("ellipse --q 0.5", ellipse_map(0.5), range(1, 121)),  # head degree 62
+    "ellipse 0.5 sparse": ("ellipse --q 0.5", ellipse_map(0.5), (5, 70, 150)),
+    "ellipse 0.9": ("ellipse --q 0.9", ellipse_map(0.9), range(1, 61)),   # all in the head
+    "m = 3": ("'kind=custom cap=1.3 coeffs=[0.1,0.3,0,0.05]'",
+              ExteriorMap(1.3, (0.1, 0.3, 0, 0.05)), range(1, 81)),
+    "disk": ("disk", disk_map(), range(1, 41)),                           # head degree 1
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLY_CN))
+def test_poly_cn_rows_are_those_of_a_table_per_degree(name, capsys):
+    domain, emap, degrees = POLY_CN[name]
+    code, out = run_cli(shlex.split(f"poly --domain {domain} --srule cn --s 3 --N "
+                                    + ",".join(map(str, degrees))), capsys)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    want = poly_rows_per_degree(emap, degrees, lambda n: 3.0 * n)
+    assert len(rows) == len(want)
+    for row, (n, s, kappa, coeffs) in zip(rows, want):
+        fields = row.split(",")
+        assert fields[:3] == [str(n), cli._fmt(s), cli._fmt(kappa)]
+        assert fields[6] == ";".join(format_complex(complex(c)) for c in coeffs), n
 
 
 # outputs of the dense Cholesky path, kept under tests/data with the argv that made them;

@@ -15,6 +15,7 @@ from potens.kernels import (
     omega_of,
     reproducing_check,
     scaled_ratio,
+    scaled_ratios,
     scaling_predictor,
     tau_of,
     weight_at,
@@ -408,3 +409,41 @@ def test_scaled_ratio_on_offset_arrays_equals_scalar_calls(ellipse_half, weighte
             assert isinstance(one, complex)
             assert abs(ratio[i, j] - one) <= 1e-15 * abs(one)
     assert ratio[0, 0].real == 1.0
+
+
+# one map per case, orders straddling the q = 0.5 head degree n0 = 62; the last
+# map has m = 3
+MULTI_ORDER_CASES = {
+    "disk": (disk_map(), (5, 40, 90)),
+    "ellipse 0.5": (ellipse_map(0.5), (10, 62, 63, 300)),
+    "ellipse 0.9": (ellipse_map(0.9), (10, 50, 200)),
+    "m = 3": (ExteriorMap(1.0, (0j, 0.2, 0.1j, 0.05)), (20, 80, 200)),
+}
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("name", sorted(MULTI_ORDER_CASES))
+def test_scaled_ratios_equal_per_order_calls_bit_for_bit(name, weighted):
+    emap, ns = MULTI_ORDER_CASES[name]
+    orders = [(n, orthonormalize(moments(emap, n - 1, 2.0 * n))) for n in ns]
+    got = scaled_ratios(orders, 0.7, A_OFFSETS, B_OFFSETS, weighted=weighted)
+    assert len(got) == len(orders)
+    for (n, polys), ratio in zip(orders, got):
+        want = scaled_ratio(polys, n, 0.7, A_OFFSETS, B_OFFSETS, weighted=weighted)
+        assert ratio.shape == (3, 3)
+        assert np.array_equal(ratio.view(np.uint64), want.view(np.uint64)), n
+
+
+def test_scaled_ratios_need_one_map(ellipse_half, disk):
+    orders = [(4, orthonormalize(moments(emap, 3, 10.0))) for emap in (ellipse_half, disk)]
+    with pytest.raises(ValueError, match="one map"):
+        scaled_ratios(orders, 0.0, 0.1, 0.2)
+
+
+@pytest.mark.parametrize("n, reason", [(0, "order N=0 is below 1"),
+                                       (11, "order 11 exceeds available degrees")])
+def test_scaled_ratio_rejects_orders_outside_the_table(ellipse_half, n, reason):
+    # n_max = 9: order 0 is empty, order n_max + 2 needs a degree the set lacks
+    polys = orthonormalize(moments(ellipse_half, 9, 40.0))
+    with pytest.raises(ValueError, match=reason):
+        scaled_ratio(polys, n, 0.0, 0.1, 0.2)

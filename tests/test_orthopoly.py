@@ -258,3 +258,26 @@ def test_monomial_table_builds_no_laurent_tables():
         tracemalloc.stop()
     assert peak < 135 * 2 ** 20
     assert "_comp" not in vars(polys.basis) and "_outer" not in vars(polys.basis)
+
+
+@pytest.mark.parametrize("n_upto", [-2, 10, 50])
+def test_eval_all_rejects_rows_outside_the_set(ellipse_half, n_upto):
+    polys = orthonormalize(moments(ellipse_half, 9, 40.0))
+    with pytest.raises(ValueError, match=rf"n_upto={n_upto} outside \[-1, n_max=9\]"):
+        polys.eval_all(0.3 + 0.1j, n_upto)
+    assert polys.eval_all(np.array([0.3, 0.1j]), -1).shape == (0, 2)
+
+
+def test_from_faber_maps_a_shared_table_block_in_place(ellipse_half):
+    # rows past the set are refused; a column block of a longer Faber table
+    # becomes pi_n in place, with the bits of the set's own evaluation
+    polys = orthonormalize(moments(ellipse_half, 69, 140.0))  # head 0..61, tail 62..69
+    z = np.array([0.1, 1.2 + 0.3j, -0.4j, 2.0, 0.5 - 0.5j])
+    table = polys.basis.eval_all(z, 80)
+    with pytest.raises(ValueError, match="n_upto=80 outside"):
+        polys.from_faber(table.copy())
+    block = table[:70, 1:4]
+    assert polys.from_faber(block) is block
+    want = polys.eval_all(z[1:4])
+    assert np.array_equal(table[:70, 1:4].view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(table[:, [0, 4]], polys.basis.eval_all(z[[0, 4]], 80))

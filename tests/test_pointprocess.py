@@ -142,6 +142,14 @@ def test_gap_rejects_negative_radius(polys_4_6):
         gap_probability(polys_4_6, 4, DiskRegion(0.2, -0.5))
 
 
+@pytest.mark.parametrize("n, reason", [(0, "order N=0 is below 1"),
+                                       (5, "order 5 exceeds available degrees")])
+def test_gap_rejects_orders_outside_the_table(polys_4_6, n, reason):
+    # polys_4_6 holds degrees 0..3: order 0 is empty, order n_max + 2 = 5 has no pi_4
+    with pytest.raises(ValueError, match=reason):
+        gap_probability(polys_4_6, n, DiskRegion(0.2, 0.5))
+
+
 def _use_cpus(monkeypatch, cpus):
     # the usable-CPU count that pointprocess splits its work by
     monkeypatch.setattr(pp.os, "sched_getaffinity", lambda pid: set(range(cpus)),
