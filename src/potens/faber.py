@@ -38,9 +38,10 @@ class FaberBasis:
     Holds the monomial coefficients of F_0..F_nmax and the exact Laurent
     series (in w) of Ftilde_n(phi(w)); the latter makes exterior-plane
     evaluation stable at any radius because no large powers are subtracted.
-    The Laurent tables, about (n_max+2) x ((n_max+1) m + n_max) each, are
-    built on first read of a method that needs them.  Every table is
-    read-only, so one basis can be shared.
+    Construction builds nothing: the monomial rows and the Laurent tables,
+    about (n_max+2) x ((n_max+1) m + n_max) each, are built on first read of
+    a member that needs them.  Every table is read-only, so one basis can be
+    shared.
     """
 
     def __init__(self, emap: ExteriorMap, n_max: int):
@@ -48,29 +49,39 @@ class FaberBasis:
             raise ValueError("n_max must be >= 0")
         self.map = emap
         self.n_max = n_max
-        m = emap.tail_length
-        cap = emap.cap
-        c = np.asarray(emap.laurent_coeffs, dtype=complex)
-
-        # ---- monomial table of Ftilde_0..Ftilde_{n_max+1} ----
-        tilde = [_frozen(np.array([1.0 + 0j]))]
-        for n in range(n_max + 1):
-            cur = tilde[n]
-            nxt = np.zeros(n + 2, dtype=complex)
-            nxt[1:] += cur                     # z * Ftilde_n
-            nxt[: n + 1] -= c[0] * cur
-            for k in range(1, min(m, n - 1) + 1):
-                nxt[: n + 1 - k] -= c[k] * tilde[n - k]
-            if 1 <= n <= m:
-                nxt[0] -= (n + 1) * c[n]
-            tilde.append(_frozen(nxt / cap))
-        self._tilde_mono = tilde
-
-        self.mono = [_frozen(np.arange(1, n + 2) * tilde[n + 1][1:] / (n + 1))
-                     for n in range(n_max + 1)]
-
         # power p of a Laurent table lives at column p + offset
-        self._off = (n_max + 1) * max(m, 1) + 2
+        self._off = (n_max + 1) * max(emap.tail_length, 1) + 2
+
+    @cached_property
+    def mono(self) -> list[np.ndarray]:
+        """Monomial coefficients of F_0..F_nmax, ascending, by the recurrence
+        on the monomial rows of Ftilde_0..Ftilde_{n_max+1}.
+
+        Raises ValueError naming the first degree whose row leaves double
+        range: the coefficients grow geometrically on thin domains (about
+        1e308 by degree 1500 on the q = 0.97 ellipse), where no finite row
+        can be returned.
+        """
+        m, cap = self.map.tail_length, self.map.cap
+        c = np.asarray(self.map.laurent_coeffs, dtype=complex)
+        tilde = [np.array([1.0 + 0j])]
+        mono = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(self.n_max + 1):
+                cur = tilde[n]
+                nxt = np.zeros(n + 2, dtype=complex)
+                nxt[1:] += cur                     # z * Ftilde_n
+                nxt[: n + 1] -= c[0] * cur
+                for k in range(1, min(m, n - 1) + 1):
+                    nxt[: n + 1 - k] -= c[k] * tilde[n - k]
+                if 1 <= n <= m:
+                    nxt[0] -= (n + 1) * c[n]
+                tilde.append(nxt / cap)
+                mono.append(_frozen(np.arange(1, n + 2) * tilde[n + 1][1:] / (n + 1)))
+                if not np.all(np.isfinite(mono[n])):
+                    raise ValueError("monomial coefficients of the Faber polynomials leave "
+                                     f"double range at degree {n}")
+        return mono
 
     @cached_property
     def _comp(self) -> np.ndarray:

@@ -43,20 +43,18 @@ class MomentTable:
     exact head plus a diagonal tail.
 
     Degrees below ``head_degree`` form the head: ``head`` is the exact
-    block, the sum of ``interior_head`` and ``exterior_head``, summed over
-    the Faber tables ``head_basis``.  From head_degree on the table is its
-    diagonal model pi/(k+1) + pi/(s-k-1) (eps = 0), and every entry of eps
-    that this drops is at most ``tail_bound`` (0 when the head is the whole
-    table).  The dense (n_max+1)^2 ``entries`` and the Faber tables
-    of every degree are built on first read, for diagnostics.
+    block, the interior plus the exterior Gram summed over the Faber tables
+    ``head_basis``.  From head_degree on the table is its diagonal model
+    pi/(k+1) + pi/(s-k-1) (eps = 0), and every entry of eps that this drops
+    is at most ``tail_bound`` (0 when the head is the whole table).  The
+    dense (n_max+1)^2 ``entries`` and the Faber tables of every degree are
+    built on first read, for diagnostics.
     """
 
     map: ExteriorMap
     n_max: int
     s: float
     head: np.ndarray
-    interior_head: np.ndarray
-    exterior_head: np.ndarray
     head_basis: FaberBasis
     tail_bound: float
 
@@ -128,15 +126,6 @@ def _check_s(n_max: int, s: float) -> None:
         raise ValueError(f"s={s}: need s >= n_max + 2 = {n_max + 2} or s = inf")
 
 
-def _memoized(emap: ExteriorMap, key, build):
-    """build(), once per map instance: the value is kept in the map's memo."""
-    try:
-        return emap._memo[key]
-    except KeyError:
-        value = emap._memo[key] = build()
-        return value
-
-
 def head_degree(emap: ExteriorMap) -> tuple[int | float, float]:
     """(n0, bound): past degree n0 the moment table is its diagonal model to
     HEAD_TOL, and every entry of eps at degree n0 or beyond is at most bound.
@@ -152,7 +141,9 @@ def head_degree(emap: ExteriorMap) -> tuple[int | float, float]:
     bound = b(n0).  A map with rho >= 1 (not univalent) has no tail: n0 = inf.
     Computed once per map instance.
     """
-    return _memoized(emap, "head_degree", lambda: _head_degree(emap))
+    if "head_degree" not in emap._memo:
+        emap._memo["head_degree"] = _head_degree(emap)
+    return emap._memo["head_degree"]
 
 
 def _head_degree(emap: ExteriorMap) -> tuple[int | float, float]:
@@ -182,16 +173,19 @@ def moments(emap: ExteriorMap, n_max: int, s: float) -> MomentTable:
 
     Only the head, degrees below min(n0, n_max + 1) with n0 from
     head_degree, is summed; the rest is the diagonal model.  The head's
-    Faber tables and interior Gram do not depend on s and are built once
-    per map instance and head size, read-only; only the exterior Gram is
-    summed on every call.
+    Faber tables and interior Gram do not depend on s: the map keeps them,
+    read-only, for the last head size asked for, so calls that share a size
+    build them once and a run over many sizes holds one head at a time.
+    Only the exterior Gram is summed on every call.
     """
     _check_s(n_max, s)
     n0, bound = head_degree(emap)
     size = min(n0, n_max + 1)
-    basis, interior = _memoized(emap, ("head", size), lambda: _head_tables(emap, size))
-    exterior = exterior_gram(basis, s)
-    return MomentTable(emap, n_max, float(s), interior + exterior, interior, exterior, basis,
+    head = emap._memo.pop("head", None)   # dropped before another head is built
+    if head is None or head[0].n_max != size - 1:
+        head = _head_tables(emap, size)
+    basis, interior = emap._memo["head"] = head
+    return MomentTable(emap, n_max, float(s), interior + exterior_gram(basis, s), basis,
                        bound if size <= n_max else 0.0)
 
 

@@ -10,7 +10,7 @@ every leading coefficient a positive real.  Past the head the table is its
 diagonal model, so pi_n = F_n / sqrt(m[n, n]), m[n, n] = s pi / ((n+1)(s-n-1)).
 
 kappa_asymptotic is the leading-order law of the leading coefficients, and
-closed_form gives pi_n exactly for the disk, the ellipses and the interval.
+closed_form gives pi_n exactly for the disk and the ellipses.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class OrthoPolySet:
         """Lower triangular, row n = pi_n in monomials."""
         n0 = self.head_degree
         out = np.zeros((self.n_max + 1, self.n_max + 1), dtype=complex)
-        out[:n0, :n0] = self.head_coeffs @ self.moment_table.head_basis.mono_table(n0 - 1)
+        out[:n0, :n0] = self.head_coeffs @ self.basis.mono_table(n0 - 1)
         for n in range(n0, self.n_max + 1):
             out[n, : n + 1] = self.tail_scales[n - n0] * self.basis.mono[n]
         return out
@@ -110,15 +110,11 @@ def orthonormalize(mom: MomentTable) -> OrthoPolySet:
         ) from None
     n0 = mom.head_degree
     coeffs = _lower_inverse(chol)
-    # leading coefficient of F_n is cap^-(n+1); only the diagonal of a
-    # triangular product reaches it
-    leads = np.array([mono[-1] for mono in mom.head_basis.mono])
-    head_kappas = np.real(np.diag(coeffs) * leads)
-    if np.any(head_kappas <= 0):
-        raise ValueError("leading coefficients must be positive; factorization failed")
     scales = 1.0 / np.sqrt(mom.tail_diagonal())
-    kappas = np.concatenate([head_kappas,
-                             scales * mom.map.cap ** -np.arange(n0 + 1.0, mom.n_max + 2)])
+    # the leading coefficient of F_n is cap^-(n+1), and only the diagonal of
+    # a triangular product reaches it; diag(L^-1) = 1/L_nn is positive
+    kappas = (mom.map.cap ** -np.arange(1.0, mom.n_max + 2)
+              * np.concatenate([np.real(np.diag(coeffs)), scales]))
     return OrthoPolySet(mom.map, mom.s, mom.n_max, mom, coeffs, scales, kappas, n0,
                         mom.tail_bound)
 
@@ -170,36 +166,12 @@ def kappa_asymptotic(n: int, s: float, emap: ExteriorMap) -> float:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Exact pi_n for the solvable families.
-
-    ``coeffs`` holds ascending monomial coefficients when pi_n is a
-    polynomial given that way; the interval case is an evaluator only and
-    carries a note (its normalization follows a different asymptotic law, so
-    it sits outside the boundary-universality predictions).
-    """
+    """Exact pi_n for the solvable families, as ascending monomial ``coeffs``."""
 
     kind: str
     n: int
     s: float
-    coeffs: np.ndarray | None
-    note: str | None = None
-
-    def __call__(self, z):
-        if self.coeffs is not None:
-            return np.polyval(self.coeffs[::-1], z)
-        return _interval_eval(self.n, self.s, z)
-
-
-def _interval_eval(n: int, s: float, z):
-    z = np.asarray(z, dtype=complex)
-    root = np.sqrt(z - 2.0) * np.sqrt(z + 2.0)  # positive for large real z
-    up = ((z + root) / 2.0) ** (n + 1)
-    dn = ((z - root) / 2.0) ** (n + 1)
-    if np.isfinite(s):
-        norm = math.sqrt((s * s - (n + 1) ** 2) / (2 * math.pi * s))
-    else:
-        norm = math.sqrt((n + 1) / (2 * math.pi))
-    return norm * (up - dn) / root
+    coeffs: np.ndarray
 
 
 def chebyshev_u_monic(n: int, q: float) -> np.ndarray:
@@ -217,13 +189,10 @@ def chebyshev_u_monic(n: int, q: float) -> np.ndarray:
     return cur
 
 
-def closed_form(domain: ExteriorMap | str, n: int, s: float) -> ClosedForm:
-    """Exact pi_{n,s} for the disk, the ellipse family, or the interval."""
-    if isinstance(domain, str) and domain == "interval":
-        return ClosedForm("interval", n, float(s), None,
-                          note="interval limit: outside the boundary-universality scope")
+def closed_form(domain: ExteriorMap, n: int, s: float) -> ClosedForm:
+    """Exact pi_{n,s} for the disk or the ellipse family."""
     if not isinstance(domain, ExteriorMap):
-        raise ValueError("domain must be an ExteriorMap or 'interval'")
+        raise ValueError("domain must be an ExteriorMap")
     fac = (n + 1) / math.pi * _s_factor(n, s)
     if domain.is_disk():
         coeffs = np.zeros(n + 1, dtype=complex)
@@ -231,7 +200,7 @@ def closed_form(domain: ExteriorMap | str, n: int, s: float) -> ClosedForm:
         return ClosedForm("disk", n, float(s), coeffs)
     q = _ellipse_q(domain)
     if q is None:
-        raise ValueError("closed forms exist for the disk, ellipse_map(q) and 'interval' only")
+        raise ValueError("closed forms exist for the disk and ellipse_map(q) only")
     if np.isfinite(s):
         denom = 1.0 - q ** (2 * n + 2) * (s - n - 1) / (s + n + 1)
     else:

@@ -383,9 +383,9 @@ def empirical_r1(samples: np.ndarray, edges: np.ndarray) -> RadialHistogram:
 def kernel_r1_binned(polys: OrthoPolySet, N: int, edges: np.ndarray) -> np.ndarray:
     """Mean of R_1 over each annulus edges[i] <= |z| < edges[i+1], per unit area.
 
-    Exact for the disk, the one map whose weight is rotation invariant: the
-    angular mean of |pi_n|^2 is sum_j |a_nj|^2 r^(2j) in the monomial
-    coefficients a_nj, so with m_j = sum_{n<N} |a_nj|^2 the annulus mean is
+    Exact for the disk, the one map whose weight is rotation invariant:
+    there pi_j = kappa_j z^j, so the angular mean of R_1 is
+    sum_{j<N} m_j r^(2j) with m_j = kappa_j^2, and the annulus mean is
 
         2 sum_j m_j int_lo^hi r^(2j+1) max(1, r)^(-2s) dr / (hi^2 - lo^2).
 
@@ -397,7 +397,7 @@ def kernel_r1_binned(polys: OrthoPolySet, N: int, edges: np.ndarray) -> np.ndarr
     _check_order(polys, N)
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1, None], edges[1:, None]
-    m = np.sum(np.abs(polys.mono_coeffs[:N, :N]) ** 2, axis=0)
+    m = polys.kappas[:N] ** 2
     p = 2.0 * np.arange(N) + 2.0
     total = _power_integrals(p, np.minimum(lo, 1.0), np.minimum(hi, 1.0)) @ m
     if np.isfinite(polys.s):

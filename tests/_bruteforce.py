@@ -21,8 +21,10 @@ factors the whole N x N Faber Gram of the exact sums, and
 ellipse_kernel_ratio evaluates the closed-form ellipse polynomials by their
 three-term recurrence.  faber_eval_lists runs the Faber recurrence on two
 growing lists, the reference that FaberBasis.eval_all matches bit for bit,
-and poly_rows_per_degree builds every row of poly --srule cn from a table
-of its own degree, the reference for its one shared Faber table.
+poly_rows_per_degree builds every row of poly --srule cn from a table
+of its own degree, the reference for its one shared Faber table, and
+kernel_r1_binned_dense bins the disk's R_1 from the dense monomial
+coefficients instead of the leading ones.
 
 The remaining oracles are closed forms and diagnostics that no study reads:
 the disk and ellipse moments, the relative deviation eps of a moment table
@@ -49,6 +51,7 @@ from potens.geometry import ExteriorMap, big_phi_eval
 from potens.kernels import _check_order, _faber_coords, kernel_sum
 from potens.moments import MomentTable, exterior_gram, interior_gram, moments
 from potens.orthopoly import OrthoPolySet, orthonormalize
+from potens.pointprocess import _power_integrals
 
 
 def _interior_monomial_gram(emap: ExteriorMap, n_max: int, r0: float,
@@ -432,6 +435,20 @@ def ellipse_kernel_ratio(q: float, n_pts: int, s: float, theta: float, a, b) -> 
     return num / np.sum(kappa2 * np.abs(u[:, 0]) ** 2)
 
 
+def kernel_r1_binned_dense(polys: OrthoPolySet, N: int, edges) -> np.ndarray:
+    """kernel_r1_binned with m_j = sum_{n<N} |a_nj|^2 read off the dense
+    monomial coefficients a_nj of pi_0..pi_{N-1}, the route that does not
+    assume pi_j = kappa_j z^j."""
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    m = np.sum(np.abs(polys.mono_coeffs[:N, :N]) ** 2, axis=0)
+    p = 2.0 * np.arange(N) + 2.0
+    total = _power_integrals(p, np.minimum(lo, 1.0), np.minimum(hi, 1.0)) @ m
+    if np.isfinite(polys.s):
+        total += _power_integrals(p - 2.0 * polys.s, np.maximum(lo, 1.0), np.maximum(hi, 1.0)) @ m
+    return 2.0 * total / ((hi - lo) * (hi + lo)).ravel()
+
+
 def poly_rows_per_degree(emap: ExteriorMap, degrees, s_of) -> list:
     """(n, s, kappa_n, monomial coefficients of pi_n) for each degree n at
     s = s_of(n), each from an orthonormal set of its own: a moment table of
@@ -468,15 +485,15 @@ def ortho_eval(polys: OrthoPolySet, n: int, z):
 
 
 def interior_part(mom: MomentTable) -> np.ndarray:
-    """The dense interior part of a moment table: its exact head, then the
-    diagonal model pi/(k+1)."""
-    return mom._dense(mom.interior_head, mom._interior_model())
+    """The dense interior part of a moment table: the interior Gram of its
+    head, rebuilt from head_basis, then the diagonal model pi/(k+1)."""
+    return mom._dense(interior_gram(mom.head_basis), mom._interior_model())
 
 
 def exterior_part(mom: MomentTable) -> np.ndarray:
-    """The dense exterior part of a moment table: its exact head, then the
-    diagonal model pi/(s-k-1)."""
-    return mom._dense(mom.exterior_head, mom._exterior_model())
+    """The dense exterior part of a moment table: the exterior Gram of its
+    head, rebuilt from head_basis, then the diagonal model pi/(s-k-1)."""
+    return mom._dense(exterior_gram(mom.head_basis, mom.s), mom._exterior_model())
 
 
 # -- closed-form moments of the disk and the ellipses ---------------------------

@@ -246,6 +246,35 @@ def test_cli_import_in_a_fresh_interpreter_is_quiet():
     assert res.stdout.splitlines() == ["1", "[]"]
 
 
+def test_thin_ellipse_scaling_writes_nothing_to_stderr():
+    # the head of the q = 0.97 ellipse (n0 = 1548) reads no monomial row, so
+    # the rows that leave double range from degree 1494 on are never built
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    argv = ["scaling", "--domain", "ellipse", "--q", "0.97", "--N", "2000", "--s", "4000",
+            "--theta", "0.7", "--a", "0.3+0.1i", "--b=-0.2i"]
+    res = subprocess.run([sys.executable, "-m", "potens.cli"] + argv, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0 and res.stderr == ""
+    assert len(res.stdout.splitlines()) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "scaling --domain ellipse --q 0.9 --N 30,500 --s 1000 --a 0.3+0.1i --b=-0.2i",
+    "scaling --domain ellipse --q 0.5 --N 10,100 --srule cn --s 2 --weighted",
+    "gap --domain ellipse --q 0.5 --N 8 --s 16 --center 1.3 --radius 0.4",
+    "gap --domain disk --N 4 --s 6 --radius 0.5",
+    "sample --N 4 --s 6",
+])
+def test_production_studies_never_read_monomial_rows(argv, monkeypatch, capsys):
+    def refuse(basis):
+        raise AssertionError("FaberBasis.mono was read")
+    monkeypatch.setattr(FaberBasis, "mono", property(refuse))
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr().out
+
+
 def test_exit_code_nonconvergence(monkeypatch, capsys):
     def boom(cfg):
         raise ConvergenceError("did not settle")
@@ -366,6 +395,7 @@ def test_each_subcommand_accepts_only_the_options_it_reads(command, key, tmp_pat
     ("gap --N 4 --s 6 --radius inf", "--radius=inf must be finite"),
     ("gap --N 4 --s 6 --center=nan", "--center=nan must be finite"),
     ("levelsets --levels 1,inf --bins 4", "--levels=inf must be finite"),
+    ("poly --domain ellipse --q 0.97 --N 1600 --s 4000", "double range at degree 1494"),
 ])
 def test_out_of_range_values_exit_2_without_traceback(argv, reason, capsys):
     code = cli.main(argv.split())

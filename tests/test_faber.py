@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -209,3 +211,43 @@ def test_eval_all_peak_memory_is_below_twice_its_output():
     finally:
         tracemalloc.stop()
     assert peak < 2 * out.nbytes, (peak, out.nbytes)
+
+
+def test_construction_builds_no_table():
+    # a degree whose monomial rows leave double range is a valid basis: the
+    # rows are built, and refused, only when read
+    basis = FaberBasis(ellipse_map(0.97), 3000)
+    assert not {"mono", "_comp", "_outer"} & set(vars(basis))
+    basis = FaberBasis(ellipse_map(0.5), 40)
+    basis.mono
+    assert not {"_comp", "_outer"} & set(vars(basis))
+
+
+def test_mono_refuses_rows_outside_double_range():
+    # F_n of the q = 0.97 ellipse is the monic U_n of [-2 sqrt(q), 2 sqrt(q)]:
+    # its coefficient of z^(n-2i) is (-1)^i C(n-i, i) q^i, past 1e308 by
+    # degree 1494.  No RuntimeWarning escapes, and the rows below are finite.
+    q = 0.97
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="double range at degree 1494"):
+            FaberBasis(ellipse_map(q), 1600).mono
+        mono = FaberBasis(ellipse_map(q), 1493).mono
+    # the U recurrence in exact arithmetic, q^i factored out:
+    # U_n[z^(n-2i)] = c[n][i] q^i with c[n+1][i] = c[n][i] - c[n-1][i-1]
+    checked = (1, 2, 3, 10, 100, 1000, 1493)
+    prev, cur, exact = [1], [1], {1: [1]}
+    for n in range(1, checked[-1]):
+        prev, cur = cur, [(cur[i] if i < len(cur) else 0) - (prev[i - 1] if i else 0)
+                          for i in range((n + 1) // 2 + 1)]
+        exact[n + 1] = cur
+    qpow = [Fraction(1)]
+    for _ in range(checked[-1] // 2):
+        qpow.append(qpow[-1] * Fraction(q))
+    for n in checked:
+        row = mono[n]
+        assert np.all(np.isfinite(row)) and np.all(row.imag == 0)
+        assert np.all(row[(n + 1) % 2 :: 2] == 0)       # powers of the wrong parity
+        for i, c in enumerate(exact[n]):
+            want = c * qpow[i]
+            assert abs(Fraction(row[n - 2 * i].real) - want) <= n * 2.0 ** -52 * abs(want), (n, i)

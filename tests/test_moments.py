@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,29 +189,50 @@ def test_epsilon_decay_fit(ellipse_half):
 
 
 
+def test_a_run_over_head_sizes_holds_one_head():
+    # degrees 1..150 of the q = 0.9 ellipse (n0 = 434) are 150 head sizes;
+    # keeping each size's tables took 113 MiB, one head at a time 5 MiB
+    emap = ellipse_map(0.9)
+    tracemalloc.start()
+    try:
+        for n in range(1, 151):
+            moments(emap, n, 3.0 * n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def test_head_is_built_once_per_map_instance(monkeypatch):
     # head_degree's root sampling, the head's Faber tables and its interior
-    # Gram do not depend on s or n_max past the head: one build per map
-    calls = []
-    true_decay = mm.remainder_decay
+    # Gram do not depend on s or n_max past the head: one build per map and
+    # head size, and the map keeps the tables of one head only
+    calls, grams = [], []
+    true_decay, true_interior = mm.remainder_decay, mm.interior_gram
     monkeypatch.setattr(mm, "remainder_decay", lambda emap: calls.append(emap) or true_decay(emap))
+    monkeypatch.setattr(mm, "interior_gram", lambda b: grams.append(b) or true_interior(b))
     emap = ellipse_map(0.5)
     first, second = moments(emap, 99, 200.0), moments(emap, 199, 400.0)
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(grams) == 1
     assert second.head_basis is first.head_basis
-    assert second.interior_head is first.interior_head
-    assert not first.interior_head.flags.writeable
     assert not first.head_basis.outer_series_all().flags.writeable
     assert not first.head_basis.mono[3].flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        first.interior_head[0, 0] = 0.0
+    # the head is the interior plus the exterior Gram of head_basis
+    basis = first.head_basis
+    assert np.array_equal(first.head, interior_gram(basis) + exterior_gram(basis, 200.0))
+    assert np.array_equal(second.head, interior_gram(basis) + exterior_gram(basis, 400.0))
+    grams.clear()
     # an equal map is another instance with its own memo, built afresh
     again = moments(ellipse_map(0.5), 99, 200.0)
-    assert len(calls) == 2
+    assert len(calls) == 2 and len(grams) == 1
     assert again.head_basis is not first.head_basis
     assert np.array_equal(again.head, first.head)
-    # a head cut short by n_max is its own entry
+    # a head cut short by n_max replaces the map's head, so asking for the
+    # full head again rebuilds it, with the same values
     short = moments(emap, 9, 20.0)
     assert short.head_degree == 10
     assert short.head_basis is not first.head_basis
-    assert len(calls) == 2
+    third = moments(emap, 99, 200.0)
+    assert third.head_basis is not first.head_basis
+    assert np.array_equal(third.head, first.head)
+    assert len(calls) == 2 and len(grams) == 3

@@ -153,14 +153,14 @@ def test_closed_form_disk_and_ellipse(disk, ellipse_half):
     assert np.max(np.abs(cfi.coeffs - pe.mono_coeffs[2, :3])) < 1e-12
 
 
-def test_closed_form_interval():
-    cf = closed_form("interval", 0, 4.0)
-    assert cf.note is not None
-    assert cf(3.3) == pytest.approx(math.sqrt(15 / (8 * math.pi)))
-    cf1 = closed_form("interval", 1, 6.0)
-    # degree-1 case reduces to sqrt((s^2-4)/(2 pi s)) * z
-    for z in (3.0, 2.5 + 1j):
-        assert cf1(z) == pytest.approx(math.sqrt((36 - 4) / (12 * math.pi)) * z)
+@pytest.mark.parametrize("q", [0.5, 0.9])
+@pytest.mark.parametrize("s", [400.0, 1e4, np.inf])
+def test_kappas_match_the_ellipse_closed_form_to_2_ulp(q, s):
+    # head and tail alike take the leading coefficient of F_n as cap^-(n+1)
+    emap = ellipse_map(q)
+    kappas = orthonormalize(moments(emap, 200, s)).kappas
+    want = np.array([closed_form(emap, n, s).coeffs[-1].real for n in range(201)])
+    assert np.all(np.abs(kappas - want) <= 2 * np.spacing(want))
 
 
 def test_delta_determinants(disk, ellipse_half):

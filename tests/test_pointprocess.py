@@ -27,7 +27,9 @@ from potens.pointprocess import (
     sine_corr,
 )
 
-from _bruteforce import annulus_density_mp, radius_cdf_mp, radius_ppf_mp
+from potens.faber import FaberBasis
+
+from _bruteforce import annulus_density_mp, kernel_r1_binned_dense, radius_cdf_mp, radius_ppf_mp
 
 
 @pytest.fixture(scope="module")
@@ -411,6 +413,33 @@ def test_kernel_r1_binned_against_radial_law(disk, N, s, edges):
     assert np.max(np.abs(got[nonzero] / want[nonzero] - 1.0)) <= 1e-14
 
 
+@pytest.mark.parametrize("N, s, edges", [
+    (100, 200.0, np.linspace(0.0, 1.2, 25)),
+    (40, 41.5, np.linspace(0.0, 2.0, 31)),
+    (10, np.inf, np.linspace(0.0, 1.3, 14)),
+    (4, 6.0, np.linspace(0.9, 1.1, 401)),
+])
+def test_kernel_r1_binned_matches_the_dense_monomial_route(disk, N, s, edges):
+    # on the disk pi_j = kappa_j z^j, so the weights m_j = kappa_j^2 are the
+    # column sums of |a_nj|^2 over the dense monomial table
+    polys = orthonormalize(moments(disk, N - 1, s))
+    got = kernel_r1_binned(polys, N, edges)
+    want = kernel_r1_binned_dense(polys, N, edges)
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+
+
+def test_mc_disk_library_path_never_reads_monomial_rows(disk, monkeypatch):
+    # the sampler, the histogram and the binned kernel, as the benchmark's
+    # mc-disk workload calls them
+    def refuse(basis):
+        raise AssertionError("FaberBasis.mono was read")
+    monkeypatch.setattr(FaberBasis, "mono", property(refuse))
+    N, s, edges = 20, 40.0, np.linspace(0.0, 1.2, 13)
+    hist = empirical_r1(sample_disk_batch(N, s, 7, 200), edges)
+    kernel = kernel_r1_binned(orthonormalize(moments(disk, N - 1, s)), N, edges)
+    assert hist.density.shape == kernel.shape == (12,)
+
+
 def test_kernel_r1_binned_rejects_non_disk():
     polys = orthonormalize(moments(ellipse_map(0.5), 3, 8.0))
     with pytest.raises(ValueError, match="disk"):
@@ -651,3 +680,11 @@ def test_gap_refinement_warning_machinery(polys_4_6):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         gap_probability(polys_4_6, 4, DiskRegion(0, 0.5))
+    # a disk straddling the q = 0.5 ellipse, as in the benchmark's gap
+    # workload (seed 2): its 2x and 4x passes move apart
+    polys = orthonormalize(moments(ellipse_map(0.5), 7, 16.0))
+    region = DiskRegion(1.3356908657216324 - 0.023508380570636946j, 0.4)
+    with pytest.warns(UserWarning, match="refinement is not settling") as record:
+        gap_probability(polys, 8, region, 24, 64)
+    message = str(record[0].message)
+    assert "0.005649883326577785" in message and "0.00582330126370771" in message
