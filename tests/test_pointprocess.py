@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -636,6 +637,38 @@ def test_empirical_r1_matches_two_sided_bins(order):
     density, stderr = _two_sided_r1(samples, edges)
     assert np.array_equal(hist.density, density)
     assert np.array_equal(hist.stderr, stderr)
+
+
+def _one_bin_of_300():
+    # 300 points per configuration in bin 1: counts beyond 255 need uint16
+    radii = np.random.default_rng(3).uniform(0.3, 0.7, (40, 300))
+    return radii * np.exp(1j * np.arange(300)), np.array([0.0, 0.3, 0.7, 1.0])
+
+
+@pytest.mark.parametrize("samples, edges", [
+    _one_bin_of_300(),
+    (sample_disk_batch(0, 1.0, 1, 5), np.linspace(0.0, 1.5, 4)),
+    (sample_disk_batch(12, 30.0, 5, 40), np.linspace(0.0, 1.5, 401)),
+], ids=["300-in-one-bin", "N=0", "401-edges"])
+def test_empirical_r1_matches_two_sided_bins_at_the_edge_cases(samples, edges):
+    hist = empirical_r1(samples, edges)
+    density, stderr = _two_sided_r1(samples, edges)
+    assert np.array_equal(hist.density, density)
+    assert np.array_equal(hist.stderr, stderr)
+
+
+def test_empirical_r1_peak_memory_at_the_mc_disk_shape():
+    # a float (count, N) temporary, such as |samples|, would hold half the
+    # bytes of the complex samples
+    samples = sample_disk_batch(100, 200.0, 1, 20000)
+    edges = np.linspace(0.0, 1.2, 25)
+    tracemalloc.start()
+    try:
+        empirical_r1(samples, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= samples.nbytes / 4, (peak, samples.nbytes)
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
