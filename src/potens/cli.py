@@ -251,21 +251,29 @@ def cmd_poly(cfg: StudyConfig) -> None:
     errs, seen = [], []
     emap = cfg.domain
     # F_n depends on the map alone, so a monomial row out of double range
-    # fails here, before any moment table is built
-    mono = FaberBasis(emap, max(degrees)).mono
+    # fails here, before any moment table is built; every printed row of
+    # coefficients is read from this one table
+    basis = FaberBasis(emap, max(degrees))
+    mono = basis.mono
+
+    def head_rows(p):
+        return p.head_coeffs @ basis.mono_table(p.head_degree - 1)
+
+    def mono_row(p, n, head):
+        n0 = p.head_degree
+        return head[n, : n + 1] if n < n0 else p.tail_scales[n - n0] * mono[n]
+
     if cfg.srule != "cn":
         s = cfg.s_for(max(degrees))
         polys = orthonormalize(moments(emap, max(degrees), s))
-        get = lambda n: (polys.kappas[n], s, polys.mono_coeffs[n, : n + 1])
+        head = head_rows(polys)
+        get = lambda n: (polys.kappas[n], s, mono_row(polys, n, head))
     else:
-        # one Faber table serves every tail row, and only a degree inside its
-        # own head reads the head product
+        # only a degree inside its own head reads the head product
         def get(n):
             s = cfg.s_for(n)
             p = orthonormalize(moments(emap, n, s))
-            if n < p.head_degree:
-                return p.kappas[n], s, p.mono_coeffs[n, : n + 1]
-            return p.kappas[n], s, p.tail_scales[n - p.head_degree] * mono[n]
+            return p.kappas[n], s, mono_row(p, n, head_rows(p) if n < p.head_degree else None)
     for n in degrees:
         exact, s, coeffs = get(n)
         pred = kappa_asymptotic(n, s, emap)

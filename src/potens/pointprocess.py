@@ -169,6 +169,10 @@ def _spread(fill, count: int) -> None:
 # rounding allowance above 1 for the eigenvalues of Lambda on the finest pass
 _LAMBDA_TOL = 1e-12
 
+# nodes per weight_at and eval_all call of the gap sweep: a slice holds the
+# temporaries of one block, not an (N, nodes) table for its whole range
+_GAP_BLOCK = 8192
+
 
 def _region_nodes(region: DiskRegion, n_rad: int, n_ang: int):
     """Polar tensor nodes and area weights, shape (radii, n_ang) each; radial
@@ -190,23 +194,38 @@ def _region_nodes(region: DiskRegion, n_rad: int, n_ang: int):
     return pts, u
 
 
-def _gap_eigenvalues(polys: OrthoPolySet, N: int, region: DiskRegion,
-                     n_rad: int, n_ang: int) -> tuple[np.ndarray, tuple]:
-    """Eigenvalues of Lambda on one quadrature pass, ascending and unclipped,
-    with the pass's node counts (radii, angles)."""
-    pts, u = _region_nodes(region, n_rad, n_ang)
-    shape = pts.shape
-    pts, u = pts.ravel(), u.ravel()
-    psi = np.empty((N, pts.size), dtype=complex)
+def _gap_tables(polys: OrthoPolySet, N: int, region: DiskRegion,
+                n_rad: int, n_ang: int) -> tuple[list, tuple]:
+    """The columns psi_n(x_p) sqrt(u_p) of the three refinement passes, one
+    (N, nodes) table per pass, with the finest pass's node counts.
+
+    One sweep covers the nodes of all passes: one slice per usable CPU over
+    their concatenation, and each slice in blocks of at most _GAP_BLOCK nodes
+    that never straddle two passes.  A block is inverted, evaluated, scaled
+    by w sqrt(u) and written straight into its pass's table.  Every column
+    is computed as it would be on its own, so no value depends on the CPU
+    count or the block bound.
+    """
+    rules = [_region_nodes(region, n_rad * mult, n_ang * mult) for mult in (1, 2, 4)]
+    pts = np.concatenate([p.ravel() for p, _ in rules])
+    u = np.concatenate([w.ravel() for _, w in rules])
+    tables = [np.empty((N, p.size), dtype=complex) for p, _ in rules]
 
     def fill(lo: int, hi: int) -> None:
-        # the weights come first: the inversion's temporaries are freed before
-        # eval_all builds the slice's (N, nodes) table, the peak of the pass
-        wts = weight_at(polys.map, polys.s, pts[lo:hi])
-        psi[:, lo:hi] = polys.eval_all(pts[lo:hi], N - 1) * (wts * np.sqrt(u[lo:hi]))[None, :]
+        start = 0
+        for table in tables:
+            end = start + table.shape[1]
+            for a in range(max(lo, start), min(hi, end), _GAP_BLOCK):
+                b = min(a + _GAP_BLOCK, hi, end)
+                # the weights come first: the inversion's temporaries are freed
+                # before eval_all builds the block's (N, nodes) values
+                wts = weight_at(polys.map, polys.s, pts[a:b])
+                np.multiply(polys.eval_all(pts[a:b], N - 1), wts * np.sqrt(u[a:b]),
+                            out=table[:, a - start:b - start])
+            start = end
 
     _spread(fill, pts.size)
-    return np.linalg.eigvalsh(psi @ psi.conj().T), shape
+    return tables, rules[-1][0].shape
 
 
 def gap_probability(polys: OrthoPolySet, N: int, region: DiskRegion,
@@ -214,7 +233,10 @@ def gap_probability(polys: OrthoPolySet, N: int, region: DiskRegion,
     """Probability that the region holds no points, by Fredholm truncation.
 
     Refines the quadrature twice; a non-monotone refinement pattern triggers
-    a warning carrying both estimates.  Lambda is a compression of a
+    a warning carrying both estimates.  The nodes of all three passes are
+    evaluated in one threaded, blocked sweep (_gap_tables); then Lambda and
+    its eigenvalues are formed pass by pass, coarsest first, and each pass's
+    table is dropped once its Gram is formed.  Lambda is a compression of a
     projection, so its eigenvalues lie in [0, 1]; they are clipped at 0, and
     an eigenvalue of the finest pass above 1 + _LAMBDA_TOL raises
     ConvergenceError, with those eigenvalues as ``estimates``: the quadrature
@@ -229,10 +251,11 @@ def gap_probability(polys: OrthoPolySet, N: int, region: DiskRegion,
         raise ValueError(f"gap region radius must be >= 0 (got {region.radius!r})")
     if region.radius == 0:
         return GapResult(1.0, 1.0, np.array([1.0]), (0, 0))
+    tables, shape = _gap_tables(polys, N, region, n_rad, n_ang)
     vals = []
-    raw = lam = shape = None
-    for mult in (1, 2, 4):
-        raw, shape = _gap_eigenvalues(polys, N, region, n_rad * mult, n_ang * mult)
+    for i in range(len(tables)):
+        psi, tables[i] = tables[i], None  # freed when psi moves to the next pass
+        raw = np.linalg.eigvalsh(psi @ psi.conj().T)
         lam = np.clip(raw, 0.0, None)
         vals.append(float(np.prod(1.0 - lam)))
     over = raw[raw > 1.0 + _LAMBDA_TOL]
@@ -272,9 +295,10 @@ def radius_ppf(n: int, s: float, u):
     """Inverse of radius_cdf for finite s > n + 1 and u in [0, 1); a float for
     scalar u, else an array.
 
-    Both closed-form branches are evaluated on every u and the one on u's
-    side of the split P(R_n <= 1) = (s-n-1)/s is kept; on [0, 1) neither
-    branch divides by zero or takes a power of a negative number.
+    The inner branch is evaluated on every u; the outer one only on the u
+    past the split P(R_n <= 1) = (s-n-1)/s, gathered by index and scattered
+    back over the inner values.  On [0, 1) neither branch divides by zero or
+    takes a power of a negative number.
     """
     if not (math.isfinite(s) and s > n + 1):
         raise ValueError(f"radius law needs finite s > n + 1 (got n={n}, s={s})")
@@ -285,13 +309,20 @@ def radius_ppf(n: int, s: float, u):
         raise ValueError(f"radius_ppf needs u in [0, 1) (got u={float(u[~ok][0])!r})")
     # the augmented operations run in place on arrays and rebind on the
     # scalars of a 0-d u; either way each branch rounds as the plain formula
-    inner = u * s
-    inner /= s - n - 1
-    inner **= 1.0 / (2 * n + 2)
-    outer = ((n + 1) / s) / (1.0 - u)
-    outer **= 1.0 / (2.0 * (s - n - 1))
-    r = np.where(u <= (s - n - 1) / s, inner, outer)
-    return float(r) if r.ndim == 0 else r
+    def outer(v):
+        r = ((n + 1) / s) / (1.0 - v)
+        r **= 1.0 / (2.0 * (s - n - 1))
+        return r
+
+    split = (s - n - 1) / s
+    r = u * s
+    r /= s - n - 1
+    r **= 1.0 / (2 * n + 2)
+    if r.ndim == 0:
+        return float(outer(u) if u > split else r)
+    far = np.flatnonzero(u > split)
+    np.put(r, far, outer(np.take(u, far)))
+    return r
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import math
 import os
 import re
@@ -285,6 +286,27 @@ def test_poly_refuses_rows_out_of_double_range_before_any_moment_table(srule, mo
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "double range at degree 1494" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    "poly --domain ellipse --q 0.5 --nmax 60 --s 200",
+    "poly --domain ellipse --q 0.5 --srule cn --s 3 --N " + ",".join(map(str, range(1, 61))),
+], ids=["fixed", "cn"])
+def test_poly_builds_the_monomial_table_once(argv, monkeypatch, capsys):
+    # n0 = 47 on the q = 0.5 ellipse, so both runs print head and tail rows
+    builds = []
+    true_mono = FaberBasis.mono.func
+
+    def counting(basis):
+        builds.append(basis.n_max)
+        return true_mono(basis)
+
+    mono = functools.cached_property(counting)
+    mono.__set_name__(FaberBasis, "mono")
+    monkeypatch.setattr(FaberBasis, "mono", mono)
+    assert cli.main(argv.split()) == 0
+    assert len(capsys.readouterr().out.splitlines()) == (62 if "nmax" in argv else 61)
+    assert builds == [60]
 
 
 def test_exit_code_nonconvergence(monkeypatch, capsys):

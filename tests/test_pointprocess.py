@@ -9,7 +9,7 @@ import pytest
 import potens.pointprocess as pp
 from potens.errors import ConvergenceError
 from potens.geometry import ellipse_map
-from potens.kernels import weighted_kernel
+from potens.kernels import weight_at, weighted_kernel
 from potens.moments import moments
 from potens.orthopoly import orthonormalize
 from potens.pointprocess import (
@@ -119,14 +119,25 @@ def test_gap_series_sum_is_off_by_rounding_of_the_largest_term(ellipse_half):
     assert abs(res.series_sum - res.value) <= np.finfo(float).eps * biggest
 
 
-def test_gap_rejects_eigenvalues_above_one_on_the_finest_pass_only(ellipse_half, disk):
+def test_gap_rejects_eigenvalues_above_one_on_the_finest_pass_only(ellipse_half, disk,
+                                                                    monkeypatch):
     # Lambda compresses a projection, so no eigenvalue may exceed 1; the
     # N = 100 ellipse region overshoots on its coarsest pass only and returns
     polys = orthonormalize(moments(ellipse_half, 99, 200.0))
     region = DiskRegion(1.3, 0.2)
-    coarse, _ = pp._gap_eigenvalues(polys, 100, region, 12, 32)
-    assert coarse[-1] > 1.2
+    spectra = []
+    true_eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        # leggauss takes the eigenvalues of its own, smaller, Jacobi matrices
+        lam = true_eigvalsh(a)
+        if a.shape == (100, 100):
+            spectra.append(lam)
+        return lam
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     assert 0 < gap_probability(polys, 100, region, n_rad=12, n_ang=32).value < 1
+    assert len(spectra) == 3 and spectra[0][-1] > 1.2
     polys = orthonormalize(moments(disk, 63, 100.0))
     with pytest.raises(ConvergenceError, match=r"6 eigenvalues .* \(48 x 128 nodes\)") as info:
         gap_probability(polys, 64, DiskRegion(0.1, 0.95), n_rad=12, n_ang=32)
@@ -159,47 +170,86 @@ def _use_cpus(monkeypatch, cpus):
                         raising=False)
 
 
-def _gap_weight_sizes(ellipse_half, monkeypatch):
-    sizes = []
-    true_weight_at = pp.weight_at
+def _gap_weight_blocks(ellipse_half, monkeypatch):
+    blocks = []
 
-    def counting(emap, s, z):
-        sizes.append(np.size(z))
-        return true_weight_at(emap, s, z)
+    def recording(emap, s, z):
+        blocks.append(np.array(z))
+        return weight_at(emap, s, z)
 
-    monkeypatch.setattr(pp, "weight_at", counting)
+    monkeypatch.setattr(pp, "weight_at", recording)
     polys = orthonormalize(moments(ellipse_half, 3, 8.0))
     gap_probability(polys, 4, DiskRegion(1.3 + 0.02j, 0.4), n_rad=4, n_ang=8)
-    return sizes
+    return blocks
 
 
 def test_gap_inverts_each_pass_in_one_call(ellipse_half, monkeypatch):
-    # on one CPU, one weight_at call per refinement pass, on every node of that pass
+    # on one CPU, with every pass below the block bound, one weight_at call
+    # per refinement pass, on every node of that pass
     _use_cpus(monkeypatch, 1)
-    assert _gap_weight_sizes(ellipse_half, monkeypatch) == [4 * 8, 8 * 16, 16 * 32]
+    sizes = [b.size for b in _gap_weight_blocks(ellipse_half, monkeypatch)]
+    assert sizes == [4 * 8, 8 * 16, 16 * 32]
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_gap_pass_inverts_one_slice_per_cpu(ellipse_half, monkeypatch, cpus):
-    # k CPUs: k weight_at calls per pass, whose sizes sum to the pass's nodes;
-    # every slice of a pass ends before the next pass starts
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_gap_sweep_blocks_cover_each_pass_once(ellipse_half, monkeypatch, cpus):
+    # the blocks of all slices tile the nodes of the three passes: each
+    # block is a run of one pass's nodes, no longer than the block bound,
+    # and every node is evaluated exactly once
     _use_cpus(monkeypatch, cpus)
-    sizes = _gap_weight_sizes(ellipse_half, monkeypatch)
-    assert len(sizes) == 3 * cpus
-    for p, nodes in enumerate([4 * 8, 8 * 16, 16 * 32]):
-        assert sum(sizes[p * cpus:(p + 1) * cpus]) == nodes
+    region = DiskRegion(1.3 + 0.02j, 0.4)
+    passes = [pp._region_nodes(region, 4 * mult, 8 * mult)[0].ravel() for mult in (1, 2, 4)]
+    # even radial orders share no Gauss radius, so a node names its pass and index
+    where = {z: (p, i) for p, nodes in enumerate(passes) for i, z in enumerate(nodes)}
+    assert len(where) == sum(nodes.size for nodes in passes)
+    default = pp._GAP_BLOCK
+    for block in (default, 5, 7):
+        monkeypatch.setattr(pp, "_GAP_BLOCK", block)
+        seen = [np.zeros(nodes.size, dtype=int) for nodes in passes]
+        blocks = _gap_weight_blocks(ellipse_half, monkeypatch)
+        for z in blocks:
+            p, i = where[complex(z[0])]
+            assert 1 <= z.size <= block
+            assert np.array_equal(z, passes[p][i:i + z.size])
+            seen[p][i:i + z.size] += 1
+        assert all(np.all(count == 1) for count in seen)
+        if block == default and cpus == 2:
+            # one slice per CPU over 672 nodes: the first meets all three passes
+            assert sorted(z.size for z in blocks) == [32, 128, 176, 336]
 
 
-@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_gap_values_do_not_depend_on_cpu_count(ellipse_half, monkeypatch, cpus):
     polys = orthonormalize(moments(ellipse_half, 5, 12.0))
     region = DiskRegion(1.25 - 0.03j, 0.45)
     want = gap_probability(polys, 6, region, n_rad=5, n_ang=11)
     _use_cpus(monkeypatch, cpus)
-    got = gap_probability(polys, 6, region, n_rad=5, n_ang=11)
-    assert np.array_equal(got.value, want.value)
-    assert np.array_equal(got.terms, want.terms)
-    assert np.array_equal(got.series_sum, want.series_sum)
+    # a 4-node block bound cuts every pass, and on 2 and 3 CPUs every slice
+    # boundary, mid-range
+    for block in (pp._GAP_BLOCK, 4):
+        monkeypatch.setattr(pp, "_GAP_BLOCK", block)
+        got = gap_probability(polys, 6, region, n_rad=5, n_ang=11)
+        assert np.array_equal(got.value, want.value)
+        assert np.array_equal(got.terms, want.terms)
+        assert np.array_equal(got.series_sum, want.series_sum)
+
+
+def test_gap_sweep_memory_is_its_tables_not_its_slices(ellipse_half, monkeypatch):
+    # one slice of 43,008 nodes whose finest pass (32,768 nodes) dominates:
+    # blocked, the peak is the Gram step's copy of the finest table, about
+    # 2.3 tables; one eval_all over the whole slice would add its values and
+    # the head product over every node, about 3.5 tables
+    _use_cpus(monkeypatch, 1)
+    N = 20
+    polys = orthonormalize(moments(ellipse_half, N - 1, 2.0 * N))
+    finest = N * (4 * 32) * (4 * 64) * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        gap_probability(polys, N, DiskRegion(1.3, 0.2), n_rad=32, n_ang=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * finest, (peak, finest)
 
 
 def test_gap_reports_the_nodes_of_its_last_pass(polys_4_6):
@@ -211,7 +261,7 @@ def test_gap_reports_the_nodes_of_its_last_pass(polys_4_6):
 
 
 def test_gap_error_in_second_slice_reaches_caller(ellipse_half, monkeypatch):
-    # with two CPUs the second slice of every pass runs on a worker thread
+    # with two CPUs the second slice of the sweep runs on a worker thread
     _use_cpus(monkeypatch, 2)
     true_weight_at = pp.weight_at
 
@@ -292,8 +342,8 @@ def test_caller_errstate_holds_in_every_slice(ellipse_half, monkeypatch):
     with np.errstate(divide="ignore"):
         assert np.array_equal(sample_disk_batch(10, 12.5, 99, 20), want_sample)
         assert gap_probability(polys, 4, region, n_rad=4, n_ang=8).value == want_gap
-    # the caller's thread, and two workers for the sample and for each gap pass
-    assert len(threads) == 1 + 2 * 4
+    # the caller's thread, and two workers for the sample and for the gap sweep
+    assert len(threads) == 1 + 2 * 2
 
 
 class _BadRadius:
@@ -493,6 +543,38 @@ def test_radius_ppf_rejects_s_without_a_radial_law(n, s):
     # s <= n + 1 has no normalisable law; at s = inf the formula returned 1.0
     with pytest.raises(ValueError, match="s > n"):
         radius_ppf(n, s, 0.5)
+
+
+def _radius_ppf_both_branches(n, s, u):
+    # both closed-form branches on every u, the one on u's side of the split kept
+    inner = u * s
+    inner /= s - n - 1
+    inner **= 1.0 / (2 * n + 2)
+    outer = ((n + 1) / s) / (1.0 - u)
+    outer **= 1.0 / (2.0 * (s - n - 1))
+    r = np.where(u <= (s - n - 1) / s, inner, outer)
+    return float(r) if r.ndim == 0 else r
+
+
+@pytest.mark.parametrize("n, s", [(0, 6.0), (3, 12.0), (9, 40.5), (99, 200.0)])
+def test_radius_ppf_matches_the_two_branch_formula_bit_for_bit(n, s):
+    split = (s - n - 1) / s
+    edges = np.array([0.0, split, np.nextafter(split, 0.0), np.nextafter(split, 1.0),
+                      np.nextafter(1.0, 0.0)])
+    u = np.concatenate([edges, np.random.default_rng(7).random(1001)])
+    # the sampler passes the real parts of a complex row, a strided view
+    row = np.empty(u.size, dtype=complex)
+    row.real = u
+    for arg in (u, row.real, u[:3], u.reshape(-1, 2)[:, 1]):
+        got = radius_ppf(n, s, arg)
+        want = _radius_ppf_both_branches(n, s, np.asarray(arg))
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for x in edges:
+        got = radius_ppf(n, s, np.float64(x))
+        assert isinstance(got, float)
+        assert got == _radius_ppf_both_branches(n, s, np.asarray(x))
+        assert radius_ppf(n, s, float(x)) == got
 
 
 @pytest.mark.parametrize("n, s", [(0, 6.0), (3, 12.0), (9, 40.5), (99, 200.0)])
