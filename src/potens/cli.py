@@ -248,41 +248,32 @@ def _fit_rate(ns, errs) -> float:
 def cmd_poly(cfg: StudyConfig) -> None:
     degrees = cfg.degrees()
     rows = ["n,s,kappa_exact,kappa_pred,rel_err,fitted_rate,coeffs"]
-    errs, seen = [], []
+    errs = []
     emap = cfg.domain
     # F_n depends on the map alone, so a monomial row out of double range
     # fails here, before any moment table is built; every printed row of
     # coefficients is read from this one table
     basis = FaberBasis(emap, max(degrees))
     mono = basis.mono
-
-    def head_rows(p):
-        return p.head_coeffs @ basis.mono_table(p.head_degree - 1)
-
-    def mono_row(p, n, head):
-        n0 = p.head_degree
-        return head[n, : n + 1] if n < n0 else p.tail_scales[n - n0] * mono[n]
-
-    if cfg.srule != "cn":
-        s = cfg.s_for(max(degrees))
-        polys = orthonormalize(moments(emap, max(degrees), s))
-        head = head_rows(polys)
-        get = lambda n: (polys.kappas[n], s, mono_row(polys, n, head))
-    else:
-        # only a degree inside its own head reads the head product
-        def get(n):
-            s = cfg.s_for(n)
-            p = orthonormalize(moments(emap, n, s))
-            return p.kappas[n], s, mono_row(p, n, head_rows(p) if n < p.head_degree else None)
-    for n in degrees:
-        exact, s, coeffs = get(n)
+    polys = None
+    for i, n in enumerate(degrees):
+        # one set for every degree, or one per degree under --srule cn; its
+        # head rows are mapped once, and only if a degree reads them
+        top = n if cfg.srule == "cn" else max(degrees)
+        s = cfg.s_for(top)
+        if polys is None or polys.n_max != top:
+            polys, head = orthonormalize(moments(emap, top, s)), None
+        n0 = polys.head_degree
+        if n < n0 and head is None:
+            head = polys.from_faber(basis.mono_table(n0 - 1))
+        coeffs = head[n, : n + 1] if n < n0 else polys.tail_scales[n - n0] * mono[n]
+        exact = polys.kappas[n]
         pred = kappa_asymptotic(n, s, emap)
         rel = abs(exact / pred - 1.0)
-        seen.append(n)
         errs.append(rel)
         ascending = ";".join(format_complex(complex(c)) for c in coeffs)
         rows.append(",".join([str(n), _fmt(s), _fmt(exact), _fmt(pred), _fmt(rel),
-                              _fmt(_fit_rate(seen, errs)), ascending]))
+                              _fmt(_fit_rate(degrees[: i + 1], errs)), ascending]))
     _emit(cfg, rows)
 
 

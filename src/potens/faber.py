@@ -50,12 +50,13 @@ class FaberBasis:
         self.map = emap
         self.n_max = n_max
         # power p of a Laurent table lives at column p + offset
-        self._off = (n_max + 1) * max(emap.tail_length, 1) + 2
+        self.offset = (n_max + 1) * max(emap.tail_length, 1) + 2
 
     @cached_property
     def mono(self) -> list[np.ndarray]:
         """Monomial coefficients of F_0..F_nmax, ascending, by the recurrence
-        on the monomial rows of Ftilde_0..Ftilde_{n_max+1}.
+        on the monomial rows of Ftilde_0..Ftilde_{n_max+1}, of which only the
+        m + 1 it reads are kept.
 
         Raises ValueError naming the first degree whose row leaves double
         range: the coefficients grow geometrically on thin domains (about
@@ -64,20 +65,19 @@ class FaberBasis:
         """
         m, cap = self.map.tail_length, self.map.cap
         c = np.asarray(self.map.laurent_coeffs, dtype=complex)
-        tilde = [np.array([1.0 + 0j])]
+        recent = deque([np.array([1.0 + 0j])], maxlen=m + 1)  # recent[-1 - k]: Ftilde_{n-k}
         mono = []
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(self.n_max + 1):
-                cur = tilde[n]
                 nxt = np.zeros(n + 2, dtype=complex)
-                nxt[1:] += cur                     # z * Ftilde_n
-                nxt[: n + 1] -= c[0] * cur
+                nxt[1:] += recent[-1]              # z * Ftilde_n
+                nxt[: n + 1] -= c[0] * recent[-1]
                 for k in range(1, min(m, n - 1) + 1):
-                    nxt[: n + 1 - k] -= c[k] * tilde[n - k]
+                    nxt[: n + 1 - k] -= c[k] * recent[-1 - k]
                 if 1 <= n <= m:
                     nxt[0] -= (n + 1) * c[n]
-                tilde.append(nxt / cap)
-                mono.append(_frozen(np.arange(1, n + 2) * tilde[n + 1][1:] / (n + 1)))
+                recent.append(nxt / cap)
+                mono.append(_frozen(np.arange(1, n + 2) * recent[-1][1:] / (n + 1)))
                 if not np.all(np.isfinite(mono[n])):
                     raise ValueError("monomial coefficients of the Faber polynomials leave "
                                      f"double range at degree {n}")
@@ -88,9 +88,9 @@ class FaberBasis:
         """Composed series Ftilde_0(phi(w))..Ftilde_{n_max+1}(phi(w))."""
         n_max, m, cap = self.n_max, self.map.tail_length, self.map.cap
         c = np.asarray(self.map.laurent_coeffs, dtype=complex)
-        width = self._off + n_max + 3
+        width = self.offset + n_max + 3
         comp = np.zeros((n_max + 2, width), dtype=complex)
-        comp[0, self._off] = 1.0
+        comp[0, self.offset] = 1.0
         for n in range(n_max + 1):
             cur = comp[n]
             nxt = np.zeros(width, dtype=complex)
@@ -101,7 +101,7 @@ class FaberBasis:
                 if k <= n - 1:
                     nxt -= c[k] * comp[n - k]
             if 1 <= n <= m:
-                nxt[self._off] -= (n + 1) * c[n]
+                nxt[self.offset] -= (n + 1) * c[n]
             comp[n + 1] = nxt / cap
         return _frozen(comp)
 
@@ -109,7 +109,7 @@ class FaberBasis:
     def _outer(self) -> np.ndarray:
         """A_n = F_n(phi(w)) phi'(w) = d/dw [Ftilde_{n+1}(phi(w))] / (n+1)."""
         comp = self._comp
-        powers = np.arange(comp.shape[1]) - self._off
+        powers = np.arange(comp.shape[1]) - self.offset
         outer = np.zeros((self.n_max + 1, comp.shape[1]), dtype=complex)
         for n in range(self.n_max + 1):
             deriv = comp[n + 1] * powers
@@ -117,10 +117,6 @@ class FaberBasis:
         return _frozen(outer)
 
     # -- series access --------------------------------------------------------
-
-    @property
-    def offset(self) -> int:
-        return self._off
 
     def outer_series(self, n: int) -> np.ndarray:
         """Laurent coefficients of F_n(phi(w)) phi'(w), power p at index p+offset."""
@@ -139,7 +135,7 @@ class FaberBasis:
         Equals E_n(phi(w)) phi'(w): the nonnegative part of A_n is exactly w^n.
         """
         tail = self._outer[n].copy()
-        tail[self._off:] = 0.0
+        tail[self.offset:] = 0.0
         return tail
 
     # -- pointwise evaluation ---------------------------------------------------

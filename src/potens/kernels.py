@@ -152,14 +152,22 @@ def _h1(tau: complex) -> complex:
 
 
 def h_limit(ell: float, tau: complex) -> complex:
-    """Convex combination H_ell(tau); ell in [0, 1], H_ell(0) = 1 exactly."""
+    """Convex combination H_ell(tau); ell in [0, 1], H_ell(0) = 1 exactly.
+    ValueError names tau where H_0 or H_1 leaves double range (Re tau >~ 705)."""
     if not (0.0 <= ell <= 1.0):
         raise ValueError("ell must lie in [0, 1]")
     if tau == 0:
         return 1.0 + 0j
     wa = (3.0 - 3.0 * ell) / (3.0 - 2.0 * ell)
     wb = ell / (3.0 - 2.0 * ell)
-    return wa * _h0(tau) + wb * _h1(tau)
+    with np.errstate(all="ignore"):  # numpy scalar tau overflows to inf or nan
+        try:
+            h = wa * _h0(tau) + wb * _h1(tau)  # weights >= 0: no inf term cancels
+        except OverflowError:  # cmath.exp past Re tau of about 709.8
+            h = math.nan
+    if not cmath.isfinite(h):
+        raise ValueError(f"H_ell(tau) is not finite in double precision at tau={complex(tau)!r}")
+    return h
 
 
 def tau_of(emap: ExteriorMap, a: complex, theta: float) -> complex:

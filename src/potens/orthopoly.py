@@ -65,12 +65,7 @@ class OrthoPolySet:
     @cached_property
     def mono_coeffs(self) -> np.ndarray:
         """Lower triangular, row n = pi_n in monomials."""
-        n0 = self.head_degree
-        out = np.zeros((self.n_max + 1, self.n_max + 1), dtype=complex)
-        out[:n0, :n0] = self.head_coeffs @ self.basis.mono_table(n0 - 1)
-        for n in range(n0, self.n_max + 1):
-            out[n, : n + 1] = self.tail_scales[n - n0] * self.basis.mono[n]
-        return out
+        return self.from_faber(self.basis.mono_table(self.n_max))
 
     def eval_all(self, z, n_upto: int | None = None) -> np.ndarray:
         """Values pi_0(z)..pi_n(z); shape (n+1,) + shape(z)."""

@@ -398,9 +398,7 @@ def empirical_r1(samples: np.ndarray, edges: np.ndarray) -> RadialHistogram:
     if count < 2:
         raise ValueError(f"empirical_r1 needs at least 2 configurations for a standard "
                          f"error (got {count})")
-    edges = np.asarray(edges, dtype=float)
-    if not (edges.ndim == 1 and edges.size >= 2 and np.all(np.diff(edges) > 0)):
-        raise ValueError(f"empirical_r1 needs strictly increasing bin edges (got {edges!r})")
+    edges = _checked_edges(edges)
     ge = np.zeros((edges.size, count), dtype=np.min_scalar_type(N))
 
     def fill(lo: int, hi: int) -> None:
@@ -418,6 +416,17 @@ def empirical_r1(samples: np.ndarray, edges: np.ndarray) -> RadialHistogram:
     return RadialHistogram(edges[:-1], edges[1:], mean / area, stderr_counts / area, count)
 
 
+def _checked_edges(edges) -> np.ndarray:
+    """edges as a 1-D float array of two or more finite radii, the first >= 0,
+    strictly increasing: finite ends and rising steps keep every inner edge finite."""
+    edges = np.asarray(edges, dtype=float)
+    if not (edges.ndim == 1 and edges.size >= 2 and 0 <= edges[0] and edges[-1] < math.inf
+            and np.all(np.diff(edges) > 0)):
+        raise ValueError(f"bin edges must be two or more finite radii, the first >= 0, "
+                         f"strictly increasing (got {edges!r})")
+    return edges
+
+
 def kernel_r1_binned(polys: OrthoPolySet, N: int, edges: np.ndarray) -> np.ndarray:
     """Mean of R_1 over each annulus edges[i] <= |z| < edges[i+1], per unit area.
 
@@ -433,7 +442,7 @@ def kernel_r1_binned(polys: OrthoPolySet, N: int, edges: np.ndarray) -> np.ndarr
     if not polys.map.is_disk():
         raise ValueError("kernel_r1_binned needs the rotation-invariant disk weight")
     _check_order(polys, N)
-    edges = np.asarray(edges, dtype=float)
+    edges = _checked_edges(edges)
     lo, hi = edges[:-1, None], edges[1:, None]
     m = polys.kappas[:N] ** 2
     p = 2.0 * np.arange(N) + 2.0

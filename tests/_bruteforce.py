@@ -24,7 +24,9 @@ growing lists, the reference that FaberBasis.eval_all matches bit for bit,
 poly_rows_per_degree builds every row of poly --srule cn from a table
 of its own degree, the reference for its one shared Faber table, and
 kernel_r1_binned_dense bins the disk's R_1 from the dense monomial
-coefficients instead of the leading ones.
+coefficients instead of the leading ones, and mono_coeffs_explicit
+assembles those coefficients as a head product plus scaled tail rows, the
+reference for the one Faber-to-pi map that mono_coeffs goes through.
 
 The remaining oracles are closed forms and diagnostics that no study reads:
 the disk and ellipse moments, the relative deviation eps of a moment table
@@ -447,6 +449,18 @@ def kernel_r1_binned_dense(polys: OrthoPolySet, N: int, edges) -> np.ndarray:
     if np.isfinite(polys.s):
         total += _power_integrals(p - 2.0 * polys.s, np.maximum(lo, 1.0), np.maximum(hi, 1.0)) @ m
     return 2.0 * total / ((hi - lo) * (hi + lo)).ravel()
+
+
+def mono_coeffs_explicit(polys: OrthoPolySet) -> np.ndarray:
+    """Lower triangular, row n = pi_n in monomials, in two pieces: the head
+    product head_coeffs @ the Faber monomial table of degrees 0..n0-1, and
+    tail rows tail_scales[n - n0] * F_n written one by one."""
+    n0 = polys.head_degree
+    out = np.zeros((polys.n_max + 1, polys.n_max + 1), dtype=complex)
+    out[:n0, :n0] = polys.head_coeffs @ polys.basis.mono_table(n0 - 1)
+    for n in range(n0, polys.n_max + 1):
+        out[n, : n + 1] = polys.tail_scales[n - n0] * polys.basis.mono[n]
+    return out
 
 
 def poly_rows_per_degree(emap: ExteriorMap, degrees, s_of) -> list:

@@ -289,11 +289,12 @@ def test_poly_refuses_rows_out_of_double_range_before_any_moment_table(srule, mo
 
 
 @pytest.mark.parametrize("argv", [
-    "poly --domain ellipse --q 0.5 --nmax 60 --s 200",
-    "poly --domain ellipse --q 0.5 --srule cn --s 3 --N " + ",".join(map(str, range(1, 61))),
+    "poly --domain ellipse --q 0.5 --nmax 80 --s 200",
+    "poly --domain ellipse --q 0.5 --srule cn --s 3 --N " + ",".join(map(str, range(1, 81))),
 ], ids=["fixed", "cn"])
 def test_poly_builds_the_monomial_table_once(argv, monkeypatch, capsys):
-    # n0 = 47 on the q = 0.5 ellipse, so both runs print head and tail rows
+    # n0 = 62 on the q = 0.5 ellipse (61 at degree 60 under cn), so both
+    # runs print head rows and tail rows
     builds = []
     true_mono = FaberBasis.mono.func
 
@@ -305,8 +306,8 @@ def test_poly_builds_the_monomial_table_once(argv, monkeypatch, capsys):
     mono.__set_name__(FaberBasis, "mono")
     monkeypatch.setattr(FaberBasis, "mono", mono)
     assert cli.main(argv.split()) == 0
-    assert len(capsys.readouterr().out.splitlines()) == (62 if "nmax" in argv else 61)
-    assert builds == [60]
+    assert len(capsys.readouterr().out.splitlines()) == (82 if "nmax" in argv else 81)
+    assert builds == [80]
 
 
 def test_exit_code_nonconvergence(monkeypatch, capsys):
@@ -430,6 +431,9 @@ def test_each_subcommand_accepts_only_the_options_it_reads(command, key, tmp_pat
     ("gap --N 4 --s 6 --center=nan", "--center=nan must be finite"),
     ("levelsets --levels 1,inf --bins 4", "--levels=inf must be finite"),
     ("poly --domain ellipse --q 0.97 --N 1600 --s 4000", "double range at degree 1494"),
+    # H_0 and H_1 leave double range from about Re tau = 705 on
+    ("scaling --N 10 --s 20 --a 705 --b 0", "tau=(705+0j)"),
+    ("scaling --N 10 --s 20 --a 1000 --b 0.5 --weighted --ell 0.5", "tau=(1000.5+0j)"),
 ])
 def test_out_of_range_values_exit_2_without_traceback(argv, reason, capsys):
     code = cli.main(argv.split())

@@ -213,6 +213,20 @@ def test_eval_all_peak_memory_is_below_twice_its_output():
     assert peak < 2 * out.nbytes, (peak, out.nbytes)
 
 
+def test_mono_keeps_only_the_ftilde_rows_it_reads():
+    # the recurrence reads Ftilde_n..Ftilde_{n-m}; holding every Ftilde row
+    # until the build ends doubled the peak (2.0 times the rows, 34.5 MiB)
+    basis = FaberBasis(ellipse_map(0.97), 1493)
+    tracemalloc.start()
+    try:
+        rows = basis.mono
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(row.nbytes for row in rows)
+    assert peak < 1.25 * held, (peak, held)
+
+
 def test_construction_builds_no_table():
     # a degree whose monomial rows leave double range is a valid basis: the
     # rows are built, and refused, only when read

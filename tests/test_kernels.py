@@ -206,6 +206,19 @@ def test_h_limit_values():
         h_limit(1.5, 0.3)
 
 
+@pytest.mark.parametrize("scalar", [complex, np.complex128], ids=["complex", "numpy"])
+def test_h_limit_refuses_tau_past_double_range(scalar):
+    # at Re tau = 700 the closed form is finite and keeps its digits; from
+    # about 705 on it overflows to inf or NaN, past 709.8 cmath.exp raises,
+    # and a RuntimeWarning would fail this test
+    h = h_limit(0.5, scalar(700))
+    assert h == 0.75 * _h0(scalar(700)) + 0.25 * _h1(scalar(700))
+    assert abs(h - h_limit_mp(0.5, 700)) <= 1e-14 * abs(h)
+    for tau in (705, 1000):
+        with pytest.raises(ValueError, match=rf"tau=\({tau}\+0j\)"):
+            h_limit(0.5, scalar(tau))
+
+
 def test_h_branch_agreement_at_crossover():
     # both sides of the |tau| = 1 switch between series and closed form
     for r in (1 - 1e-9, 1.0, 1 + 1e-9):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from potens.geometry import ExteriorMap, ellipse_map
+from potens.geometry import ExteriorMap, disk_map, ellipse_map
 from potens.faber import FaberBasis
 from potens.moments import moments
 from potens.orthopoly import _lower_inverse, closed_form, kappa_asymptotic, orthonormalize
@@ -19,6 +19,7 @@ from _bruteforce import (
     gram_quadrature,
     gram_schmidt_polys,
     kappa_delta_identity,
+    mono_coeffs_explicit,
     monomial_gram,
     ortho_eval,
     orthopoly_det,
@@ -248,7 +249,8 @@ def test_tail_bound_covers_the_dropped_remainder_tails(emap, n, excess):
 def test_monomial_table_builds_no_laurent_tables():
     # mono_coeffs reads FaberBasis.mono of every degree; the composed and
     # outer Laurent tables, about 2001 x 4001 complex each (256 MB together),
-    # are not read and not built.  Measured: 123 MiB peak, 367 MiB with them.
+    # are not read and not built.  Measured: 94 MiB peak, 123 MiB when the
+    # recurrence kept every Ftilde row, 367 MiB with the Laurent tables.
     polys = orthonormalize(moments(ellipse_map(0.5), 1999, 4000.0))
     tracemalloc.start()
     try:
@@ -256,8 +258,29 @@ def test_monomial_table_builds_no_laurent_tables():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 135 * 2 ** 20
+    assert peak < 105 * 2 ** 20
     assert "_comp" not in vars(polys.basis) and "_outer" not in vars(polys.basis)
+
+
+def _checked(emap):
+    emap.validate()
+    return emap
+
+
+@pytest.mark.parametrize("n_max", [10, 80, 300])
+@pytest.mark.parametrize("emap", [
+    disk_map(),
+    ellipse_map(0.5),
+    ellipse_map(0.9),
+    _checked(ExteriorMap(1.0, (0j, 0.2, 0.1j))),
+    _checked(ExteriorMap(1.3, (0.1, 0.3, 0, 0.05))),
+], ids=["disk", "q=0.5", "q=0.9", "custom", "cap=1.3"])
+def test_mono_coeffs_match_the_explicit_head_and_tail_bit_for_bit(emap, n_max):
+    # heads of 11 rows span the whole set at n_max = 10; at 80 and 300 the
+    # q = 0.5 (62), custom (54) and cap 1.3 (65) heads are cut short
+    polys = orthonormalize(moments(emap, n_max, 2.0 * n_max + 4))
+    got, want = polys.mono_coeffs, mono_coeffs_explicit(polys)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("n_upto", [-2, 10, 50])

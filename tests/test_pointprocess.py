@@ -791,6 +791,20 @@ def test_empirical_r1_rejects_bad_input():
             empirical_r1(batch, edges)
 
 
+@pytest.mark.parametrize("edges", [
+    [0.5, 0.2], [0.2, 0.2, 0.5], [-0.1, 0.5], [0.3], [-1.0, 0.5], [0.0, math.inf],
+    [[0.0, 0.5], [0.5, 1.0]],
+], ids=["reversed", "repeated", "negative", "one-edge", "below-zero", "infinite", "2-d"])
+def test_binned_r1_refuses_bad_edges(disk, edges):
+    # these gave a density for reversed edges, NaN, an empty array or a
+    # negative density
+    polys = orthonormalize(moments(disk, 9, 20.0))
+    batch = sample_disk_batch(10, 20.0, 1, 100)
+    for binned in (lambda e: kernel_r1_binned(polys, 10, e), lambda e: empirical_r1(batch, e)):
+        with pytest.raises(ValueError, match="bin edges"):
+            binned(edges)
+
+
 def test_gap_refinement_warning_machinery(polys_4_6):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
