@@ -156,7 +156,7 @@ class FaberBasis:
         n_upto = self.n_max if n_upto is None else n_upto
         z = np.asarray(z, dtype=complex)
         m = self.map.tail_length
-        cap = self.map.cap
+        inv_cap = 1.0 / self.map.cap
         c = self.map.laurent_coeffs
         zc = z - c[0]
         state = np.zeros((2,) + z.shape, dtype=complex)
@@ -170,8 +170,10 @@ class FaberBasis:
                 nxt -= c[k] * recent[-1 - k]
             if 1 <= n <= m:
                 nxt[0] -= (n + 1) * c[n]
-            nxt /= cap
-            np.divide(nxt[1], n + 1, out=out[n, ...])
+            # complex / real divides by Smith's rule, which multiplies by the
+            # reciprocal anyway, at several times the cost of one multiply
+            nxt *= inv_cap
+            np.multiply(nxt[1], 1.0 / (n + 1), out=out[n, ...])
             recent.append(nxt)
             state = nxt
         return out

@@ -151,11 +151,25 @@ def _h1(tau: complex) -> complex:
     return 6.0 * (cmath.exp(tau) * (tau - 2.0) + tau + 2.0) / tau ** 3
 
 
+def _h_rescaled(wa: float, wb: float, tau: complex) -> complex:
+    """wa H_0(tau) + wb H_1(tau) with e^tau applied as two factors e^(tau/2)
+    after the division by tau^2 and tau^3, so no intermediate overflows while
+    the value is finite (to Re tau of about 715)."""
+    half = cmath.exp(tau / 2)
+    lead = 2.0 * wa * (tau - 1.0) / tau ** 2 + 6.0 * wb * (tau - 2.0) / tau ** 3
+    return lead * half * half + 2.0 * wa / tau ** 2 + 6.0 * wb * (tau + 2.0) / tau ** 3
+
+
 def h_limit(ell: float, tau: complex) -> complex:
     """Convex combination H_ell(tau); ell in [0, 1], H_ell(0) = 1 exactly.
-    ValueError names tau where H_0 or H_1 leaves double range (Re tau >~ 705)."""
+
+    tau is taken as a numpy complex128, so a Python complex gives the same
+    bits.  Where the closed form overflows in e^tau (tau - 1) before its
+    division (Re tau from about 705) _h_rescaled takes over; ValueError names
+    tau where H_ell itself leaves double range."""
     if not (0.0 <= ell <= 1.0):
         raise ValueError("ell must lie in [0, 1]")
+    tau = np.complex128(tau)
     if tau == 0:
         return 1.0 + 0j
     wa = (3.0 - 3.0 * ell) / (3.0 - 2.0 * ell)
@@ -165,6 +179,11 @@ def h_limit(ell: float, tau: complex) -> complex:
             h = wa * _h0(tau) + wb * _h1(tau)  # weights >= 0: no inf term cancels
         except OverflowError:  # cmath.exp past Re tau of about 709.8
             h = math.nan
+        if not cmath.isfinite(h):
+            try:
+                h = _h_rescaled(wa, wb, tau)
+            except OverflowError:  # e^(tau/2) past Re tau of about 1419
+                pass
     if not cmath.isfinite(h):
         raise ValueError(f"H_ell(tau) is not finite in double precision at tau={complex(tau)!r}")
     return h

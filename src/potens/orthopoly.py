@@ -6,8 +6,11 @@ identity plus an exponentially small perturbation and therefore perfectly
 conditioned; the monomial-basis Gram would be exponentially ill-conditioned
 at the same degrees.  Only the head of the moment table is factored: the
 coefficient rows there come from inverting its Cholesky factor, which makes
-every leading coefficient a positive real.  Past the head the table is its
-diagonal model, so pi_n = F_n / sqrt(m[n, n]), m[n, n] = s pi / ((n+1)(s-n-1)).
+every leading coefficient a positive real.  On the disk and the ellipses
+(Laurent tail m <= 1) the head is diagonal and its factor is the square root
+of that diagonal, so nothing is factored or inverted there.  Past the head
+the table is its diagonal model, so pi_n = F_n / sqrt(m[n, n]),
+m[n, n] = s pi / ((n+1)(s-n-1)).
 
 kappa_asymptotic is the leading-order law of the leading coefficients, and
 closed_form gives pi_n exactly for the disk and the ellipses.
@@ -31,7 +34,9 @@ class OrthoPolySet:
     """pi_0..pi_nmax as an exact head plus a diagonal Faber tail.
 
     Row n < head_degree of ``head_coeffs`` is pi_n in the Faber basis; from
-    head_degree on, pi_n = tail_scales[n - head_degree] * F_n.  ``tail_bound``
+    head_degree on, pi_n = tail_scales[n - head_degree] * F_n.  When the head
+    Gram is diagonal (maps with m <= 1) ``head_coeffs`` is 1-D, the diagonal
+    alone, and pi_n = head_coeffs[n] * F_n on the head too.  ``tail_bound``
     is the moment table's bound on the largest Gram entry the tail drops,
     relative to its diagonal.  The dense (n_max+1)^2 coefficient arrays
     ``faber_coeffs`` and ``mono_coeffs`` are built on first read.
@@ -41,7 +46,8 @@ class OrthoPolySet:
     s: float
     n_max: int
     moment_table: MomentTable
-    head_coeffs: np.ndarray   # lower triangular, row n = pi_n in the Faber basis
+    head_coeffs: np.ndarray   # lower triangular, row n = pi_n in the Faber basis;
+                              # 1-D, its diagonal, when the head is diagonal
     tail_scales: np.ndarray   # pi_n / F_n for n >= head_degree
     kappas: np.ndarray        # positive leading (monomial) coefficients
     head_degree: int
@@ -57,10 +63,16 @@ class OrthoPolySet:
         """Lower triangular, row n = pi_n in the Faber basis."""
         n0 = self.head_degree
         out = np.zeros((self.n_max + 1, self.n_max + 1), dtype=complex)
-        out[:n0, :n0] = self.head_coeffs
+        head = self.head_coeffs
+        out[:n0, :n0] = head if head.ndim == 2 else np.diag(head)
         k = np.arange(n0, self.n_max + 1)
         out[k, k] = self.tail_scales
         return out
+
+    @cached_property
+    def _scales(self) -> np.ndarray:
+        """pi_n / F_n of every degree, read when the head is diagonal."""
+        return np.concatenate([self.head_coeffs, self.tail_scales])
 
     @cached_property
     def mono_coeffs(self) -> np.ndarray:
@@ -76,13 +88,17 @@ class OrthoPolySet:
     def from_faber(self, vals: np.ndarray) -> np.ndarray:
         """Turn F_0(z)..F_n(z), rows of vals, into pi_0(z)..pi_n(z) in place
         and return vals.  vals may be a view, such as a column block of one
-        Faber evaluation that several sets share: their F_n read only the map."""
-        self._check_rows(vals.shape[0] - 1)
-        k = min(vals.shape[0], self.head_degree)
-        head = np.tensordot(self.head_coeffs[:k, :k], vals[:k], axes=(1, 0))
-        scales = self.tail_scales[: vals.shape[0] - k]
-        vals[k:] *= scales.reshape(scales.shape + (1,) * (vals.ndim - 1))
-        vals[:k] = head
+        Faber evaluation that several sets share: their F_n read only the map.
+        A diagonal head scales its rows as the tail does, in the same one call."""
+        rows = vals.shape[0]
+        self._check_rows(rows - 1)
+        if self.head_coeffs.ndim == 1:
+            scaled, scales = vals, self._scales[:rows]
+        else:
+            k = min(rows, self.head_degree)
+            vals[:k] = np.tensordot(self.head_coeffs[:k, :k], vals[:k], axes=(1, 0))
+            scaled, scales = vals[k:], self.tail_scales[: rows - k]
+        scaled *= scales.reshape(scales.shape + (1,) * (vals.ndim - 1))
         return vals
 
     def _check_rows(self, n_upto: int) -> None:
@@ -92,26 +108,40 @@ class OrthoPolySet:
 
 def orthonormalize(mom: MomentTable) -> OrthoPolySet:
     """Cholesky-orthonormalize the Faber basis against the head of the
-    moment table; the diagonal tail gives pi_n = F_n / sqrt(m[n, n])."""
-    gram = np.conj(mom.head)  # [j, k] = <F_j, F_k>
-    if not np.all(np.isfinite(gram)):  # np.linalg.cholesky would return NaN without raising
+    moment table; the diagonal tail gives pi_n = F_n / sqrt(m[n, n]).
+
+    With a Laurent tail of length m <= 1 each row of A_n = F_n(phi) phi' has
+    one negative power, w^(-n-2), so no two rows pair and the head Gram is
+    diagonal.  Its Cholesky factor is then L_kk = sqrt(Re m[k, k]) and pi_k
+    is F_k / L_kk: no factor is computed and none inverted.
+    """
+    if not np.all(np.isfinite(mom.head)):  # np.linalg.cholesky would return NaN without raising
         raise ValueError("moment table has non-finite entries")
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            f"moment table is not positive definite (first bad pivot at index "
-            f"{_first_bad_pivot(gram)}); check the moment table or increase s"
-        ) from None
-    n0 = mom.head_degree
-    coeffs = _lower_inverse(chol)
+    if mom.map.tail_length <= 1:
+        pivots = mom.head.diagonal().real
+        bad = np.flatnonzero(pivots <= 0.0)
+        if bad.size:
+            raise _not_positive_definite(bad[0])
+        coeffs = lead = 1.0 / np.sqrt(pivots)
+    else:
+        gram = np.conj(mom.head)  # [j, k] = <F_j, F_k>
+        try:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            raise _not_positive_definite(_first_bad_pivot(gram)) from None
+        coeffs = _lower_inverse(chol)
+        lead = np.real(np.diag(coeffs))
     scales = 1.0 / np.sqrt(mom.tail_diagonal())
     # the leading coefficient of F_n is cap^-(n+1), and only the diagonal of
     # a triangular product reaches it; diag(L^-1) = 1/L_nn is positive
-    kappas = (mom.map.cap ** -np.arange(1.0, mom.n_max + 2)
-              * np.concatenate([np.real(np.diag(coeffs)), scales]))
-    return OrthoPolySet(mom.map, mom.s, mom.n_max, mom, coeffs, scales, kappas, n0,
-                        mom.tail_bound)
+    kappas = mom.map.cap ** -np.arange(1.0, mom.n_max + 2) * np.concatenate([lead, scales])
+    return OrthoPolySet(mom.map, mom.s, mom.n_max, mom, coeffs, scales, kappas,
+                        mom.head_degree, mom.tail_bound)
+
+
+def _not_positive_definite(index: int) -> ValueError:
+    return ValueError(f"moment table is not positive definite (first bad pivot at index "
+                      f"{index}); check the moment table or increase s")
 
 
 def _lower_inverse(low: np.ndarray) -> np.ndarray:

@@ -27,6 +27,8 @@ kernel_r1_binned_dense bins the disk's R_1 from the dense monomial
 coefficients instead of the leading ones, and mono_coeffs_explicit
 assembles those coefficients as a head product plus scaled tail rows, the
 reference for the one Faber-to-pi map that mono_coeffs goes through.
+orthonormalize_dense factors and inverts the dense head on every map, the
+reference for the diagonal head that orthonormalize takes when m <= 1.
 
 The remaining oracles are closed forms and diagnostics that no study reads:
 the disk and ellipse moments, the relative deviation eps of a moment table
@@ -52,7 +54,7 @@ from potens.faber import FaberBasis
 from potens.geometry import ExteriorMap, big_phi_eval
 from potens.kernels import _check_order, _faber_coords, kernel_sum
 from potens.moments import MomentTable, exterior_gram, interior_gram, moments
-from potens.orthopoly import OrthoPolySet, orthonormalize
+from potens.orthopoly import OrthoPolySet, _lower_inverse, orthonormalize
 from potens.pointprocess import _power_integrals
 
 
@@ -457,10 +459,22 @@ def mono_coeffs_explicit(polys: OrthoPolySet) -> np.ndarray:
     tail rows tail_scales[n - n0] * F_n written one by one."""
     n0 = polys.head_degree
     out = np.zeros((polys.n_max + 1, polys.n_max + 1), dtype=complex)
-    out[:n0, :n0] = polys.head_coeffs @ polys.basis.mono_table(n0 - 1)
+    out[:n0, :n0] = polys.faber_coeffs[:n0, :n0] @ polys.basis.mono_table(n0 - 1)
     for n in range(n0, polys.n_max + 1):
         out[n, : n + 1] = polys.tail_scales[n - n0] * polys.basis.mono[n]
     return out
+
+
+def orthonormalize_dense(mom: MomentTable) -> OrthoPolySet:
+    """orthonormalize through the Cholesky factor of the whole head and its
+    inverse on every map, with the disk and the ellipses too: the dense
+    head_coeffs that OrthoPolySet.from_faber applies as a matrix product."""
+    coeffs = _lower_inverse(np.linalg.cholesky(np.conj(mom.head)))
+    scales = 1.0 / np.sqrt(mom.tail_diagonal())
+    kappas = (mom.map.cap ** -np.arange(1.0, mom.n_max + 2)
+              * np.concatenate([np.real(np.diag(coeffs)), scales]))
+    return OrthoPolySet(mom.map, mom.s, mom.n_max, mom, coeffs, scales, kappas,
+                        mom.head_degree, mom.tail_bound)
 
 
 def poly_rows_per_degree(emap: ExteriorMap, degrees, s_of) -> list:

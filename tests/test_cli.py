@@ -16,7 +16,7 @@ from potens.errors import ConvergenceError
 from potens.faber import FaberBasis
 from potens.geometry import ExteriorMap, disk_map, ellipse_map, format_complex
 
-from _bruteforce import poly_rows_per_degree
+from _bruteforce import h_limit_mp, poly_rows_per_degree
 
 
 def run_cli(args, capsys):
@@ -431,8 +431,8 @@ def test_each_subcommand_accepts_only_the_options_it_reads(command, key, tmp_pat
     ("gap --N 4 --s 6 --center=nan", "--center=nan must be finite"),
     ("levelsets --levels 1,inf --bins 4", "--levels=inf must be finite"),
     ("poly --domain ellipse --q 0.97 --N 1600 --s 4000", "double range at degree 1494"),
-    # H_0 and H_1 leave double range from about Re tau = 705 on
-    ("scaling --N 10 --s 20 --a 705 --b 0", "tau=(705+0j)"),
+    # H_0 leaves double range near Re tau = 715.6
+    ("scaling --N 10 --s 20 --a 716 --b 0", "tau=(716+0j)"),
     ("scaling --N 10 --s 20 --a 1000 --b 0.5 --weighted --ell 0.5", "tau=(1000.5+0j)"),
 ])
 def test_out_of_range_values_exit_2_without_traceback(argv, reason, capsys):
@@ -441,6 +441,15 @@ def test_out_of_range_values_exit_2_without_traceback(argv, reason, capsys):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("config error") and reason in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_scaling_prints_h_ell_where_only_its_closed_form_overflows(capsys):
+    # at tau = 705, ell = n/s = 0.5, e^tau (tau - 1) overflows but H_ell is 3.2e303
+    code, out = run_cli("scaling --N 10 --s 20 --a 705 --b 0".split(), capsys)
+    assert code == 0
+    pred = float(out.splitlines()[1].split(",")[5])
+    ref = h_limit_mp(0.5, 705)
+    assert abs(pred - ref) <= 1e-14 * abs(ref)
 
 
 @pytest.mark.parametrize("argv", [
@@ -613,6 +622,21 @@ def test_gap_and_sample_csv_are_byte_identical_to_the_dense_path(name, capsys):
     code, out = run_cli(shlex.split(EXACT_REFERENCE[name]), capsys)
     assert code == 0
     assert out == (DATA / f"{name}.csv").read_text()
+
+
+# the first input set of the scaling-ellipse benchmark at seed 1; the files above
+# compare scaling rows to 1e-13, this one byte for byte
+SCALING_BENCH = ("scaling --domain ellipse --q 0.5 --N 100,200,300 --srule cn --s 2 "
+                 "--a=-0.4096907501471655+0.4924791189312039i,"
+                 "0.3592500804236982+0.13039058858806618i "
+                 "--b=-0.09197940416226713+0.3218865232875219i,"
+                 "-0.32701409168316564-0.20868990387666753i")
+
+
+def test_scaling_bench_csv_is_byte_identical_to_the_dense_path(capsys):
+    code, out = run_cli(shlex.split(SCALING_BENCH), capsys)
+    assert code == 0
+    assert out == (DATA / "scaling_ellipse_bench.csv").read_text()
 
 
 # gap argv whose finest pass has eigenvalues of Lambda above 1, with the evidence printed

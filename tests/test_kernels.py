@@ -1,3 +1,4 @@
+import cmath
 import math
 import time
 
@@ -209,14 +210,40 @@ def test_h_limit_values():
 @pytest.mark.parametrize("scalar", [complex, np.complex128], ids=["complex", "numpy"])
 def test_h_limit_refuses_tau_past_double_range(scalar):
     # at Re tau = 700 the closed form is finite and keeps its digits; from
-    # about 705 on it overflows to inf or NaN, past 709.8 cmath.exp raises,
-    # and a RuntimeWarning would fail this test
+    # about 705 on it overflows to inf or NaN and the rescaled form takes
+    # over, while H_0 itself leaves double range near 715.6; past 709.8
+    # cmath.exp raises, and a RuntimeWarning would fail this test
     h = h_limit(0.5, scalar(700))
-    assert h == 0.75 * _h0(scalar(700)) + 0.25 * _h1(scalar(700))
+    assert h == 0.75 * _h0(np.complex128(700)) + 0.25 * _h1(np.complex128(700))
     assert abs(h - h_limit_mp(0.5, 700)) <= 1e-14 * abs(h)
-    for tau in (705, 1000):
+    for tau in (716, 1000, 1500):
         with pytest.raises(ValueError, match=rf"tau=\({tau}\+0j\)"):
             h_limit(0.5, scalar(tau))
+
+
+@pytest.mark.parametrize("tau", [705, 707.5 - 40j, 709, 709 + 3j, 712, 715])
+@pytest.mark.parametrize("ell", [0.0, 0.5, 1.0])
+def test_h_limit_is_finite_where_only_its_closed_form_overflows(ell, tau):
+    # e^tau (tau - 1) overflows before the division by tau^2 brings H_ell
+    # back into range; the closed form gives inf or raises at every tau here
+    with np.errstate(all="ignore"):
+        try:
+            closed = _h0(np.complex128(tau))
+        except OverflowError:
+            closed = math.inf
+    assert not cmath.isfinite(closed)
+    ref = h_limit_mp(ell, tau)
+    assert abs(h_limit(ell, tau) - ref) <= 1e-14 * abs(ref)
+
+
+def test_h_limit_gives_python_and_numpy_scalars_the_same_bits(rng):
+    # |tau| from 1 to 700 at every angle, where both closed forms run; before
+    # h_limit coerced tau, 711 of about 1970 such tau gave different bits
+    taus = np.exp(rng.uniform(0.0, math.log(700.0), 2000) + 2j * np.pi * rng.uniform(size=2000))
+    for ell in (0.0, 0.3, 1.0):
+        py = np.array([h_limit(ell, complex(t)) for t in taus])
+        np_ = np.array([h_limit(ell, np.complex128(t)) for t in taus])
+        assert np.array_equal(py.view(np.uint64), np_.view(np.uint64)), ell
 
 
 def test_h_branch_agreement_at_crossover():
