@@ -63,9 +63,10 @@ class ExteriorMap:
         if not coeffs:
             coeffs = (0j,)
         object.__setattr__(self, "laurent_coeffs", coeffs)
-        # data derived from the map alone (moments keeps its head degree and
-        # the tables of its last head here); not a field, so equality and
-        # hashing ignore it, and it lives and dies with this instance
+        # data derived from the map alone (moments keeps the head degree and
+        # the tables of the last head of a map with m >= 2 here); not a
+        # field, so equality and hashing ignore it, and it lives and dies
+        # with this instance
         object.__setattr__(self, "_memo", {})
 
     @property

@@ -33,6 +33,10 @@ _H1_SERIES = tuple(6 * (i + 1) / math.factorial(i + 3) for i in range(20))
 _BERGMAN_ORDERS = (16, 32, 64, 128, 256, 512)
 _BERGMAN_TOL = 1e-8
 
+# |tau| up to which H_ell is formed with powers of tau: tau ** 3 overflows
+# from about 5.6e102, and the H_1 term would silently drop out
+_TAU_POWER_MAX = 1e102
+
 
 def _check_order(polys: OrthoPolySet, n_points: int) -> None:
     if n_points < 1:
@@ -160,13 +164,24 @@ def _h_rescaled(wa: float, wb: float, tau: complex) -> complex:
     return lead * half * half + 2.0 * wa / tau ** 2 + 6.0 * wb * (tau + 2.0) / tau ** 3
 
 
+def _h_inverse(wa: float, wb: float, tau: complex) -> complex:
+    """wa H_0(tau) + wb H_1(tau) in powers of 1/tau, e^tau again as two
+    factors: for |tau| past _TAU_POWER_MAX, where tau ** 3 overflows, and
+    tau ** 2 past about 1.3e154, though H_ell is finite and tiny there."""
+    inv = 1.0 / tau
+    half = cmath.exp(tau / 2)
+    lead = (2.0 * wa * (1.0 - inv) + 6.0 * wb * (1.0 - 2.0 * inv) * inv) * inv
+    return lead * half * half + (2.0 * wa + 6.0 * wb * (1.0 + 2.0 * inv)) * inv * inv
+
+
 def h_limit(ell: float, tau: complex) -> complex:
     """Convex combination H_ell(tau); ell in [0, 1], H_ell(0) = 1 exactly.
 
     tau is taken as a numpy complex128, so a Python complex gives the same
     bits.  Where the closed form overflows in e^tau (tau - 1) before its
-    division (Re tau from about 705) _h_rescaled takes over; ValueError names
-    tau where H_ell itself leaves double range."""
+    division (Re tau from about 705) _h_rescaled takes over, and past
+    |tau| = _TAU_POWER_MAX, where powers of tau overflow, _h_inverse;
+    ValueError names tau where H_ell itself leaves double range."""
     if not (0.0 <= ell <= 1.0):
         raise ValueError("ell must lie in [0, 1]")
     tau = np.complex128(tau)
@@ -176,7 +191,10 @@ def h_limit(ell: float, tau: complex) -> complex:
     wb = ell / (3.0 - 2.0 * ell)
     with np.errstate(all="ignore"):  # numpy scalar tau overflows to inf or nan
         try:
-            h = wa * _h0(tau) + wb * _h1(tau)  # weights >= 0: no inf term cancels
+            if abs(tau) > _TAU_POWER_MAX:
+                h = _h_inverse(wa, wb, tau)
+            else:
+                h = wa * _h0(tau) + wb * _h1(tau)  # weights >= 0: no inf term cancels
         except OverflowError:  # cmath.exp past Re tau of about 709.8
             h = math.nan
         if not cmath.isfinite(h):
@@ -266,20 +284,27 @@ def scaled_ratios(orders, theta: float, a, b, weighted: bool = False) -> list:
     z = complex(emap.boundary_point(theta))
     width = 1 + a.size + b.size
     pts = np.concatenate([np.concatenate(([z], z + a / N, z + b / N)) for N, _ in orders])
-    faber = orders[0][1].moment_table.head_basis.eval_all(pts, max(N for N, _ in orders) - 1)
     out = []
-    for k, (N, polys) in enumerate(orders):
-        cols = slice(k * width, (k + 1) * width)
-        # one contiguous row per point, each ratio formed in Python scalars as
-        # weighted_kernel and kernel_sum form it, and the denominator weighted
-        # as the numerator is, so a = b = 0 gives exactly 1
-        vals = np.ascontiguousarray(polys.from_faber(faber[:N, cols]).T)
-        va, vb = vals[1 : a.size + 1], np.conj(vals[a.size + 1 :])
-        wt = weight_at(emap, polys.s, pts[cols]).tolist() if weighted else [1.0] * width
-        wa, wb = wt[1 : a.size + 1], wt[a.size + 1 :]
-        denom = wt[0] * wt[0] * float(np.sum(vals[0] * np.conj(vals[0])).real)
-        out.append(np.array([[wa[i] * wb[j] * complex(np.sum(va[i] * vb[j])) / denom
-                              for j in range(b.size)] for i in range(a.size)]))
+    # an offset far enough out overflows the Faber values; the ratios it
+    # spoils are reported below, so numpy's warnings would only repeat it
+    with np.errstate(all="ignore"):
+        faber = orders[0][1].moment_table.head_basis.eval_all(pts, max(N for N, _ in orders) - 1)
+        for k, (N, polys) in enumerate(orders):
+            cols = slice(k * width, (k + 1) * width)
+            # one contiguous row per point, each ratio formed in Python scalars
+            # as weighted_kernel and kernel_sum form it, and the denominator
+            # weighted as the numerator is, so a = b = 0 gives exactly 1
+            vals = np.ascontiguousarray(polys.from_faber(faber[:N, cols]).T)
+            va, vb = vals[1 : a.size + 1], np.conj(vals[a.size + 1 :])
+            wt = weight_at(emap, polys.s, pts[cols]).tolist() if weighted else [1.0] * width
+            wa, wb = wt[1 : a.size + 1], wt[a.size + 1 :]
+            denom = wt[0] * wt[0] * float(np.sum(vals[0] * np.conj(vals[0])).real)
+            out.append(np.array([[wa[i] * wb[j] * complex(np.sum(va[i] * vb[j])) / denom
+                                  for j in range(b.size)] for i in range(a.size)]))
+            if not np.isfinite(out[-1]).all():
+                i, j = np.argwhere(~np.isfinite(out[-1]))[0]
+                raise ValueError(f"scaled kernel ratio at N={N}, a={complex(a[i])!r}, "
+                                 f"b={complex(b[j])!r} is not finite in double precision")
     return out
 
 

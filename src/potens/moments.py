@@ -19,6 +19,15 @@ and G the rows of G_k(phi(w)) with G_k' = F_k, power p at column p + offset.
 
 Neither sum truncates or samples anything, so every s >= n_max + 2 is
 handled alike, up to s = inf where the exterior part vanishes.
+
+On maps with m <= 1 (the disk and every ellipse) neither sum is formed: each
+row of A has the one negative power w^(-k-2), so the table is diagonal, and
+with q = |c_1| / cap its diagonal is known in closed form,
+
+    m[k, k] = pi s / ((k+1)(s-k-1)) (1 - q^(2k+2) (s-k-1)/(s+k+1)),
+
+pi (1 - q^(2k+2)) / (k+1) at s = inf.  The map is a similarity image of the
+ellipse phi(w) = w + q/w, and the Faber Gram does not see the similarity.
 """
 
 from __future__ import annotations
@@ -36,19 +45,25 @@ from .geometry import ExteriorMap
 # a Gram entry this far below its diagonal, relative, is below rounding
 HEAD_TOL = 1e-17
 
+# pi to the precision of long double: 4 arctan(1), which atanl rounds once
+_PI_LONG = 4 * np.arctan(np.longdouble(1))
+
 
 @dataclass(frozen=True)
 class MomentTable:
     """The moment table m[k, j] = <F_j, F_k> of degrees 0..n_max, as an
     exact head plus a diagonal tail.
 
-    Degrees below ``head_degree`` form the head: ``head`` is the exact
-    block, the interior plus the exterior Gram summed over the Faber tables
-    ``head_basis``.  From head_degree on the table is its diagonal model
+    Degrees below ``head_degree`` form the head.  On maps with m <= 1
+    ``head`` is 1-D, the closed-form diagonal of every degree, and
+    ``tail_bound`` is 0.  Otherwise ``head`` is the exact block, the
+    interior plus the exterior Gram summed over the Faber tables of
+    ``head_basis``; from head_degree on the table is its diagonal model
     pi/(k+1) + pi/(s-k-1) (eps = 0), and every entry of eps that this drops
-    is at most ``tail_bound`` (0 when the head is the whole table).  The
-    dense (n_max+1)^2 ``entries`` and the Faber tables of every degree are
-    built on first read, for diagnostics.
+    is at most ``tail_bound`` (0 when the head is the whole table).
+    ``head_basis`` covers the head's degrees; its tables are built only
+    where a member reads them.  The dense (n_max+1)^2 ``entries`` and the
+    Faber tables of every degree are built on first read, for diagnostics.
     """
 
     map: ExteriorMap
@@ -70,23 +85,16 @@ class MomentTable:
         out[k, k] = diag[n0:]
         return out
 
-    # the diagonal model of each part, rounded as the Laurent sums round a
-    # lone power w^k, so the disk's table is the one the sums give
-    def _interior_model(self) -> np.ndarray:
-        return np.pi * (1.0 / np.arange(1.0, self.n_max + 2))
-
-    def _exterior_model(self) -> np.ndarray:
-        k = np.arange(self.n_max + 1.0)
-        return 2.0 * np.pi * (1.0 / (2.0 * self.s - 2.0 * k - 2.0))
-
     def tail_diagonal(self) -> np.ndarray:
         """The model m[k, k] of the degrees head_degree..n_max."""
-        model = self._interior_model() + self._exterior_model()
+        model = _interior_model(self.n_max) + _exterior_model(self.n_max, self.s)
         return model[self.head_degree :]
 
     @cached_property
     def entries(self) -> np.ndarray:
-        return self._dense(self.head, self._interior_model() + self._exterior_model())
+        head = self.head if self.head.ndim == 2 else np.diag(self.head)
+        model = _interior_model(self.n_max) + _exterior_model(self.n_max, self.s)
+        return self._dense(head, model)
 
     @cached_property
     def basis(self) -> FaberBasis:
@@ -124,6 +132,40 @@ def exterior_gram(basis: FaberBasis, s: float) -> np.ndarray:
 def _check_s(n_max: int, s: float) -> None:
     if not (s == np.inf or s >= n_max + 2):
         raise ValueError(f"s={s}: need s >= n_max + 2 = {n_max + 2} or s = inf")
+
+
+# the diagonal model of each part, rounded as the Laurent sums round a lone
+# power w^k, so the disk's table is the one the sums give
+def _interior_model(n_max: int) -> np.ndarray:
+    return np.pi * (1.0 / np.arange(1.0, n_max + 2))
+
+
+def _exterior_model(n_max: int, s: float) -> np.ndarray:
+    k = np.arange(n_max + 1.0)
+    return 2.0 * np.pi * (1.0 / (2.0 * s - 2.0 * k - 2.0))
+
+
+def _closed_diagonal(emap: ExteriorMap, n_max: int, s: float) -> np.ndarray:
+    """m[k, k] of degrees 0..n_max on a map with m <= 1.
+
+    The disk's is the diagonal model.  An ellipse's is the model
+    pi s / ((k+1)(s-k-1)) times 1 - q^(2k+2) + q^(2k+2) 2(k+1)/(s+k+1), two
+    terms of one sign with the first from expm1, formed in long double and
+    rounded once.  Where long double has 64 mantissa bits (x86) every entry
+    is then within 0.51 ulp; in double the roundings of the model and the
+    factor compounded to 2.2 ulp on the q = 0.97 ellipse, and the summed
+    Gram is off by up to 7 ulp there.
+    """
+    if not emap.tail_length:
+        return _interior_model(n_max) + _exterior_model(n_max, s)
+    c_1 = emap.laurent_coeffs[1]
+    q = np.hypot(np.longdouble(c_1.real), np.longdouble(c_1.imag)) / np.longdouble(emap.cap)
+    k1 = np.arange(1, n_max + 2, dtype=np.longdouble)
+    lift = np.expm1(2 * k1 * np.log(q))  # q^(2k+2) - 1
+    if s == np.inf:
+        return (_PI_LONG / k1 * -lift).astype(float)
+    factor = (1 + lift) * (2 * k1 / (s + k1)) - lift
+    return (_PI_LONG * s / (k1 * (s - k1)) * factor).astype(float)
 
 
 def head_degree(emap: ExteriorMap) -> tuple[int | float, float]:
@@ -171,14 +213,19 @@ def _head_degree(emap: ExteriorMap) -> tuple[int | float, float]:
 def moments(emap: ExteriorMap, n_max: int, s: float) -> MomentTable:
     """The moment table of degrees 0..n_max; s may be inf (interior only).
 
-    Only the head, degrees below min(n0, n_max + 1) with n0 from
-    head_degree, is summed; the rest is the diagonal model.  The head's
-    Faber tables and interior Gram do not depend on s: the map keeps them,
-    read-only, for the last head size asked for, so calls that share a size
-    build them once and a run over many sizes holds one head at a time.
-    Only the exterior Gram is summed on every call.
+    On maps with m <= 1 every degree is read from the closed-form diagonal,
+    and nothing is summed or kept on the map.  Otherwise only the head,
+    degrees below min(n0, n_max + 1) with n0 from head_degree, is summed;
+    the rest is the diagonal model.  The head's Faber tables and interior
+    Gram do not depend on s: the map keeps them, read-only, for the last
+    head size asked for, so calls that share a size build them once and a
+    run over many sizes holds one head at a time.  Only the exterior Gram
+    is summed on every call.
     """
     _check_s(n_max, s)
+    if emap.tail_length <= 1:
+        return MomentTable(emap, n_max, float(s), _closed_diagonal(emap, n_max, float(s)),
+                           FaberBasis(emap, n_max), 0.0)
     n0, bound = head_degree(emap)
     size = min(n0, n_max + 1)
     head = emap._memo.pop("head", None)   # dropped before another head is built

@@ -7,10 +7,10 @@ conditioned; the monomial-basis Gram would be exponentially ill-conditioned
 at the same degrees.  Only the head of the moment table is factored: the
 coefficient rows there come from inverting its Cholesky factor, which makes
 every leading coefficient a positive real.  On the disk and the ellipses
-(Laurent tail m <= 1) the head is diagonal and its factor is the square root
-of that diagonal, so nothing is factored or inverted there.  Past the head
-the table is its diagonal model, so pi_n = F_n / sqrt(m[n, n]),
-m[n, n] = s pi / ((n+1)(s-n-1)).
+(Laurent tail m <= 1) the head is the table's closed-form diagonal, every
+degree, and its factor is the square root of that diagonal, so nothing is
+factored or inverted there.  Past the head the table is its diagonal model,
+so pi_n = F_n / sqrt(m[n, n]), m[n, n] = s pi / ((n+1)(s-n-1)).
 
 kappa_asymptotic is the leading-order law of the leading coefficients, and
 closed_form gives pi_n exactly for the disk and the ellipses.
@@ -111,14 +111,15 @@ def orthonormalize(mom: MomentTable) -> OrthoPolySet:
     moment table; the diagonal tail gives pi_n = F_n / sqrt(m[n, n]).
 
     With a Laurent tail of length m <= 1 each row of A_n = F_n(phi) phi' has
-    one negative power, w^(-n-2), so no two rows pair and the head Gram is
-    diagonal.  Its Cholesky factor is then L_kk = sqrt(Re m[k, k]) and pi_k
-    is F_k / L_kk: no factor is computed and none inverted.
+    one negative power, w^(-n-2), so no two rows pair, and the moment table
+    holds its diagonal alone.  The Cholesky factor is then
+    L_kk = sqrt(Re m[k, k]) and pi_k is F_k / L_kk: no factor is computed
+    and none inverted.
     """
     if not np.all(np.isfinite(mom.head)):  # np.linalg.cholesky would return NaN without raising
         raise ValueError("moment table has non-finite entries")
-    if mom.map.tail_length <= 1:
-        pivots = mom.head.diagonal().real
+    if mom.head.ndim == 1:
+        pivots = mom.head.real
         bad = np.flatnonzero(pivots <= 0.0)
         if bad.size:
             raise _not_positive_definite(bad[0])

@@ -28,7 +28,10 @@ coefficients instead of the leading ones, and mono_coeffs_explicit
 assembles those coefficients as a head product plus scaled tail rows, the
 reference for the one Faber-to-pi map that mono_coeffs goes through.
 orthonormalize_dense factors and inverts the dense head on every map, the
-reference for the diagonal head that orthonormalize takes when m <= 1.
+reference for the diagonal head that orthonormalize takes when m <= 1, and
+summed_moments sums the interior and exterior Gram of every degree on any
+map, the reference for the closed-form diagonal that moments reads when
+m <= 1.
 
 The remaining oracles are closed forms and diagnostics that no study reads:
 the disk and ellipse moments, the relative deviation eps of a moment table
@@ -53,7 +56,8 @@ from scipy.special import roots_jacobi, roots_legendre
 from potens.faber import FaberBasis
 from potens.geometry import ExteriorMap, big_phi_eval
 from potens.kernels import _check_order, _faber_coords, kernel_sum
-from potens.moments import MomentTable, exterior_gram, interior_gram, moments
+from potens.moments import (MomentTable, _exterior_model, _interior_model, exterior_gram,
+                            interior_gram, moments)
 from potens.orthopoly import OrthoPolySet, _lower_inverse, orthonormalize
 from potens.pointprocess import _power_integrals
 
@@ -468,13 +472,24 @@ def mono_coeffs_explicit(polys: OrthoPolySet) -> np.ndarray:
 def orthonormalize_dense(mom: MomentTable) -> OrthoPolySet:
     """orthonormalize through the Cholesky factor of the whole head and its
     inverse on every map, with the disk and the ellipses too: the dense
-    head_coeffs that OrthoPolySet.from_faber applies as a matrix product."""
-    coeffs = _lower_inverse(np.linalg.cholesky(np.conj(mom.head)))
+    head_coeffs that OrthoPolySet.from_faber applies as a matrix product.
+    A diagonal head, 1-D, is factored as the diagonal matrix it stands for."""
+    head = mom.head if mom.head.ndim == 2 else np.diag(mom.head.astype(complex))
+    coeffs = _lower_inverse(np.linalg.cholesky(np.conj(head)))
     scales = 1.0 / np.sqrt(mom.tail_diagonal())
     kappas = (mom.map.cap ** -np.arange(1.0, mom.n_max + 2)
               * np.concatenate([np.real(np.diag(coeffs)), scales]))
     return OrthoPolySet(mom.map, mom.s, mom.n_max, mom, coeffs, scales, kappas,
                         mom.head_degree, mom.tail_bound)
+
+
+def summed_moments(emap: ExteriorMap, n_max: int, s: float) -> MomentTable:
+    """The moment table of degrees 0..n_max as one head summed from the Laurent
+    tables, interior plus exterior Gram of FaberBasis(emap, n_max), on any
+    map: no closed form, no diagonal model and no tail."""
+    basis = FaberBasis(emap, n_max)
+    return MomentTable(emap, n_max, float(s), interior_gram(basis) + exterior_gram(basis, s),
+                       basis, 0.0)
 
 
 def poly_rows_per_degree(emap: ExteriorMap, degrees, s_of) -> list:
@@ -515,13 +530,13 @@ def ortho_eval(polys: OrthoPolySet, n: int, z):
 def interior_part(mom: MomentTable) -> np.ndarray:
     """The dense interior part of a moment table: the interior Gram of its
     head, rebuilt from head_basis, then the diagonal model pi/(k+1)."""
-    return mom._dense(interior_gram(mom.head_basis), mom._interior_model())
+    return mom._dense(interior_gram(mom.head_basis), _interior_model(mom.n_max))
 
 
 def exterior_part(mom: MomentTable) -> np.ndarray:
     """The dense exterior part of a moment table: the exterior Gram of its
     head, rebuilt from head_basis, then the diagonal model pi/(s-k-1)."""
-    return mom._dense(exterior_gram(mom.head_basis, mom.s), mom._exterior_model())
+    return mom._dense(exterior_gram(mom.head_basis, mom.s), _exterior_model(mom.n_max, mom.s))
 
 
 # -- closed-form moments of the disk and the ellipses ---------------------------

@@ -1,5 +1,6 @@
 import argparse
 import functools
+import importlib
 import math
 import os
 import re
@@ -17,6 +18,9 @@ from potens.faber import FaberBasis
 from potens.geometry import ExteriorMap, disk_map, ellipse_map, format_complex
 
 from _bruteforce import h_limit_mp, poly_rows_per_degree
+
+# the module itself: the package re-exports a function named `moments`
+moments_module = importlib.import_module("potens.moments")
 
 
 def run_cli(args, capsys):
@@ -247,31 +251,52 @@ def test_cli_import_in_a_fresh_interpreter_is_quiet():
     assert res.stdout.splitlines() == ["1", "[]"]
 
 
-def test_thin_ellipse_scaling_writes_nothing_to_stderr():
-    # the head of the q = 0.97 ellipse (n0 = 1548) reads no monomial row, so
-    # the rows that leave double range from degree 1494 on are never built
+def _run_cli_process(argv: list) -> subprocess.CompletedProcess:
+    """potens.cli in a fresh interpreter, so its stderr holds every warning."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    argv = ["scaling", "--domain", "ellipse", "--q", "0.97", "--N", "2000", "--s", "4000",
-            "--theta", "0.7", "--a", "0.3+0.1i", "--b=-0.2i"]
-    res = subprocess.run([sys.executable, "-m", "potens.cli"] + argv, env=env,
-                         capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-m", "potens.cli"] + argv, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_thin_ellipse_scaling_writes_nothing_to_stderr():
+    # the q = 0.97 ellipse reads no monomial row, so the rows that leave
+    # double range from degree 1494 on are never built
+    res = _run_cli_process(["scaling", "--domain", "ellipse", "--q", "0.97", "--N", "2000",
+                            "--s", "4000", "--theta", "0.7", "--a", "0.3+0.1i", "--b=-0.2i"])
     assert res.returncode == 0 and res.stderr == ""
     assert len(res.stdout.splitlines()) == 2
 
 
-@pytest.mark.parametrize("argv", [
+PRODUCTION_ARGV = [
     "scaling --domain ellipse --q 0.9 --N 30,500 --s 1000 --a 0.3+0.1i --b=-0.2i",
     "scaling --domain ellipse --q 0.5 --N 10,100 --srule cn --s 2 --weighted",
     "gap --domain ellipse --q 0.5 --N 8 --s 16 --center 1.3 --radius 0.4",
     "gap --domain disk --N 4 --s 6 --radius 0.5",
     "sample --N 4 --s 6",
-])
+]
+
+
+@pytest.mark.parametrize("argv", PRODUCTION_ARGV)
 def test_production_studies_never_read_monomial_rows(argv, monkeypatch, capsys):
     def refuse(basis):
         raise AssertionError("FaberBasis.mono was read")
     monkeypatch.setattr(FaberBasis, "mono", property(refuse))
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", PRODUCTION_ARGV)
+def test_production_studies_on_the_disk_and_ellipses_sum_no_laurent_table(argv, monkeypatch,
+                                                                          capsys):
+    # their moment tables are the closed-form diagonal: no root sampling for
+    # a head degree, no composed Laurent table, no Gram sum
+    def refuse(*args):
+        raise AssertionError("a Laurent table or Gram sum was built")
+    for name in ("remainder_decay", "interior_gram", "exterior_gram"):
+        monkeypatch.setattr(moments_module, name, refuse)
+    monkeypatch.setattr(FaberBasis, "_comp", property(refuse))
     assert cli.main(argv.split()) == 0
     assert capsys.readouterr().out
 
@@ -293,8 +318,11 @@ def test_poly_refuses_rows_out_of_double_range_before_any_moment_table(srule, mo
     "poly --domain ellipse --q 0.5 --srule cn --s 3 --N " + ",".join(map(str, range(1, 81))),
 ], ids=["fixed", "cn"])
 def test_poly_builds_the_monomial_table_once(argv, monkeypatch, capsys):
-    # n0 = 62 on the q = 0.5 ellipse (61 at degree 60 under cn), so both
-    # runs print head rows and tail rows
+    # the ellipse's head spans every degree, its rows scaled one by one, so
+    # no dense table of the head is built either
+    def refuse(basis, n_upto):
+        raise AssertionError("a dense monomial table was built")
+    monkeypatch.setattr(FaberBasis, "mono_table", refuse)
     builds = []
     true_mono = FaberBasis.mono.func
 
@@ -441,6 +469,18 @@ def test_out_of_range_values_exit_2_without_traceback(argv, reason, capsys):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("config error") and reason in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("offset", ["1e100i", "1e160i"])
+def test_scaling_refuses_an_offset_whose_kernel_leaves_double_range(offset):
+    # F_n(z + a/N) overflows, so the ratio would be NaN: one line names N
+    # and the offsets, with no numpy warning before it
+    res = _run_cli_process(["scaling", "--domain", "ellipse", "--q", "0.5", "--N", "10",
+                            "--s", "20", f"--a={offset}", "--b", "0"])
+    assert res.returncode == 2 and res.stdout == ""
+    value = offset.replace("i", "j").replace("e", "e+")
+    assert res.stderr == (f"config error: scaled kernel ratio at N=10, a={value}, b=0j "
+                          "is not finite in double precision\n")
 
 
 def test_scaling_prints_h_ell_where_only_its_closed_form_overflows(capsys):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,32 @@ def test_h_limit_is_finite_where_only_its_closed_form_overflows(ell, tau):
     assert abs(h_limit(ell, tau) - ref) <= 1e-14 * abs(ref)
 
 
+@pytest.mark.parametrize("tau", [1e103j, 1e155j, 1e160j, -3e200j, 1e300j, -1e120, -1e150, -1e153,
+                                 -1e160, -1e153 - 1e153j, 700 + 1e150j])
+@pytest.mark.parametrize("ell", [0.0, 0.5, 1.0])
+def test_h_limit_past_the_powers_of_tau(ell, tau):
+    # tau ** 3 overflows from about 5.6e102 and tau ** 2 from 1.3e154: with
+    # powers of tau the H_1 term would drop out past the first (giving
+    # 1.5e-240 for 3e-240 at ell = 0.5, tau = -1e120), and both closed forms
+    # would refuse past the second; -1e160 gives about 3e-320, subnormal
+    ref = h_limit_mp(ell, tau)
+    tiny = np.finfo(float).smallest_subnormal
+    assert abs(h_limit(ell, tau) - ref) <= 1e-14 * abs(ref) + 8 * tiny
+
+
+def test_h_limit_keeps_the_powers_of_tau_up_to_1e102(rng):
+    # up to |tau| = 1e102 (Re tau below 700) the bits are those of the closed
+    # forms and their series
+    taus = np.exp(rng.uniform(0.0, math.log(1e102), 2000) + 2j * np.pi * rng.uniform(size=2000))
+    taus = taus[taus.real < 700.0]
+    for ell in (0.0, 0.3, 1.0):
+        wa, wb = (3.0 - 3.0 * ell) / (3.0 - 2.0 * ell), ell / (3.0 - 2.0 * ell)
+        got = np.array([h_limit(ell, t) for t in taus])
+        with np.errstate(all="ignore"):
+            want = np.array([wa * _h0(t) + wb * _h1(t) for t in taus])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), ell
+
+
 def test_h_limit_gives_python_and_numpy_scalars_the_same_bits(rng):
     # |tau| from 1 to 700 at every angle, where both closed forms run; before
     # h_limit coerced tau, 711 of about 1970 such tau gave different bits
@@ -400,8 +427,8 @@ def test_christoffel_and_reproducing(ellipse_half, disk):
 ORACLE_MAPS = {
     "ellipse 0.5": ellipse_map(0.5),
     "custom": ExteriorMap(1.0, (0j, 0.2, 0.1j)),
-    "ellipse 0.9": ellipse_map(0.9),   # head past 400: the whole table is factored
-    "disk": disk_map(),                # head of degree 0 alone
+    "ellipse 0.9": ellipse_map(0.9),
+    "disk": disk_map(),
 }
 A_OFFSETS = np.array([0, 0.3 + 0.2j, -0.4])
 B_OFFSETS = np.array([0, -0.1, 0.2 - 0.3j])
@@ -413,8 +440,9 @@ def test_head_tail_kernel_matches_dense_cholesky(name, n):
     emap = ORACLE_MAPS[name]
     s, theta = 2.0 * n, 0.7
     polys = orthonormalize(moments(emap, n - 1, s))
-    assert polys.head_degree == min(n, {"ellipse 0.5": 62, "custom": 54,
-                                        "ellipse 0.9": 434, "disk": 1}[name])
+    # the disk's and the ellipses' closed-form diagonal spans every degree;
+    # the m = 2 map sums a head of 54 and scales its tail
+    assert polys.head_degree == (min(n, 54) if name == "custom" else n)
     z = complex(emap.boundary_point(theta))
     # the scaled offsets, then an interior pair and an exterior pair off the curve
     pairs = [(0.2 + 0.1j, -0.3j), (1.02 * z, 1.01 * z)]
@@ -472,6 +500,18 @@ def test_scaled_ratios_equal_per_order_calls_bit_for_bit(name, weighted):
         want = scaled_ratio(polys, n, 0.7, A_OFFSETS, B_OFFSETS, weighted=weighted)
         assert ratio.shape == (3, 3)
         assert np.array_equal(ratio.view(np.uint64), want.view(np.uint64)), n
+
+
+def test_scaled_ratios_refuse_an_offset_out_of_double_range(ellipse_half):
+    # F_n(z + a/N) overflows at a = 1e100i, and the ratio would be NaN; the
+    # error names the order and the offsets, and numpy warns of nothing
+    polys = orthonormalize(moments(ellipse_half, 9, 20.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for weighted in (False, True):
+            with pytest.raises(ValueError, match=r"N=10, a=1e\+100j, b=0j is not finite"):
+                scaled_ratios([(4, polys), (10, polys)], 0.0, [0.3, 1e100j], [0.0, 0.1],
+                              weighted=weighted)
 
 
 def test_scaled_ratios_need_one_map(ellipse_half, disk):

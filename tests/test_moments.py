@@ -1,14 +1,16 @@
 import importlib
 import math
+import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from potens.faber import FaberBasis
-from potens.geometry import ExteriorMap, ellipse_map
+from potens.geometry import ExteriorMap, disk_map, ellipse_map
 from potens.moments import exterior_gram, interior_gram, moments
 
 from _bruteforce import (
@@ -203,16 +205,18 @@ def test_a_run_over_head_sizes_holds_one_head():
     assert peak < 16 * 2 ** 20
 
 
-def test_head_is_built_once_per_map_instance(monkeypatch):
+def test_head_is_built_once_per_map_instance(monkeypatch, custom_map):
     # head_degree's root sampling, the head's Faber tables and its interior
     # Gram do not depend on s or n_max past the head: one build per map and
-    # head size, and the map keeps the tables of one head only
+    # head size, and the map keeps the tables of one head only (m = 2: the
+    # disk and the ellipses sum no head)
     calls, grams = [], []
     true_decay, true_interior = mm.remainder_decay, mm.interior_gram
     monkeypatch.setattr(mm, "remainder_decay", lambda emap: calls.append(emap) or true_decay(emap))
     monkeypatch.setattr(mm, "interior_gram", lambda b: grams.append(b) or true_interior(b))
-    emap = ellipse_map(0.5)
+    emap = ExteriorMap(custom_map.cap, custom_map.laurent_coeffs)
     first, second = moments(emap, 99, 200.0), moments(emap, 199, 400.0)
+    assert first.head_degree == 54
     assert len(calls) == 1 and len(grams) == 1
     assert second.head_basis is first.head_basis
     assert not first.head_basis.outer_series_all().flags.writeable
@@ -223,7 +227,7 @@ def test_head_is_built_once_per_map_instance(monkeypatch):
     assert np.array_equal(second.head, interior_gram(basis) + exterior_gram(basis, 400.0))
     grams.clear()
     # an equal map is another instance with its own memo, built afresh
-    again = moments(ellipse_map(0.5), 99, 200.0)
+    again = moments(ExteriorMap(custom_map.cap, custom_map.laurent_coeffs), 99, 200.0)
     assert len(calls) == 2 and len(grams) == 1
     assert again.head_basis is not first.head_basis
     assert np.array_equal(again.head, first.head)
@@ -236,3 +240,128 @@ def test_head_is_built_once_per_map_instance(monkeypatch):
     assert third.head_basis is not first.head_basis
     assert np.array_equal(third.head, first.head)
     assert len(calls) == 2 and len(grams) == 3
+
+
+# -- the closed-form diagonal of maps with m <= 1 -------------------------------------
+
+def _ulps(got: np.ndarray, ref: list) -> np.ndarray:
+    """|got - ref| in units of the spacing of doubles at ref (ref in mpmath)."""
+    return np.array([float(abs(mpmath.mpf(float(g)) - r)) / np.spacing(float(r))
+                     for g, r in zip(got, ref)])
+
+
+def _diagonal_mp(emap: ExteriorMap, n_max: int, s: float) -> list:
+    """m[k, k] = pi s (1 - q^(2k+2) (s-k-1)/(s+k+1)) / ((k+1)(s-k-1)) at 40
+    digits, q = |c_1| / cap from the map's doubles; pi (1 - q^(2k+2)) / (k+1)
+    at s = inf."""
+    with mpmath.workdps(40):
+        c_1 = mpmath.mpc(emap.laurent_coeffs[1]) if emap.tail_length else mpmath.mpc(0)
+        q2 = (abs(c_1) / emap.cap) ** 2
+        out = []
+        for k in range(n_max + 1):
+            if s == np.inf:
+                out.append(mpmath.pi / (k + 1) * (1 - q2 ** (k + 1)))
+            else:
+                t = mpmath.mpf(s)
+                out.append(mpmath.pi * t / ((k + 1) * (t - k - 1))
+                           * (1 - q2 ** (k + 1) * (t - k - 1) / (t + k + 1)))
+        return out
+
+
+def _summed_diagonal(emap: ExteriorMap, n_max: int, s: float) -> np.ndarray:
+    basis = FaberBasis(emap, n_max)
+    return (interior_gram(basis) + exterior_gram(basis, s)).diagonal().real
+
+
+@st.composite
+def _one_term_maps(draw):
+    cap = draw(st.floats(0.5, 2.0))
+    rho = draw(st.floats(0.0, 0.95))
+    turn = draw(st.floats(0.0, 1.0))
+    c0 = complex(draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.3, 0.3))) * cap
+    return ExteriorMap(cap, (c0, cap * rho * np.exp(2j * np.pi * turn)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(emap=_one_term_maps(), n=st.integers(0, 150), excess=st.one_of(
+    st.floats(0.0, 200.0), st.just(np.inf)))
+def test_closed_diagonal_matches_the_summed_gram_on_random_one_term_maps(emap, n, excess):
+    # the summed diagonal rounds more: its Laurent tables divide by cap once
+    # per degree, and the interior sum cancels to 1 - q^(2k+2); on 400
+    # random maps the two differed by at most 4 such units at cap = 1 and
+    # 2.1 at cap != 1, while the closed form stays within 0.51 ulp of mpmath
+    s = n + 2 + excess
+    mom = moments(emap, n, s)
+    assert mom.head.shape == (n + 1,) and mom.tail_bound == 0.0
+    want = _summed_diagonal(emap, n, s)
+    k1 = np.arange(1.0, n + 2)
+    q = abs(emap.laurent_coeffs[1]) / emap.cap if emap.tail_length else 0.0
+    unit = (1.0 if emap.cap == 1.0 else k1) / (1.0 - q ** (2.0 * k1)) * np.spacing(want)
+    assert np.all(np.abs(mom.head - want) <= 8.0 * unit)
+
+
+@pytest.mark.parametrize("emap", [
+    ellipse_map(0.3), ellipse_map(0.5), ellipse_map(0.9), ellipse_map(0.97),
+    ExteriorMap(1.37, (0.2 - 0.1j, 1.37 * 0.6 * np.exp(0.7j))),
+    ExteriorMap(0.63, (0.05j, -0.63 * 0.85j)),
+    ExteriorMap(1.93, (-0.4, 1.93 * 0.3 * np.exp(2.1j))),
+], ids=["q=0.3", "q=0.5", "q=0.9", "q=0.97", "cap=1.37", "cap=0.63", "cap=1.93"])
+@pytest.mark.parametrize("scale", [2.0, np.inf], ids=["s=2n0", "s=inf"])
+def test_closed_diagonal_is_no_further_from_mpmath_than_the_summed_gram(emap, scale):
+    # every degree of the summed head (n0 = 35, 62, 434, 1548, ...), at
+    # s = 2 n0 and s = inf; the summed diagonal is off by up to 7 ulp at
+    # q = 0.97, the closed form, formed in long double, by up to 0.5
+    n0 = int(mm.head_degree(emap)[0])
+    s = scale * n0
+    closed = moments(emap, n0 - 1, s).head
+    ref = _diagonal_mp(emap, n0 - 1, s)
+    got = _ulps(closed, ref)
+    assert np.all(got <= _ulps(_summed_diagonal(emap, n0 - 1, s), ref) + 1.0)
+    if np.finfo(np.longdouble).nmant >= 63:
+        assert np.max(got) <= 0.51
+
+
+def test_closed_diagonal_of_the_disk_is_the_diagonal_model_bit_for_bit(disk):
+    # q = 0: the disk's table is the diagonal model of every degree, which
+    # its one-row summed head (n0 = 1) continued, and the summed degree 0
+    for n, s in ((60, 130.0), (300, 601.5), (40, np.inf)):
+        head = moments(disk, n, s).head
+        model = mm._interior_model(n) + mm._exterior_model(n, s)
+        assert np.array_equal(head.view(np.uint64), model.view(np.uint64))
+        assert head[0] == _summed_diagonal(disk, 0, s)[0]
+
+
+def test_one_term_maps_sum_no_laurent_table(monkeypatch):
+    # the closed form reads q alone: no root sampling, no Laurent table, no
+    # Gram sum, and nothing is kept on the map
+    def refuse(*args):
+        raise AssertionError("the closed-form diagonal summed a Laurent table")
+
+    monkeypatch.setattr(mm, "remainder_decay", refuse)
+    monkeypatch.setattr(mm, "interior_gram", refuse)
+    monkeypatch.setattr(mm, "exterior_gram", refuse)
+    for emap in (disk_map(), ellipse_map(0.5), ExteriorMap(1.3, (0.2j, 0.4 - 0.3j))):
+        for s in (500.0, np.inf):
+            mom = moments(emap, 199, s)
+            assert mom.head.shape == (200,) and mom.head_degree == 200 and mom.tail_bound == 0.0
+            assert "_comp" not in vars(mom.head_basis) and "_outer" not in vars(mom.head_basis)
+        assert emap._memo == {}
+
+
+def test_thin_ellipse_table_takes_milliseconds():
+    # summing the q = 0.97 head from its Laurent tables takes 1.3-3.5 s and
+    # peaks at 450 MB
+    emap = ellipse_map(0.97)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        moments(emap, 1547, 3096.0)
+        elapsed.append(time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        moments(emap, 1547, 3096.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert min(elapsed) < 0.01
+    assert peak < 2 ** 20

@@ -24,6 +24,7 @@ from _bruteforce import (
     ortho_eval,
     orthonormalize_dense,
     orthopoly_det,
+    summed_moments,
 )
 from test_moments import _random_maps
 
@@ -92,11 +93,11 @@ def test_bordered_determinant_construction(disk, ellipse_half):
 
 
 def test_non_positive_definite_reports_index(ellipse_half):
-    # the ellipse's head spans degrees 0..61, so all four degrees are factored
+    # the ellipse's table is its closed-form diagonal, every degree a pivot
     m = moments(ellipse_half, 3, 10.0)
-    assert m.head_degree == 4
+    assert m.head.shape == (4,)
     bad = m.head.copy()
-    bad[2, 2] = -1.0
+    bad[2] = -1.0
     with pytest.raises(ValueError, match="index 2"):
         orthonormalize(dataclasses.replace(m, head=bad))
 
@@ -110,13 +111,14 @@ def test_non_positive_definite_reports_index_on_the_dense_head(custom_map):
         orthonormalize(dataclasses.replace(m, head=bad))
 
 
-def test_non_finite_moment_table_rejected(ellipse_half):
-    # np.linalg.cholesky turns a NaN entry into a NaN factor without raising
-    m = moments(ellipse_half, 3, 10.0)
-    bad = m.head.copy()
-    bad[1, 2] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        orthonormalize(dataclasses.replace(m, head=bad))
+def test_non_finite_moment_table_rejected(ellipse_half, custom_map):
+    # np.linalg.cholesky turns a NaN entry into a NaN factor without raising,
+    # and 1 / sqrt of a NaN pivot is NaN too, with no pivot <= 0
+    for m, entry in ((moments(ellipse_half, 3, 10.0), 1), (moments(custom_map, 3, 10.0), (1, 2))):
+        bad = m.head.copy()
+        bad[entry] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            orthonormalize(dataclasses.replace(m, head=bad))
 
 
 def test_kappa_asymptotic_values(disk, ellipse_half):
@@ -292,7 +294,10 @@ def test_mono_coeffs_match_the_explicit_head_and_tail_bit_for_bit(emap, n_max):
     # explicit head is a matrix product; a structural zero can then come out
     # as +0 on one side and -0 on the other, so zeros compare by value
     polys = orthonormalize(moments(emap, n_max, 2.0 * n_max + 4))
-    got, want = polys.mono_coeffs, mono_coeffs_explicit(polys)
+    _assert_same_bits_but_the_sign_of_zero(polys.mono_coeffs, mono_coeffs_explicit(polys))
+
+
+def _assert_same_bits_but_the_sign_of_zero(got: np.ndarray, want: np.ndarray) -> None:
     assert np.array_equal(got, want)
     nonzero = np.stack([want.real, want.imag], axis=-1) != 0
     assert np.array_equal(got.view(np.uint64).reshape(nonzero.shape)[nonzero],
@@ -331,17 +336,20 @@ def _off_diagonal(gram: np.ndarray) -> np.ndarray:
 ], ids=["disk", "q=0.5", "q=0.9", "q=0.97"])
 def test_head_gram_of_the_disk_and_ellipses_is_exactly_diagonal(emap, n_max):
     # each A_n = F_n(phi) phi' is w^n plus one negative power w^(-n-2), so
-    # no two rows pair; the q = 0.5 and 0.9 heads are whole (62 and 434
-    # rows), the q = 0.97 one is cut at 1000 of its 1548 rows, and the
-    # disk's head is one row, so its Gram is summed here to degree 50
+    # no two rows pair: the Gram summed from the Laurent tables (the whole
+    # q = 0.5 and 0.9 heads of 62 and 434 rows, 1000 of the 1548 at
+    # q = 0.97, and the disk to degree 50) has no off-diagonal entry, and
+    # the moment table holds the diagonal alone, within rounding of the sum
     s = 2.0 * n_max + 4
-    basis = FaberBasis(emap, n_max)
-    assert np.count_nonzero(_off_diagonal(interior_gram(basis) + exterior_gram(basis, s))) == 0
+    summed = summed_moments(emap, n_max, s).head
+    assert np.count_nonzero(_off_diagonal(summed)) == 0
     mom = moments(emap, n_max, s)
-    assert np.count_nonzero(_off_diagonal(mom.head)) == 0
+    assert mom.head.shape == (n_max + 1,) and mom.tail_bound == 0.0
+    want = summed.diagonal().real
+    assert np.all(np.abs(mom.head - want) <= 8 * np.spacing(want))
     polys = orthonormalize(mom)
     assert polys.head_coeffs.shape == (mom.head_degree,)
-    assert np.array_equal(polys.head_coeffs, 1.0 / np.sqrt(mom.head.diagonal().real))
+    assert np.array_equal(polys.head_coeffs, 1.0 / np.sqrt(mom.head))
 
 
 @st.composite
@@ -360,7 +368,7 @@ def test_head_gram_off_diagonal_of_one_term_maps_is_rounding(emap, excess):
     # by cap leaves rounding, measured up to 0.47 (max(k, j) + 1) eps of
     # sqrt(m_kk m_jj) on 400 random maps (6.3e-15 at cap 1.99, rho 0.71, k 125)
     n = min(head_degree(emap)[0], 150)
-    head = moments(emap, n - 1, n + 1 + excess).head
+    head = summed_moments(emap, n - 1, n + 1 + excess).head
     d = np.sqrt(head.diagonal().real)
     rank = np.maximum.outer(np.arange(n), np.arange(n)) + 1.0
     assert np.all(np.abs(_off_diagonal(head)) <= rank * np.finfo(float).eps * np.outer(d, d))
@@ -376,12 +384,14 @@ _POINTS = np.array([0.1, 1.2 + 0.3j, -0.4j, 2.0, 0.5 - 0.5j, -1.9 + 0.05j, 0.3 +
 ], ids=["disk", "q=0.5", "q=0.9", "rotated"])
 @pytest.mark.parametrize("n_max,s", [(40, 90.0), (300, 700.0), (120, np.inf)])
 def test_diagonal_head_matches_the_dense_factor_bit_for_bit_at_cap_1(emap, n_max, s):
+    # the dense factor of the same table, its diagonal as a matrix; the head
+    # spans every degree, and the dense product's zero terms can turn a
+    # scaled -0 into +0, so zeros compare by value
     mom = moments(emap, n_max, s)
     polys, dense = orthonormalize(mom), orthonormalize_dense(mom)
-    assert polys.head_coeffs.ndim == 1 and dense.head_coeffs.ndim == 2
+    assert polys.head_coeffs.ndim == 1 and dense.head_coeffs.shape == (n_max + 1, n_max + 1)
     assert np.array_equal(polys.kappas.view(np.uint64), dense.kappas.view(np.uint64))
-    got, want = polys.eval_all(_POINTS), dense.eval_all(_POINTS)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    _assert_same_bits_but_the_sign_of_zero(polys.eval_all(_POINTS), dense.eval_all(_POINTS))
 
 
 @pytest.mark.parametrize("emap", [
@@ -389,8 +399,9 @@ def test_diagonal_head_matches_the_dense_factor_bit_for_bit_at_cap_1(emap, n_max
     ExteriorMap(1.99, (0j, 1.99 * 0.71)),
 ], ids=["cap=1.3", "cap=0.7", "cap=1.99"])
 def test_diagonal_head_matches_the_dense_factor_to_rounding_off_cap_1(emap):
-    mom = moments(emap, 150, 400.0)
-    polys, dense = orthonormalize(mom), orthonormalize_dense(mom)
+    # against the dense factor of the Gram summed from the Laurent tables
+    polys = orthonormalize(moments(emap, 150, 400.0))
+    dense = orthonormalize_dense(summed_moments(emap, 150, 400.0))
     assert np.max(np.abs(polys.kappas / dense.kappas - 1.0)) <= 1e-13
     got, want = polys.eval_all(_POINTS * emap.cap), dense.eval_all(_POINTS * emap.cap)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
