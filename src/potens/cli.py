@@ -257,22 +257,16 @@ def cmd_poly(cfg: StudyConfig) -> None:
     mono = basis.mono
     polys = None
     for i, n in enumerate(degrees):
-        # one set for every degree, or one per degree under --srule cn; a
-        # dense head's rows are mapped once, and only if a degree reads them,
-        # while a diagonal head's rows are scaled as the tail's are
+        # one set for every degree, or one per degree under --srule cn; its
+        # head rows are mapped once, and only if a degree reads them
         top = n if cfg.srule == "cn" else max(degrees)
         s = cfg.s_for(top)
         if polys is None or polys.n_max != top:
             polys, head = orthonormalize(moments(emap, top, s)), None
         n0 = polys.head_degree
-        if n >= n0:
-            coeffs = polys.tail_scales[n - n0] * mono[n]
-        elif polys.head_coeffs.ndim == 1:
-            coeffs = polys.head_coeffs[n] * mono[n]
-        else:
-            if head is None:
-                head = polys.from_faber(basis.mono_table(n0 - 1))
-            coeffs = head[n, : n + 1]
+        if n < n0 and head is None:
+            head = polys.from_faber(basis.mono_table(n0 - 1))
+        coeffs = head[n, : n + 1] if n < n0 else polys.tail_scales[n - n0] * mono[n]
         exact = polys.kappas[n]
         pred = kappa_asymptotic(n, s, emap)
         rel = abs(exact / pred - 1.0)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from functools import cached_property
 
 import numpy as np
@@ -45,8 +46,8 @@ from .geometry import ExteriorMap
 # a Gram entry this far below its diagonal, relative, is below rounding
 HEAD_TOL = 1e-17
 
-# pi to the precision of long double: 4 arctan(1), which atanl rounds once
-_PI_LONG = 4 * np.arctan(np.longdouble(1))
+# pi to 40 digits, for the degrees of the closed form that cancel
+_PI_40 = Decimal("3.141592653589793238462643383279502884197")
 
 
 @dataclass(frozen=True)
@@ -54,22 +55,24 @@ class MomentTable:
     """The moment table m[k, j] = <F_j, F_k> of degrees 0..n_max, as an
     exact head plus a diagonal tail.
 
-    Degrees below ``head_degree`` form the head.  On maps with m <= 1
-    ``head`` is 1-D, the closed-form diagonal of every degree, and
-    ``tail_bound`` is 0.  Otherwise ``head`` is the exact block, the
-    interior plus the exterior Gram summed over the Faber tables of
-    ``head_basis``; from head_degree on the table is its diagonal model
-    pi/(k+1) + pi/(s-k-1) (eps = 0), and every entry of eps that this drops
-    is at most ``tail_bound`` (0 when the head is the whole table).
-    ``head_basis`` covers the head's degrees; its tables are built only
-    where a member reads them.  The dense (n_max+1)^2 ``entries`` and the
-    Faber tables of every degree are built on first read, for diagnostics.
+    Degrees below ``head_degree`` form the head: ``head`` is the exact
+    block, the interior plus the exterior Gram summed over the Faber tables
+    of ``head_basis``.  From head_degree on the table is diagonal, ``tail``
+    of degrees head_degree..n_max: the diagonal model pi/(k+1) + pi/(s-k-1)
+    (eps = 0), and every entry of eps that this drops is at most
+    ``tail_bound`` (0 when the head is the whole table).  On maps with
+    m <= 1 the head is empty and the tail is the closed-form diagonal of
+    every degree, which drops nothing.  ``head_basis`` covers at least the
+    head's degrees; its tables are built only where a member reads them.
+    The dense (n_max+1)^2 ``entries`` and the Faber tables of every degree
+    are built on first read, for diagnostics.
     """
 
     map: ExteriorMap
     n_max: int
     s: float
     head: np.ndarray
+    tail: np.ndarray
     head_basis: FaberBasis
     tail_bound: float
 
@@ -77,29 +80,19 @@ class MomentTable:
     def head_degree(self) -> int:
         return self.head.shape[0]
 
-    def _dense(self, block: np.ndarray, diag: np.ndarray) -> np.ndarray:
-        n0 = self.head_degree
-        out = np.zeros((self.n_max + 1, self.n_max + 1), dtype=complex)
-        out[:n0, :n0] = block
-        k = np.arange(n0, self.n_max + 1)
-        out[k, k] = diag[n0:]
-        return out
-
-    def tail_diagonal(self) -> np.ndarray:
-        """The model m[k, k] of the degrees head_degree..n_max."""
-        model = _interior_model(self.n_max) + _exterior_model(self.n_max, self.s)
-        return model[self.head_degree :]
-
     @cached_property
     def entries(self) -> np.ndarray:
-        head = self.head if self.head.ndim == 2 else np.diag(self.head)
-        model = _interior_model(self.n_max) + _exterior_model(self.n_max, self.s)
-        return self._dense(head, model)
+        n0 = self.head_degree
+        out = np.zeros((self.n_max + 1, self.n_max + 1), dtype=complex)
+        out[:n0, :n0] = self.head
+        k = np.arange(n0, self.n_max + 1)
+        out[k, k] = self.tail
+        return out
 
     @cached_property
     def basis(self) -> FaberBasis:
         """Faber tables of degrees 0..n_max."""
-        if self.head_degree == self.n_max + 1:
+        if self.head_basis.n_max == self.n_max:
             return self.head_basis
         return FaberBasis(self.map, self.n_max)
 
@@ -146,26 +139,40 @@ def _exterior_model(n_max: int, s: float) -> np.ndarray:
 
 
 def _closed_diagonal(emap: ExteriorMap, n_max: int, s: float) -> np.ndarray:
-    """m[k, k] of degrees 0..n_max on a map with m <= 1.
+    """m[k, k] of degrees 0..n_max on a map with m <= 1: the diagonal model
+    minus pi s q^(2k+2) / ((k+1)(s+k+1)), or pi q^(2k+2) / (k+1) at s = inf.
 
-    The disk's is the diagonal model.  An ellipse's is the model
-    pi s / ((k+1)(s-k-1)) times 1 - q^(2k+2) + q^(2k+2) 2(k+1)/(s+k+1), two
-    terms of one sign with the first from expm1, formed in long double and
-    rounded once.  Where long double has 64 mantissa bits (x86) every entry
-    is then within 0.51 ulp; in double the roundings of the model and the
-    factor compounded to 2.2 ulp on the q = 0.97 ellipse, and the summed
-    Gram is off by up to 7 ulp there.
+    The disk's (q = 0) is the model.  Where the subtracted term exceeds half
+    the model, at the lowest degrees of a thin ellipse, the subtraction
+    cancels the model's rounding into several ulp; those degrees are
+    evaluated in 40-digit decimal from the map's doubles and rounded once.
     """
+    model = _interior_model(n_max) + _exterior_model(n_max, s)
     if not emap.tail_length:
-        return _interior_model(n_max) + _exterior_model(n_max, s)
-    c_1 = emap.laurent_coeffs[1]
-    q = np.hypot(np.longdouble(c_1.real), np.longdouble(c_1.imag)) / np.longdouble(emap.cap)
-    k1 = np.arange(1, n_max + 2, dtype=np.longdouble)
-    lift = np.expm1(2 * k1 * np.log(q))  # q^(2k+2) - 1
+        return model
+    c_1, cap = emap.laurent_coeffs[1], emap.cap
+    q = abs(c_1) / cap
+    k1 = np.arange(1.0, n_max + 2)
     if s == np.inf:
-        return (_PI_LONG / k1 * -lift).astype(float)
-    factor = (1 + lift) * (2 * k1 / (s + k1)) - lift
-    return (_PI_LONG * s / (k1 * (s - k1)) * factor).astype(float)
+        lift = np.pi * q ** (2 * k1) / k1
+    else:
+        lift = np.pi * s * q ** (2 * k1) / (k1 * (s + k1))
+    out = model - lift
+    for k in np.flatnonzero(2.0 * lift > model):
+        out[k] = _exact_entry(c_1, cap, int(k), s)
+    return out
+
+
+def _exact_entry(c_1: complex, cap: float, k: int, s: float) -> float:
+    """The closed form m[k, k] in 40-digit decimal, rounded once."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        q2 = (Decimal(c_1.real) ** 2 + Decimal(c_1.imag) ** 2) / Decimal(cap) ** 2
+        lift = q2 ** (k + 1)
+        if s == math.inf:
+            return float(_PI_40 * (1 - lift) / (k + 1))
+        t = Decimal(s)
+        return float(_PI_40 * t / ((k + 1) * (t - k - 1)) * (1 - lift * (t - k - 1) / (t + k + 1)))
 
 
 def head_degree(emap: ExteriorMap) -> tuple[int | float, float]:
@@ -224,16 +231,17 @@ def moments(emap: ExteriorMap, n_max: int, s: float) -> MomentTable:
     """
     _check_s(n_max, s)
     if emap.tail_length <= 1:
-        return MomentTable(emap, n_max, float(s), _closed_diagonal(emap, n_max, float(s)),
-                           FaberBasis(emap, n_max), 0.0)
+        return MomentTable(emap, n_max, float(s), np.zeros((0, 0), dtype=complex),
+                           _closed_diagonal(emap, n_max, float(s)), FaberBasis(emap, n_max), 0.0)
     n0, bound = head_degree(emap)
     size = min(n0, n_max + 1)
     head = emap._memo.pop("head", None)   # dropped before another head is built
     if head is None or head[0].n_max != size - 1:
         head = _head_tables(emap, size)
     basis, interior = emap._memo["head"] = head
-    return MomentTable(emap, n_max, float(s), interior + exterior_gram(basis, s), basis,
-                       bound if size <= n_max else 0.0)
+    model = _interior_model(n_max) + _exterior_model(n_max, s)
+    return MomentTable(emap, n_max, float(s), interior + exterior_gram(basis, s), model[size:],
+                       basis, bound if size <= n_max else 0.0)
 
 
 def _head_tables(emap: ExteriorMap, size: int) -> tuple[FaberBasis, np.ndarray]:

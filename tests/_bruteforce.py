@@ -27,8 +27,9 @@ kernel_r1_binned_dense bins the disk's R_1 from the dense monomial
 coefficients instead of the leading ones, and mono_coeffs_explicit
 assembles those coefficients as a head product plus scaled tail rows, the
 reference for the one Faber-to-pi map that mono_coeffs goes through.
-orthonormalize_dense factors and inverts the dense head on every map, the
-reference for the diagonal head that orthonormalize takes when m <= 1, and
+orthonormalize_dense factors and inverts a dense head, with
+with_dense_head holding the first degrees of a headless table (m <= 1) as
+one, the reference for the tail rows that orthonormalize reads there, and
 summed_moments sums the interior and exterior Gram of every degree on any
 map, the reference for the closed-form diagonal that moments reads when
 m <= 1.
@@ -45,6 +46,7 @@ exterior_part).
 """
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -470,17 +472,23 @@ def mono_coeffs_explicit(polys: OrthoPolySet) -> np.ndarray:
 
 
 def orthonormalize_dense(mom: MomentTable) -> OrthoPolySet:
-    """orthonormalize through the Cholesky factor of the whole head and its
-    inverse on every map, with the disk and the ellipses too: the dense
-    head_coeffs that OrthoPolySet.from_faber applies as a matrix product.
-    A diagonal head, 1-D, is factored as the diagonal matrix it stands for."""
-    head = mom.head if mom.head.ndim == 2 else np.diag(mom.head.astype(complex))
-    coeffs = _lower_inverse(np.linalg.cholesky(np.conj(head)))
-    scales = 1.0 / np.sqrt(mom.tail_diagonal())
+    """orthonormalize written out: the Cholesky factor of the head and its
+    inverse, the dense head_coeffs that OrthoPolySet.from_faber applies as a
+    matrix product, and the tail scales."""
+    coeffs = _lower_inverse(np.linalg.cholesky(np.conj(mom.head)))
+    scales = 1.0 / np.sqrt(mom.tail)
     kappas = (mom.map.cap ** -np.arange(1.0, mom.n_max + 2)
               * np.concatenate([np.real(np.diag(coeffs)), scales]))
     return OrthoPolySet(mom.map, mom.s, mom.n_max, mom, coeffs, scales, kappas,
                         mom.head_degree, mom.tail_bound)
+
+
+def with_dense_head(mom: MomentTable, size: int) -> MomentTable:
+    """A headless table (m <= 1) with its degrees below size moved into a
+    dense head, the diagonal matrix of their closed-form entries."""
+    assert mom.head_degree == 0
+    return dataclasses.replace(mom, head=np.diag(mom.tail[:size].astype(complex)),
+                               tail=mom.tail[size:])
 
 
 def summed_moments(emap: ExteriorMap, n_max: int, s: float) -> MomentTable:
@@ -489,7 +497,7 @@ def summed_moments(emap: ExteriorMap, n_max: int, s: float) -> MomentTable:
     map: no closed form, no diagonal model and no tail."""
     basis = FaberBasis(emap, n_max)
     return MomentTable(emap, n_max, float(s), interior_gram(basis) + exterior_gram(basis, s),
-                       basis, 0.0)
+                       np.zeros(0), basis, 0.0)
 
 
 def poly_rows_per_degree(emap: ExteriorMap, degrees, s_of) -> list:
@@ -528,15 +536,22 @@ def ortho_eval(polys: OrthoPolySet, n: int, z):
 
 
 def interior_part(mom: MomentTable) -> np.ndarray:
-    """The dense interior part of a moment table: the interior Gram of its
-    head, rebuilt from head_basis, then the diagonal model pi/(k+1)."""
-    return mom._dense(interior_gram(mom.head_basis), _interior_model(mom.n_max))
+    """The dense interior part of a moment table: the interior Gram of the
+    degrees of head_basis, then the diagonal model pi/(k+1)."""
+    return _block_then_model(interior_gram(mom.head_basis), _interior_model(mom.n_max))
 
 
 def exterior_part(mom: MomentTable) -> np.ndarray:
-    """The dense exterior part of a moment table: the exterior Gram of its
-    head, rebuilt from head_basis, then the diagonal model pi/(s-k-1)."""
-    return mom._dense(exterior_gram(mom.head_basis, mom.s), _exterior_model(mom.n_max, mom.s))
+    """The dense exterior part of a moment table: the exterior Gram of the
+    degrees of head_basis, then the diagonal model pi/(s-k-1)."""
+    return _block_then_model(exterior_gram(mom.head_basis, mom.s),
+                             _exterior_model(mom.n_max, mom.s))
+
+
+def _block_then_model(block: np.ndarray, model: np.ndarray) -> np.ndarray:
+    out = np.diag(model.astype(complex))
+    out[: block.shape[0], : block.shape[0]] = block
+    return out
 
 
 # -- closed-form moments of the disk and the ellipses ---------------------------

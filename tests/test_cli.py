@@ -318,8 +318,8 @@ def test_poly_refuses_rows_out_of_double_range_before_any_moment_table(srule, mo
     "poly --domain ellipse --q 0.5 --srule cn --s 3 --N " + ",".join(map(str, range(1, 81))),
 ], ids=["fixed", "cn"])
 def test_poly_builds_the_monomial_table_once(argv, monkeypatch, capsys):
-    # the ellipse's head spans every degree, its rows scaled one by one, so
-    # no dense table of the head is built either
+    # the ellipse's table has no head, every row a scaled tail row, so no
+    # dense table of a head is built either
     def refuse(basis, n_upto):
         raise AssertionError("a dense monomial table was built")
     monkeypatch.setattr(FaberBasis, "mono_table", refuse)

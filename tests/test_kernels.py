@@ -440,9 +440,9 @@ def test_head_tail_kernel_matches_dense_cholesky(name, n):
     emap = ORACLE_MAPS[name]
     s, theta = 2.0 * n, 0.7
     polys = orthonormalize(moments(emap, n - 1, s))
-    # the disk's and the ellipses' closed-form diagonal spans every degree;
-    # the m = 2 map sums a head of 54 and scales its tail
-    assert polys.head_degree == (min(n, 54) if name == "custom" else n)
+    # the disk's and the ellipses' tables are their closed-form diagonal, with
+    # no head; the m = 2 map sums a head of 54 and scales its tail
+    assert polys.head_degree == (min(n, 54) if name == "custom" else 0)
     z = complex(emap.boundary_point(theta))
     # the scaled offsets, then an interior pair and an exterior pair off the curve
     pairs = [(0.2 + 0.1j, -0.3j), (1.02 * z, 1.01 * z)]

@@ -25,6 +25,7 @@ from _bruteforce import (
     orthonormalize_dense,
     orthopoly_det,
     summed_moments,
+    with_dense_head,
 )
 from test_moments import _random_maps
 
@@ -95,11 +96,11 @@ def test_bordered_determinant_construction(disk, ellipse_half):
 def test_non_positive_definite_reports_index(ellipse_half):
     # the ellipse's table is its closed-form diagonal, every degree a pivot
     m = moments(ellipse_half, 3, 10.0)
-    assert m.head.shape == (4,)
-    bad = m.head.copy()
+    assert m.head_degree == 0 and m.tail.shape == (4,)
+    bad = m.tail.copy()
     bad[2] = -1.0
     with pytest.raises(ValueError, match="index 2"):
-        orthonormalize(dataclasses.replace(m, head=bad))
+        orthonormalize(dataclasses.replace(m, tail=bad))
 
 
 def test_non_positive_definite_reports_index_on_the_dense_head(custom_map):
@@ -114,11 +115,12 @@ def test_non_positive_definite_reports_index_on_the_dense_head(custom_map):
 def test_non_finite_moment_table_rejected(ellipse_half, custom_map):
     # np.linalg.cholesky turns a NaN entry into a NaN factor without raising,
     # and 1 / sqrt of a NaN pivot is NaN too, with no pivot <= 0
-    for m, entry in ((moments(ellipse_half, 3, 10.0), 1), (moments(custom_map, 3, 10.0), (1, 2))):
-        bad = m.head.copy()
+    ellipse, dense = moments(ellipse_half, 3, 10.0), moments(custom_map, 3, 10.0)
+    for m, part, entry in ((ellipse, "tail", 1), (dense, "head", (1, 2))):
+        bad = getattr(m, part).copy()
         bad[entry] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            orthonormalize(dataclasses.replace(m, head=bad))
+            orthonormalize(dataclasses.replace(m, **{part: bad}))
 
 
 def test_kappa_asymptotic_values(disk, ellipse_half):
@@ -250,7 +252,8 @@ def test_tail_bound_covers_the_dropped_remainder_tails(emap, n, excess):
     # against the exact Faber series of every degree up to n - 1
     polys = orthonormalize(moments(emap, n - 1, n + 1 + excess))
     n0 = polys.head_degree
-    if n0 == n:
+    if n0 == n or emap.tail_length <= 1:
+        # the head is the whole table, or the tail is the closed-form diagonal
         assert polys.tail_bound == 0.0
         return
     basis = FaberBasis(emap, n - 1)
@@ -339,17 +342,18 @@ def test_head_gram_of_the_disk_and_ellipses_is_exactly_diagonal(emap, n_max):
     # no two rows pair: the Gram summed from the Laurent tables (the whole
     # q = 0.5 and 0.9 heads of 62 and 434 rows, 1000 of the 1548 at
     # q = 0.97, and the disk to degree 50) has no off-diagonal entry, and
-    # the moment table holds the diagonal alone, within rounding of the sum
+    # the moment table is that diagonal alone, a tail within rounding of the
+    # sum, and pi_n = F_n / sqrt(m[n, n]) on every degree
     s = 2.0 * n_max + 4
     summed = summed_moments(emap, n_max, s).head
     assert np.count_nonzero(_off_diagonal(summed)) == 0
     mom = moments(emap, n_max, s)
-    assert mom.head.shape == (n_max + 1,) and mom.tail_bound == 0.0
+    assert mom.head.shape == (0, 0) and mom.tail_bound == 0.0
     want = summed.diagonal().real
-    assert np.all(np.abs(mom.head - want) <= 8 * np.spacing(want))
+    assert np.all(np.abs(mom.tail - want) <= 8 * np.spacing(want))
     polys = orthonormalize(mom)
-    assert polys.head_coeffs.shape == (mom.head_degree,)
-    assert np.array_equal(polys.head_coeffs, 1.0 / np.sqrt(mom.head))
+    assert polys.head_coeffs.shape == (0, 0)
+    assert np.array_equal(polys.tail_scales, 1.0 / np.sqrt(mom.tail))
 
 
 @st.composite
@@ -384,14 +388,16 @@ _POINTS = np.array([0.1, 1.2 + 0.3j, -0.4j, 2.0, 0.5 - 0.5j, -1.9 + 0.05j, 0.3 +
 ], ids=["disk", "q=0.5", "q=0.9", "rotated"])
 @pytest.mark.parametrize("n_max,s", [(40, 90.0), (300, 700.0), (120, np.inf)])
 def test_diagonal_head_matches_the_dense_factor_bit_for_bit_at_cap_1(emap, n_max, s):
-    # the dense factor of the same table, its diagonal as a matrix; the head
-    # spans every degree, and the dense product's zero terms can turn a
-    # scaled -0 into +0, so zeros compare by value
+    # the closed-form table's tail rows against the dense factor of the head
+    # that the summed route held: its first n0 degrees (1 on the disk, 62
+    # and 434 on the ellipses), cut at n_max + 1, as a diagonal matrix
     mom = moments(emap, n_max, s)
-    polys, dense = orthonormalize(mom), orthonormalize_dense(mom)
-    assert polys.head_coeffs.ndim == 1 and dense.head_coeffs.shape == (n_max + 1, n_max + 1)
+    size = min(int(head_degree(emap)[0]), n_max + 1)
+    polys, dense = orthonormalize(mom), orthonormalize_dense(with_dense_head(mom, size))
+    assert polys.head_degree == 0 and dense.head_coeffs.shape == (size, size)
     assert np.array_equal(polys.kappas.view(np.uint64), dense.kappas.view(np.uint64))
-    _assert_same_bits_but_the_sign_of_zero(polys.eval_all(_POINTS), dense.eval_all(_POINTS))
+    got, want = polys.eval_all(_POINTS), dense.eval_all(_POINTS)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("emap", [
@@ -401,6 +407,7 @@ def test_diagonal_head_matches_the_dense_factor_bit_for_bit_at_cap_1(emap, n_max
 def test_diagonal_head_matches_the_dense_factor_to_rounding_off_cap_1(emap):
     # against the dense factor of the Gram summed from the Laurent tables
     polys = orthonormalize(moments(emap, 150, 400.0))
+    assert polys.head_degree == 0
     dense = orthonormalize_dense(summed_moments(emap, 150, 400.0))
     assert np.max(np.abs(polys.kappas / dense.kappas - 1.0)) <= 1e-13
     got, want = polys.eval_all(_POINTS * emap.cap), dense.eval_all(_POINTS * emap.cap)
