@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from functools import cached_property
 
 import numpy as np
@@ -47,7 +46,7 @@ from .geometry import ExteriorMap
 HEAD_TOL = 1e-17
 
 # pi to 40 digits, for the degrees of the closed form that cancel
-_PI_40 = Decimal("3.141592653589793238462643383279502884197")
+_PI_40 = "3.141592653589793238462643383279502884197"
 
 
 @dataclass(frozen=True)
@@ -165,14 +164,19 @@ def _closed_diagonal(emap: ExteriorMap, n_max: int, s: float) -> np.ndarray:
 
 def _exact_entry(c_1: complex, cap: float, k: int, s: float) -> float:
     """The closed form m[k, k] in 40-digit decimal, rounded once."""
+    # imported here: only ellipses with q above 0.7 read it, and importing
+    # decimal would add 2 ms and 0.1 MB to every run
+    from decimal import Decimal, localcontext
+
     with localcontext() as ctx:
         ctx.prec = 40
         q2 = (Decimal(c_1.real) ** 2 + Decimal(c_1.imag) ** 2) / Decimal(cap) ** 2
         lift = q2 ** (k + 1)
+        pi = Decimal(_PI_40)
         if s == math.inf:
-            return float(_PI_40 * (1 - lift) / (k + 1))
+            return float(pi * (1 - lift) / (k + 1))
         t = Decimal(s)
-        return float(_PI_40 * t / ((k + 1) * (t - k - 1)) * (1 - lift * (t - k - 1) / (t + k + 1)))
+        return float(pi * t / ((k + 1) * (t - k - 1)) * (1 - lift * (t - k - 1) / (t + k + 1)))
 
 
 def head_degree(emap: ExteriorMap) -> tuple[int | float, float]:
