@@ -20,7 +20,7 @@ from .errors import ConvergenceError
 from .faber import FaberBasis
 from .geometry import (ExteriorMap, disk_map, ellipse_map, format_complex, level_line,
                        parse_complex, parse_domain)
-from .kernels import scaled_ratios, scaling_predictor
+from .kernels import scaled_ratios, scaling_predictor, taus_of
 from .moments import moments
 from .orthopoly import kappa_asymptotic, orthonormalize
 from .pointprocess import (
@@ -284,12 +284,15 @@ def cmd_scaling(cfg: StudyConfig) -> None:
     orders = [(n, orthonormalize(moments(emap, n - 1, cfg.s_for(n)))) for n in cfg.orders()]
     ratio_sets = scaled_ratios(orders, theta, np.array(cfg.a_list), np.array(cfg.b_list),
                                weighted=cfg.weighted)
+    taus = taus_of(emap, cfg.a_list + cfg.b_list, theta)
+    ta, tb = taus[: len(cfg.a_list)], taus[len(cfg.a_list):]
     for (n, _), ratios in zip(orders, ratio_sets):
         ell = cfg.ell_for(n)
         for i, a in enumerate(cfg.a_list):
             for j, b in enumerate(cfg.b_list):
                 ratio = complex(ratios[i, j])
-                pred = scaling_predictor(emap, theta, a, b, ell, weighted=cfg.weighted)
+                pred = scaling_predictor(emap, theta, a, b, ell, weighted=cfg.weighted,
+                                         taus=(ta[i], tb[j]))
                 if pred is None:
                     rows.append(",".join([str(n), format_complex(a), format_complex(b),
                                           _fmt(ratio.real), _fmt(ratio.imag),

@@ -140,42 +140,38 @@ class FaberBasis:
 
     # -- pointwise evaluation ---------------------------------------------------
 
-    def eval_all(self, z, n_upto: int | None = None) -> np.ndarray:
-        """Values F_0(z)..F_n(z) by the joint (Ftilde, Ftilde') recurrence.
+    def eval_all(self, z, n_upto: int | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """Values F_0(z)..F_n(z), the coefficients of 1/(phi(w) - z) =
+        sum F_n(z) w^(-n-1).  Multiplied out by phi(w) - z they give one row,
 
-        Returns an array of shape (n_upto+1,) + shape(z); stable for |z| of
-        order the boundary scale even at degree 10^4.  The recurrence reads
-        only the map, so n_upto may exceed n_max.
+            F_0 = 1/cap,  cap F_n = (z - c_0) F_{n-1} - sum_{k=1}^{min(m, n-1)} c_k F_{n-1-k},
 
-        Each degree advances one state of shape (2,) + shape(z), rows
-        Ftilde_n(z) and Ftilde_n'(z), so one numpy call serves both rows.
-        Only the m + 1 latest states, the ones the recurrence reads, are
-        kept, so besides the output the working memory is m + 3 states and
-        one copy of z, whatever n_upto.
+        written degree by degree into an array of shape (n_upto+1,) + shape(z),
+        or into ``out``, which may be a view such as a column block of a
+        larger table; returns it.  Stable for |z| of order the boundary scale
+        even at degree 10^4; n_upto may exceed n_max.  Besides the output the
+        working memory is one copy of z and the temporary of one product.
         """
         n_upto = self.n_max if n_upto is None else n_upto
         z = np.asarray(z, dtype=complex)
-        m = self.map.tail_length
-        inv_cap = 1.0 / self.map.cap
+        if out is None:
+            out = np.empty((n_upto + 1,) + z.shape, dtype=complex)
+        m, cap = self.map.tail_length, self.map.cap
+        # complex / real divides by Smith's rule, which multiplies by the
+        # reciprocal anyway, at several times the cost of one multiply
+        inv_cap = 1.0 / cap
         c = self.map.laurent_coeffs
         zc = z - c[0]
-        state = np.zeros((2,) + z.shape, dtype=complex)
-        state[0] = 1.0
-        recent = deque([state], maxlen=m + 1)  # recent[-1 - k] holds degree n - k
-        out = np.empty((n_upto + 1,) + z.shape, dtype=complex)
-        for n in range(n_upto + 1):
-            nxt = zc * state
-            nxt[1] += state[0]                 # Ftilde_n + (z - c_0) Ftilde_n'
+        out[:1] = inv_cap  # no row at all when n_upto = -1
+        for n in range(1, n_upto + 1):
+            # rows as views, also of a 0-d z, so every step is an array ufunc
+            row = out[n, ...]
+            np.multiply(zc, out[n - 1, ...], out=row)
             for k in range(1, min(m, n - 1) + 1):
-                nxt -= c[k] * recent[-1 - k]
-            if 1 <= n <= m:
-                nxt[0] -= (n + 1) * c[n]
-            # complex / real divides by Smith's rule, which multiplies by the
-            # reciprocal anyway, at several times the cost of one multiply
-            nxt *= inv_cap
-            np.multiply(nxt[1], 1.0 / (n + 1), out=out[n, ...])
-            recent.append(nxt)
-            state = nxt
+                row -= c[k] * out[n - 1 - k, ...]
+            if cap != 1.0:
+                row *= inv_cap
         return out
 
     def mono_table(self, n_upto: int) -> np.ndarray:

@@ -209,9 +209,15 @@ def h_limit(ell: float, tau: complex) -> complex:
 
 def tau_of(emap: ExteriorMap, a: complex, theta: float) -> complex:
     """tau(a, z) = a Phi'(z) conj(Phi(z)) at the boundary point z = phi(e^{i theta})."""
+    return taus_of(emap, (a,), theta)[0]
+
+
+def taus_of(emap: ExteriorMap, offsets, theta: float) -> list:
+    """tau_of of each offset, with Phi'(z) evaluated once for all of them."""
     w = cmath.exp(1j * theta)
     dphi = complex(emap._phi_prime_raw(np.asarray(w, dtype=complex)))
-    return a * np.conj(w) / dphi
+    conj_w = np.conj(w)
+    return [a * conj_w / dphi for a in offsets]
 
 
 def _omega(t: float, ell: float) -> float:
@@ -235,22 +241,28 @@ def weighted_limit(emap: ExteriorMap, theta: float, a: complex, b: complex,
     """Limiting weighted kernel omega(a) omega(b) H_ell(tau(a) + conj(tau(b)))
     at the boundary point phi(e^{i theta}); at ell = 0 a tangential offset
     (Re tau = 0) counts as inward."""
-    ta, tb = tau_of(emap, a, theta), tau_of(emap, b, theta)
+    return _weighted_limit(*taus_of(emap, (a, b), theta), ell)
+
+
+def _weighted_limit(ta: complex, tb: complex, ell: float) -> complex:
     h = h_limit(ell, ta + np.conj(tb))
     om = _omega(ta.real, ell) * _omega(tb.real, ell)
     return om * h if om else 0j  # +0, where 0.0 * h can give -0
 
 
 def scaling_predictor(emap: ExteriorMap, theta: float, a: complex, b: complex,
-                      ell: float, weighted: bool = False):
+                      ell: float, weighted: bool = False, taus=None):
     """Limit of the scaled kernel ratio; None when the weighted ell = 0 case
-    is undefined (an offset approaching tangentially, Re tau = 0)."""
-    ta, tb = tau_of(emap, a, theta), tau_of(emap, b, theta)
+    is undefined (an offset approaching tangentially, Re tau = 0).  taus,
+    (tau(a), tau(b)) from taus_of, spares a caller with many rows over few
+    offsets the evaluation of Phi' per row; emap, theta, a and b are then
+    not read."""
+    ta, tb = taus_of(emap, (a, b), theta) if taus is None else taus
     if not weighted:
         return h_limit(ell, ta + np.conj(tb))
     if ell == 0 and (ta.real == 0 or tb.real == 0):
         return None
-    return weighted_limit(emap, theta, a, b, ell)
+    return _weighted_limit(ta, tb, ell)
 
 
 def scaled_ratio(polys: OrthoPolySet, N: int, theta: float, a, b, weighted: bool = False):

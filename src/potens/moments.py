@@ -141,25 +141,41 @@ def _closed_diagonal(emap: ExteriorMap, n_max: int, s: float) -> np.ndarray:
     """m[k, k] of degrees 0..n_max on a map with m <= 1: the diagonal model
     minus pi s q^(2k+2) / ((k+1)(s+k+1)), or pi q^(2k+2) / (k+1) at s = inf.
 
-    The disk's (q = 0) is the model.  Where the subtracted term exceeds half
-    the model, at the lowest degrees of a thin ellipse, the subtraction
-    cancels the model's rounding into several ulp; those degrees are
-    evaluated in 40-digit decimal from the map's doubles and rounded once.
+    The disk's (q = 0) is the model.  q^2 is formed from the map's doubles
+    in exact integers and rounded once, and its rounding error enters the
+    power k+1 to first order, so that rounding does not grow with the
+    degree.  Where the subtracted term exceeds half the model, at the lowest
+    degrees of a thin ellipse, the subtraction cancels the model's rounding
+    into several ulp; those degrees are evaluated in 40-digit decimal from
+    the map's doubles and rounded once.
     """
     model = _interior_model(n_max) + _exterior_model(n_max, s)
     if not emap.tail_length:
         return model
     c_1, cap = emap.laurent_coeffs[1], emap.cap
-    q = abs(c_1) / cap
+    q2, q2_err = _square_ratio(c_1, cap)
     k1 = np.arange(1.0, n_max + 2)
+    power = q2 ** k1 + k1 * q2_err * q2 ** (k1 - 1.0)   # (q2 + q2_err)^(k+1)
     if s == np.inf:
-        lift = np.pi * q ** (2 * k1) / k1
+        lift = np.pi * power / k1
     else:
-        lift = np.pi * s * q ** (2 * k1) / (k1 * (s + k1))
+        lift = np.pi * s * power / (k1 * (s + k1))
     out = model - lift
     for k in np.flatnonzero(2.0 * lift > model):
         out[k] = _exact_entry(c_1, cap, int(k), s)
     return out
+
+
+def _square_ratio(c_1: complex, cap: float) -> tuple[float, float]:
+    """|c_1|^2 / cap^2 rounded once, and the rounded remainder it misses,
+    from the exact integer ratios of the doubles (int / int rounds once)."""
+    (re_n, re_d), (im_n, im_d), (cap_n, cap_d) = (
+        x.as_integer_ratio() for x in (c_1.real, c_1.imag, cap))
+    num = ((re_n * im_d) ** 2 + (im_n * re_d) ** 2) * cap_d ** 2
+    den = (re_d * im_d * cap_n) ** 2
+    q2 = num / den
+    q2_n, q2_d = q2.as_integer_ratio()
+    return q2, (num * q2_d - q2_n * den) / (den * q2_d)
 
 
 def _exact_entry(c_1: complex, cap: float, k: int, s: float) -> float:

@@ -71,11 +71,12 @@ class OrthoPolySet:
         """Lower triangular, row n = pi_n in monomials."""
         return self.from_faber(self.basis.mono_table(self.n_max))
 
-    def eval_all(self, z, n_upto: int | None = None) -> np.ndarray:
-        """Values pi_0(z)..pi_n(z); shape (n+1,) + shape(z)."""
+    def eval_all(self, z, n_upto: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        """Values pi_0(z)..pi_n(z); shape (n+1,) + shape(z).  With ``out``,
+        which may be a view, the values are written there and it is returned."""
         n_upto = self.n_max if n_upto is None else n_upto
         self._check_rows(n_upto)
-        return self.from_faber(self.moment_table.head_basis.eval_all(z, n_upto))
+        return self.from_faber(self.moment_table.head_basis.eval_all(z, n_upto, out))
 
     def from_faber(self, vals: np.ndarray) -> np.ndarray:
         """Turn F_0(z)..F_n(z), rows of vals, into pi_0(z)..pi_n(z) in place

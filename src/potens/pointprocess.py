@@ -201,8 +201,8 @@ def _gap_tables(polys: OrthoPolySet, N: int, region: DiskRegion,
 
     One sweep covers the nodes of all passes: one slice per usable CPU over
     their concatenation, and each slice in blocks of at most _GAP_BLOCK nodes
-    that never straddle two passes.  A block is inverted, evaluated, scaled
-    by w sqrt(u) and written straight into its pass's table.  Every column
+    that never straddle two passes.  A block is inverted, evaluated straight
+    into its pass's table and scaled there by w sqrt(u).  Every column
     is computed as it would be on its own, so no value depends on the CPU
     count or the block bound.
     """
@@ -218,10 +218,10 @@ def _gap_tables(polys: OrthoPolySet, N: int, region: DiskRegion,
             for a in range(max(lo, start), min(hi, end), _GAP_BLOCK):
                 b = min(a + _GAP_BLOCK, hi, end)
                 # the weights come first: the inversion's temporaries are freed
-                # before eval_all builds the block's (N, nodes) values
+                # before eval_all writes the block's values into the table
                 wts = weight_at(polys.map, polys.s, pts[a:b])
-                np.multiply(polys.eval_all(pts[a:b], N - 1), wts * np.sqrt(u[a:b]),
-                            out=table[:, a - start:b - start])
+                block = polys.eval_all(pts[a:b], N - 1, out=table[:, a - start:b - start])
+                block *= wts * np.sqrt(u[a:b])
             start = end
 
     _spread(fill, pts.size)

@@ -19,8 +19,11 @@ inversion is checked against the winding number of the boundary curve
 Two kernel oracles bypass the head-plus-tail polynomial set: dense_kernel
 factors the whole N x N Faber Gram of the exact sums, and
 ellipse_kernel_ratio evaluates the closed-form ellipse polynomials by their
-three-term recurrence.  faber_eval_lists runs the Faber recurrence on two
-growing lists, the reference that FaberBasis.eval_all matches bit for bit,
+three-term recurrence.  faber_eval_lists runs the one-row Faber recurrence
+on a growing list, the reference that FaberBasis.eval_all matches bit for
+bit, faber_eval_joint the joint (Ftilde, Ftilde') recurrence that eval_all
+replaced, and faber_eval_mp the one-row recurrence in mpmath, the accuracy
+reference for both,
 poly_rows_per_degree builds every row of poly --srule cn from a table
 of its own degree, the reference for its one shared Faber table, and
 kernel_r1_binned_dense bins the disk's R_1 from the dense monomial
@@ -51,6 +54,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import roots_jacobi, roots_legendre
@@ -392,9 +396,30 @@ def annulus_density_mp(N: int, s, edges) -> list:
 
 
 def faber_eval_lists(emap: ExteriorMap, z, n_upto: int) -> np.ndarray:
-    """F_0(z)..F_{n_upto}(z) by the joint (Ftilde, Ftilde') recurrence on two
-    growing lists, one array per degree and row: the arithmetic of
-    FaberBasis.eval_all, operation for operation, without its stacked state."""
+    """F_0(z)..F_{n_upto}(z) by the one-row recurrence on a growing list,
+    one array per degree: F_0 = 1/cap and cap F_n = (z - c_0) F_{n-1} -
+    sum_{k=1}^{min(m, n-1)} c_k F_{n-1-k}, the arithmetic of
+    FaberBasis.eval_all, operation for operation, without its in-place rows.
+    A 0-d z is evaluated as one point: numpy scalars would round some
+    products differently from the array loops."""
+    z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1)
+    m, cap, c = emap.tail_length, emap.cap, emap.laurent_coeffs
+    inv_cap = 1.0 / cap
+    f = [np.full_like(flat, inv_cap)]
+    for n in range(1, n_upto + 1):
+        val = (flat - c[0]) * f[n - 1]
+        for k in range(1, min(m, n - 1) + 1):
+            val = val - c[k] * f[n - 1 - k]
+        f.append(val * inv_cap if cap != 1.0 else val)
+    return np.array(f).reshape((n_upto + 1,) + z.shape)
+
+
+def faber_eval_joint(emap: ExteriorMap, z, n_upto: int) -> np.ndarray:
+    """F_0(z)..F_{n_upto}(z) as (n+1) F_n = Ftilde_{n+1}', by the joint
+    recurrence of the classical Faber polynomials and their derivatives,
+    cap Ftilde_{n+1} = (z - c_0) Ftilde_n - sum_{k=1}^{n-1} c_k Ftilde_{n-k}
+    - (n+1) c_n: the evaluation that eval_all's one row replaced."""
     z = np.asarray(z, dtype=complex)
     m, cap, c = emap.tail_length, emap.cap, emap.laurent_coeffs
     ft = [np.ones_like(z)]
@@ -408,10 +433,33 @@ def faber_eval_lists(emap: ExteriorMap, z, n_upto: int) -> np.ndarray:
             der = der - c[k] * fd[n - k]
         if 1 <= n <= m:
             val = val - (n + 1) * c[n]
-        ft.append(val / cap)
-        fd.append(der / cap)
-        out[n] = fd[n + 1] / (n + 1)
+        ft.append(val * (1.0 / cap))
+        fd.append(der * (1.0 / cap))
+        out[n] = fd[n + 1] * (1.0 / (n + 1))
+        if n >= m:   # the recurrence reads m + 1 rows back
+            ft[n - m] = fd[n - m] = None
     return out
+
+
+def faber_eval_mp(emap: ExteriorMap, z, n_upto: int, dps: int = 60) -> list:
+    """F_0(z)..F_{n_upto}(z) by the one-row recurrence in mpmath at dps
+    digits, from the exact values of the map's doubles and of z; one list of
+    mpc per point of the 1-D array z."""
+    with mpmath.workdps(dps):
+        inv_cap = 1 / mpmath.mpf(emap.cap)
+        c = [mpmath.mpc(x) for x in emap.laurent_coeffs]
+        m = emap.tail_length
+        rows = []
+        for zp in np.atleast_1d(np.asarray(z, dtype=complex)):
+            zc = mpmath.mpc(complex(zp)) - c[0]
+            f = [inv_cap]
+            for n in range(1, n_upto + 1):
+                val = zc * f[n - 1]
+                for k in range(1, min(m, n - 1) + 1):
+                    val -= c[k] * f[n - 1 - k]
+                f.append(val * inv_cap)
+            rows.append(f)
+        return rows
 
 
 def dense_kernel(emap: ExteriorMap, n_pts: int, s: float, z, u) -> np.ndarray:

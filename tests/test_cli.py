@@ -587,6 +587,32 @@ def test_scaling_evaluates_the_faber_recurrence_once_per_run(monkeypatch, capsys
     assert code == 0 and sizes == [(3 * 4, 89)]
 
 
+@pytest.mark.parametrize("weighted", [[], ["--weighted"]], ids=["plain", "weighted"])
+def test_scaling_evaluates_phi_prime_once_per_run(weighted, monkeypatch, capsys):
+    # tau reads the offset and Phi'(z) alone: one evaluation of Phi' serves
+    # every offset, and each row's predictor takes its two tau, where each
+    # row evaluated Phi' two times (four when weighted)
+    kernels = importlib.import_module("potens.kernels")
+    calls, rows = [], []
+    true_prime, true_predictor = ExteriorMap._phi_prime_raw, kernels.scaling_predictor
+
+    def counting_prime(self, w):
+        calls.append(np.size(w))
+        return true_prime(self, w)
+
+    def counting_predictor(*args, **kwargs):
+        rows.append(kwargs["taus"])
+        return true_predictor(*args, **kwargs)
+
+    monkeypatch.setattr(ExteriorMap, "_phi_prime_raw", counting_prime)
+    monkeypatch.setattr(cli, "scaling_predictor", counting_predictor)
+    code, out = run_cli(["scaling", "--domain", "ellipse", "--q", "0.5", "--N", "30,70,90",
+                         "--srule", "cn", "--s", "2", "--a=0.1,0.2i", "--b=-0.3,0.1"] + weighted,
+                        capsys)
+    assert code == 0 and len(out.splitlines()) == 1 + 3 * 2 * 2
+    assert calls == [1] and len(rows) == 12 and None not in rows
+
+
 POLY_CN = {
     "ellipse 0.5": ("ellipse --q 0.5", ellipse_map(0.5), range(1, 121)),  # head degree 62
     "ellipse 0.5 sparse": ("ellipse --q 0.5", ellipse_map(0.5), (5, 70, 150)),

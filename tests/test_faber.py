@@ -2,6 +2,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +11,9 @@ from potens.geometry import ExteriorMap, big_phi_eval, disk_map, ellipse_map
 
 from _bruteforce import (
     eval_series,
+    faber_eval_joint,
     faber_eval_lists,
+    faber_eval_mp,
     faber_oracle_coeffs,
     remainder_product_integral,
 )
@@ -176,9 +179,11 @@ EVAL_MAPS = {
 
 
 @pytest.mark.parametrize("name", sorted(EVAL_MAPS))
-def test_eval_all_is_bit_identical_to_the_two_list_recurrence(name):
-    # the stacked state applies each IEEE operation of the reference in the
-    # same order to each row, so the values agree bit for bit
+def test_eval_all_is_bit_identical_to_the_one_row_list_recurrence(name):
+    # each degree is written in place, with the IEEE operations of the list
+    # form in the same order, so the values agree bit for bit; written into
+    # a strided column block of a larger table, they are the same bits, and
+    # the rest of the table is untouched
     emap = EVAL_MAPS[name]
     basis = FaberBasis(emap, 12)
     rng = np.random.default_rng(7)
@@ -186,31 +191,97 @@ def test_eval_all_is_bit_identical_to_the_two_list_recurrence(name):
         z = rng.uniform(-2.0, 2.0, shape) + 1j * rng.uniform(-2.0, 2.0, shape)
         for n_upto in (0, 1, 2, 3, 4, 12, 120):
             got = basis.eval_all(z, n_upto)
-            want = faber_eval_lists(emap, z, n_upto)
+            want = faber_eval_lists(emap, z, n_upto).view(np.uint64)
             assert got.shape == (n_upto + 1,) + shape
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (shape, n_upto)
+            assert np.array_equal(got.view(np.uint64), want), (shape, n_upto)
+            table = np.full((n_upto + 1,) + shape[:-1] + (3 * shape[-1],), np.nan + 0j)
+            block = table[..., shape[-1] : 2 * shape[-1]]
+            assert basis.eval_all(z, n_upto, out=block) is block
+            assert np.array_equal(block.view(np.uint64), want), (shape, n_upto)
+            assert np.isnan(np.delete(table, np.s_[shape[-1] : 2 * shape[-1]], axis=-1)).all()
 
 
 def test_eval_all_of_a_scalar_is_the_entry_of_a_one_point_array():
-    basis = FaberBasis(EVAL_MAPS["custom_m3"], 12)
+    emap = EVAL_MAPS["custom_m3"]
+    basis = FaberBasis(emap, 12)
     z = 0.4 - 1.1j
     got = basis.eval_all(z, 60)
     assert got.shape == (61,)
     assert np.array_equal(got.view(np.uint64), basis.eval_all(np.array([z]), 60)[:, 0].view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), faber_eval_lists(emap, z, 60).view(np.uint64))
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+def test_eval_all_on_an_ellipse_is_the_chebyshev_recurrence_bit_for_bit(q):
+    # cap = 1 and c_0 = 0: the row is U_0 = 1, U_1 = z, U_{k+1} = z U_k - q U_{k-1}
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=200) + 1j * rng.normal(size=200)
+    u = [np.ones_like(z), z]
+    for k in range(1, 300):
+        u.append(z * u[k] - q * u[k - 1])
+    got = FaberBasis(ellipse_map(q), 4).eval_all(z, 300)
+    assert np.array_equal(got.view(np.uint64), np.array(u).view(np.uint64))
+
+
+# m = 0..3 with cap != 1 and c_0 != 0, and the q = 0.5 ellipse
+ACCURACY_MAPS = {
+    "m0_cap1.3": ExteriorMap(1.3, (0.1,)),
+    "m1_cap1.3": ExteriorMap(1.3, (0.1, 0.3j)),
+    "ellipse_q05": ellipse_map(0.5),
+    "m2_cap0.8": ExteriorMap(0.8, (0.05j, 0.1, 0.15j)),
+    "m3_cap1.3": ExteriorMap(1.3, (0.1, 0.3, 0, 0.05)),
+}
+
+
+def _relative_errors(got: np.ndarray, ref: list) -> np.ndarray:
+    # ref as the sum of its nearest double and the rest, so that got - ref
+    # is formed in doubles without rounding away the error it measures
+    hi = np.array([[complex(v) for v in row] for row in ref]).T
+    lo = np.array([[complex(v - complex(v)) for v in row] for row in ref]).T
+    return np.abs((got - hi) - lo) / np.abs(hi)
+
+
+@pytest.mark.parametrize("name", sorted(ACCURACY_MAPS))
+def test_eval_all_is_as_accurate_as_the_joint_recurrence(name):
+    # against the one-row recurrence at 60 digits: six points inside K (the
+    # boundary pulled 40% toward c_0), 1e-3 outside the boundary (|w| = 1.001)
+    # and at |w| = 1.3, to degree 400; then two points on and near the
+    # boundary to degree 10^4.  The one-row recurrence's worst relative
+    # error in each class is at most twice the joint recurrence's (measured:
+    # 0.60 to 1.16 times it, and 1.1e-14 to 1.3e-12 at degree 10^4)
+    emap = ACCURACY_MAPS[name]
+    basis = FaberBasis(emap, 4)
+    w = np.exp(2j * np.pi * (np.arange(6) + 0.3) / 6)
+    c_0 = emap.laurent_coeffs[0]
+    classes = [(c_0 + 0.6 * (emap.phi(w) - c_0), 400), (emap.phi(1.001 * w), 400),
+               (emap.phi(1.3 * w), 400),
+               (emap.phi(np.array([1.0, 1.001]) * np.exp(1j * np.array([0.4, 2.0]))), 10**4)]
+    for z, n_upto in classes:
+        ref = faber_eval_mp(emap, z, n_upto)
+        got = _relative_errors(basis.eval_all(z, n_upto), ref).max()
+        joint = _relative_errors(faber_eval_joint(emap, z, n_upto), ref).max()
+        assert got <= 2.0 * joint, (n_upto, got, joint)
 
 
 def test_eval_all_peak_memory_is_below_twice_its_output():
-    # the recurrence keeps only the m + 1 states it reads; the two-list
-    # recurrence held 2 (n_upto + 2) arrays besides the output
-    basis = FaberBasis(ellipse_map(0.5), 4)
+    # each degree is written into its row of the output: besides it the
+    # recurrence holds z - c_0 and the temporary of one product c_k F_j, two
+    # copies of z against the output's 101 (the joint recurrence held m + 3
+    # two-row states, 9 and 13 copies of z on these maps); into a given
+    # output, nothing else
     z = np.exp(1j * np.linspace(0.0, 2 * np.pi, 20_000)) * 1.1
-    tracemalloc.start()
-    try:
-        out = basis.eval_all(z, 100)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * out.nbytes, (peak, out.nbytes)
+    for emap in (ellipse_map(0.5), EVAL_MAPS["custom_m3"]):
+        basis = FaberBasis(emap, 4)
+        table = np.empty((101, 2 * z.size), dtype=complex)
+        for out in (None, table[:, ::2]):
+            tracemalloc.start()
+            try:
+                got = basis.eval_all(z, 100, out=out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held = 0 if out is not None else got.nbytes
+            assert peak < held + 2 * z.nbytes + 4096, (peak - held) / z.nbytes
 
 
 def test_mono_keeps_only_the_ftilde_rows_it_reads():

@@ -235,20 +235,42 @@ def test_gap_values_do_not_depend_on_cpu_count(ellipse_half, monkeypatch, cpus):
 
 
 def test_gap_sweep_memory_is_its_tables_not_its_slices(ellipse_half, monkeypatch):
-    # one slice of 43,008 nodes whose finest pass (32,768 nodes) dominates:
-    # blocked, the peak is the Gram step's copy of the finest table, about
-    # 2.3 tables; one eval_all over the whole slice would add its values and
-    # the head product over every node, about 3.5 tables
+    # one slice of 43,008 nodes (2,048 + 8,192 + 32,768) in blocks of 8,192.
+    # When the sweep starts it holds the three tables and the node arrays:
+    # points (16 bytes) and weights (8) of each pass and of their
+    # concatenation, 48 bytes a node.  Each block is evaluated into its
+    # table, so above that the sweep needs one block's temporaries: the
+    # inversion's, about 7.5 block-length complex vectors, freed before the
+    # recurrence's z - c_0 and one product, and the scale w sqrt(u).  A
+    # block with an (N, block) output of its own would add N = 20 vectors.
+    # Past the sweep the peak is the Gram step's copy of the finest table,
+    # about 2.3 tables
     _use_cpus(monkeypatch, 1)
     N = 20
     polys = orthonormalize(moments(ellipse_half, N - 1, 2.0 * N))
+    nodes = sum((32 * mult) * (64 * mult) for mult in (1, 2, 4))
+    tables = N * nodes * np.dtype(complex).itemsize
     finest = N * (4 * 32) * (4 * 64) * np.dtype(complex).itemsize
+    vector = pp._GAP_BLOCK * np.dtype(complex).itemsize
+    sweep = pp._spread
+    seen = {}
+
+    def measured(fill, size):
+        seen["entry"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sweep(fill, size)
+        seen["rise"] = tracemalloc.get_traced_memory()[1] - seen["entry"]
+
+    monkeypatch.setattr(pp, "_spread", measured)
+    gap_probability(polys, N, DiskRegion(1.3, 0.2), n_rad=2, n_ang=4)  # first-call imports
     tracemalloc.start()
     try:
         gap_probability(polys, N, DiskRegion(1.3, 0.2), n_rad=32, n_ang=64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert seen["entry"] <= tables + 48 * nodes + 2 ** 16, (seen["entry"] - tables) / nodes
+    assert seen["rise"] <= 10 * vector, seen["rise"] / vector
     assert peak < 3 * finest, (peak, finest)
 
 
@@ -816,4 +838,4 @@ def test_gap_refinement_warning_machinery(polys_4_6):
     with pytest.warns(UserWarning, match="refinement is not settling") as record:
         gap_probability(polys, 8, region, 24, 64)
     message = str(record[0].message)
-    assert "0.005649883326577721" in message and "0.005823301263707707" in message
+    assert "0.005649883326577752" in message and "0.005823301263707708" in message
