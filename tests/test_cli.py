@@ -590,8 +590,7 @@ def test_scaling_evaluates_the_faber_recurrence_once_per_run(monkeypatch, capsys
 @pytest.mark.parametrize("weighted", [[], ["--weighted"]], ids=["plain", "weighted"])
 def test_scaling_evaluates_phi_prime_once_per_run(weighted, monkeypatch, capsys):
     # tau reads the offset and Phi'(z) alone: one evaluation of Phi' serves
-    # every offset, and each row's predictor takes its two tau, where each
-    # row evaluated Phi' two times (four when weighted)
+    # every offset, and each row's predictor takes its two tau
     kernels = importlib.import_module("potens.kernels")
     calls, rows = [], []
     true_prime, true_predictor = ExteriorMap._phi_prime_raw, kernels.scaling_predictor

@@ -266,9 +266,7 @@ def test_eval_all_is_as_accurate_as_the_joint_recurrence(name):
 def test_eval_all_peak_memory_is_below_twice_its_output():
     # each degree is written into its row of the output: besides it the
     # recurrence holds z - c_0 and the temporary of one product c_k F_j, two
-    # copies of z against the output's 101 (the joint recurrence held m + 3
-    # two-row states, 9 and 13 copies of z on these maps); into a given
-    # output, nothing else
+    # copies of z against the output's 101; into a given output, nothing else
     z = np.exp(1j * np.linspace(0.0, 2 * np.pi, 20_000)) * 1.1
     for emap in (ellipse_map(0.5), EVAL_MAPS["custom_m3"]):
         basis = FaberBasis(emap, 4)

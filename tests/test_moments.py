@@ -354,8 +354,8 @@ def test_square_ratio_is_q2_rounded_once_and_its_remainder():
 
 def test_closed_diagonal_does_not_raise_the_rounding_of_q_to_the_degree():
     # on m = 1 maps whose q is not a double (cap != 1, complex c_1), raising
-    # the rounded |c_1|/cap to the power 2k+2 multiplied its rounding by
-    # 2k+2: 11.3 ulp off a 40-digit value on these maps.  Raised from q^2
+    # a rounded |c_1|/cap to the power 2k+2 multiplies its rounding by 2k+2,
+    # 11.3 ulp off a 40-digit value on these maps.  Raised from q^2
     # and its remainder the table is 1.96 ulp off at worst, as is the same
     # form with a correctly rounded q^(2k+2).  The rest is the form's own
     # rounding: the model's alone reaches 1.9 ulp at degrees where the
