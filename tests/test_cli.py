@@ -235,28 +235,46 @@ def test_non_finite_domain_exits_2(domain, capsys):
     assert out == ""
 
 
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's
+    potens on one BLAS thread."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def test_cli_import_in_a_fresh_interpreter_is_quiet():
     # what a benchmark or script pays before its first call: the import must
     # succeed silently on one BLAS thread, start no thread and load no scipy
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     code = ("import sys, threading, potens.cli; "
             "print(threading.active_count()); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    res = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), capture_output=True,
                          text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stderr == ""
     assert res.stdout.splitlines() == ["1", "[]"]
 
 
+def test_gap_runs_in_a_fresh_interpreter_leave_numpy_polynomial_unloaded():
+    # the radial rule is pointprocess._gauss_legendre, so importing
+    # numpy.polynomial is a cost no gap run pays
+    argvs = ["gap --domain disk --N 4 --s 6 --radius 0.5",
+             "gap --domain ellipse --q 0.5 --N 8 --s 16.0 "
+             "--center=1.2724474743969516+0.006497461571995086i --radius 0.4 "
+             "--nodes-radial 24 --nodes-angular 64"]
+    code = ("import sys, potens.cli; "
+            "codes = [potens.cli.main(argv.split()) for argv in sys.argv[1:]]; "
+            "print(codes, 'numpy.polynomial' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code] + argvs, env=_fresh_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[0, 0] False"
+
+
 def _run_cli_process(argv: list) -> subprocess.CompletedProcess:
     """potens.cli in a fresh interpreter, so its stderr holds every warning."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, "-m", "potens.cli"] + argv, env=env,
+    return subprocess.run([sys.executable, "-m", "potens.cli"] + argv, env=_fresh_env(),
                           capture_output=True, text=True, timeout=120)
 
 

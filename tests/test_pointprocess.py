@@ -129,7 +129,7 @@ def test_gap_rejects_eigenvalues_above_one_on_the_finest_pass_only(ellipse_half,
     true_eigvalsh = np.linalg.eigvalsh
 
     def recording(a):
-        # leggauss takes the eigenvalues of its own, smaller, Jacobi matrices
+        # _gauss_legendre takes the eigenvalues of its own, smaller, Jacobi matrices
         lam = true_eigvalsh(a)
         if a.shape == (100, 100):
             spectra.append(lam)
@@ -143,6 +143,33 @@ def test_gap_rejects_eigenvalues_above_one_on_the_finest_pass_only(ellipse_half,
         gap_probability(polys, 64, DiskRegion(0.1, 0.95), n_rad=12, n_ang=32)
     assert info.value.estimates.shape == (6,)
     assert np.all(info.value.estimates > 1 + 1e-12) and info.value.estimates[-1] > 1.06
+
+
+def test_gauss_legendre_is_numpys_rule_bit_for_bit():
+    for n in [*range(1, 201), 384]:
+        want = np.polynomial.legendre.leggauss(n)
+        for got, ref in zip(pp._gauss_legendre(n), want):
+            assert got.dtype == np.float64 and got.shape == (n,), n
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), n
+
+
+@pytest.mark.parametrize("counts, name", [((24, 64.5), "n_ang"), ((24.0, 64), "n_rad"),
+                                          ((True, 64), "n_rad"), ((0, 64), "n_rad"),
+                                          ((24, 0), "n_ang")])
+def test_gap_rejects_node_counts_that_are_not_integers_from_one(ellipse_half, counts, name):
+    # n_ang = 64.5 would run arange(64.5), 65 angles weighted for 64.5, and n_rad = True 1 radius
+    polys = orthonormalize(moments(ellipse_half, 7, 16.0))
+    with pytest.raises(ValueError, match=f"node count {name} >= 1 \\(got {name}="):
+        gap_probability(polys, 8, DiskRegion(1.3, 0.4), *counts)
+
+
+def test_gap_numpy_integer_node_counts_give_the_same_bits(ellipse_half):
+    polys = orthonormalize(moments(ellipse_half, 7, 16.0))
+    want = gap_probability(polys, 8, DiskRegion(1.3, 0.4), 24, 64)
+    got = gap_probability(polys, 8, DiskRegion(1.3, 0.4), np.int64(24), np.int64(64))
+    assert got.value == want.value
+    assert got.series_sum == want.series_sum and got.nodes == want.nodes == (96, 256)
+    assert np.array_equal(got.terms.view(np.uint64), want.terms.view(np.uint64))
 
 
 def test_gap_empty_and_full(polys_4_6):
