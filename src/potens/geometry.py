@@ -226,11 +226,10 @@ def phi_roots(emap: ExteriorMap, z: np.ndarray) -> np.ndarray:
     formed as np.roots forms it.  The quadratic's larger root is
     -(b + sqrt(b^2 - 4c)) / 2 with the sign of the square root that adds to b,
     so nothing cancels, and the other root is c over it (Vieta).  For m >= 2
-    the roots are eigenvalues of the companion matrices of all points, built
-    as np.roots builds them and stacked into one np.linalg.eigvals call: the
-    cubic and quartic formulas lose digits to cancellation on some inputs and
-    past m = 3 there is no formula, while eigenvalues are backward stable at
-    every degree.
+    they are the eigenvalues of all points' companion matrices in one
+    np.linalg.eigvals call: the cubic and quartic formulas lose digits to
+    cancellation on some inputs and past m = 3 there is no formula, while
+    eigenvalues are backward stable at every degree.
     """
     c, m = emap.laurent_coeffs, emap.tail_length
     if m == 0:
@@ -244,15 +243,20 @@ def phi_roots(emap: ExteriorMap, z: np.ndarray) -> np.ndarray:
         root[bs.real * root.real + bs.imag * root.imag < 0] *= -1
         big = (bs + root) * (-0.5 * scale)
         return np.stack((big, c1 / big), axis=1)
-    # divided by a complex cap, as np.roots divides, so the roots match it bit for bit
-    poly = np.empty((z.size, m + 2), dtype=complex)
-    poly[:, 0] = emap.cap
-    poly[:, 1] = c[0] - z
-    poly[:, 2:] = c[1:]
-    companion = np.zeros((z.size, m + 1, m + 1), dtype=complex)
-    companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
-    companion[:, np.arange(1, m + 1), np.arange(m)] = 1.0
-    return np.linalg.eigvals(companion)
+    return np.linalg.eigvals(companion(emap, z))
+
+
+def companion(emap: ExteriorMap, z: np.ndarray) -> np.ndarray:
+    """Companion matrices of phi(w) = z, one per point of a 1-d array z,
+    divided by the complex cap as np.roots divides, so their eigenvalues are
+    np.roots' bit for bit.  Row 0, (z - c_0, -c_1, ..., -c_m) / cap, is the
+    Faber recurrence: C(z) (F_n, ..., F_{n-m}) = (F_{n+1}, ..., F_{n+1-m})."""
+    c, m = emap.laurent_coeffs, emap.tail_length
+    out = np.zeros((z.size, m + 1, m + 1), dtype=complex)
+    out[:, 0, 0] = -(c[0] - z) / complex(emap.cap)
+    out[:, 0, 1:] = -np.array(c[1:]) / complex(emap.cap)
+    out[:, np.arange(1, m + 1), np.arange(m)] = 1.0
+    return out
 
 
 def big_phi_eval(emap: ExteriorMap, z):
@@ -313,7 +317,7 @@ def equilibrium_potential(emap: ExteriorMap, z):
 
 def level_line(emap: ExteriorMap, level: float, n_theta: int = 256) -> np.ndarray:
     """Points of the level curve {P_K = level}, level >= 1, as phi(level*e^{i t})."""
-    if level < 1:
-        raise ValueError("P_K level lines exist for level >= 1 only")
+    if not 1 <= level < np.inf:
+        raise ValueError(f"P_K level lines exist for finite level >= 1 only, got level={level!r}")
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
     return np.asarray(emap._phi_raw(level * np.exp(1j * theta)))

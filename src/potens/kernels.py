@@ -19,19 +19,14 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError
-from .geometry import BOUNDARY_TOL, ExteriorMap, big_phi_eval, equilibrium_potential
-from .moments import moments
+from .geometry import BOUNDARY_TOL, ExteriorMap, big_phi_eval, companion, equilibrium_potential
+from .moments import _check_s_number, head_degree, moments
 from .orthopoly import OrthoPolySet, orthonormalize
 
 # Taylor coefficients of H_0 and H_1; at |t| < 1 the first omitted term is
 # below 1e-19 of the value
 _H0_SERIES = tuple(2 * (i + 1) / math.factorial(i + 2) for i in range(20))
 _H1_SERIES = tuple(6 * (i + 1) / math.factorial(i + 3) for i in range(20))
-
-# orders of bergman_kernel's partial sums and its absolute stopping tolerance
-_BERGMAN_ORDERS = (16, 32, 64, 128, 256, 512)
-_BERGMAN_TOL = 1e-8
 
 # |tau| up to which H_ell is formed with powers of tau: tau ** 3 overflows
 # from about 5.6e102, and the H_1 term would silently drop out
@@ -50,6 +45,7 @@ def _check_order(polys: OrthoPolySet, n_points: int) -> None:
 def weight_at(emap: ExteriorMap, s: float, z):
     """P_K(z)^{-s}; at s = inf the weight degenerates to the indicator of K.
     A float for scalar z, else an array of z's shape."""
+    _check_s_number(s)
     p = np.asarray(equilibrium_potential(emap, z))
     if not np.isfinite(s):
         wt = np.where(p <= 1.0 + BOUNDARY_TOL, 1.0, 0.0)
@@ -85,6 +81,7 @@ def kernel_asymptotic(emap: ExteriorMap, N: int, s: float, z: complex, u: comple
     summed directly: its geometric closed form divides by (1-x)^3 and loses
     about eps/|1-x|^2 of relative accuracy as x approaches 1.
     """
+    _check_s_number(s)
     w, inside = big_phi_eval(emap, np.array([z, u], dtype=complex))
     if inside.any():
         raise ValueError("kernel asymptotics are stated on the closure of the exterior")
@@ -98,6 +95,7 @@ def kernel_asymptotic(emap: ExteriorMap, N: int, s: float, z: complex, u: comple
 
 def boundary_diag_asymptotic(emap: ExteriorMap, N: int, s: float, theta: float) -> float:
     """Diagonal kernel value on the curve at z = phi(e^{i theta}), leading order."""
+    _check_s_number(s)
     tau = cmath.exp(1j * theta)
     dphi = complex(emap._phi_prime_raw(np.asarray(tau, dtype=complex)))
     jac = 1.0 / abs(dphi) ** 2
@@ -111,27 +109,26 @@ def boundary_diag_asymptotic(emap: ExteriorMap, N: int, s: float, theta: float) 
 def bergman_kernel(emap: ExteriorMap, z: complex, u: complex) -> complex:
     """Reproducing kernel of square-integrable holomorphic functions on D.
 
-    Closed form on the disk; elsewhere the finite interior-weight kernels
-    K_n at the orders _BERGMAN_ORDERS are summed until two in a row agree to
-    _BERGMAN_TOL.  At s = inf pi_k does not depend on the table size, so
-    every K_n is a partial sum of one set built at the last order.
+    pi_n at s = inf is summed below n0 from head_degree.  Past n0,
+    pi_n = F_n sqrt((n+1)/pi) to tail_bound, and the companion matrix C of
+    phi(w) = z steps (F_n, ..., F_{n-m}) to (F_{n+1}, ..., F_{n+1-m}).  With
+    M = C(z) (x) conj C(u) the tail is e^T (n0 (I - M)^-1 + (I - M)^-2) v / pi,
+    v the products of F_{n0..n0+m}(z) and conj F_{n0..n0+m}(u).
     """
-    if not big_phi_eval(emap, np.array([z, u], dtype=complex))[1].all():
+    n0 = head_degree(emap)[0]
+    if n0 == math.inf:
+        raise ValueError("phi is not univalent: the Bergman kernel has no tail to sum")
+    pts = np.array([z, u], dtype=complex)
+    if not big_phi_eval(emap, pts)[1].all():
         raise ValueError("Bergman kernel arguments must lie in the interior domain")
-    if emap.is_disk():
-        return (1.0 / math.pi) / (1.0 - z * np.conj(u)) ** 2
-    n_max = _BERGMAN_ORDERS[-1]
-    polys = orthonormalize(moments(emap, n_max - 1, np.inf))
-    vals = polys.eval_all(np.array([z, u], dtype=complex), n_max - 1)
-    terms = vals[:, 0] * np.conj(vals[:, 1])
-    prev = None
-    for n in _BERGMAN_ORDERS:
-        val = complex(np.sum(terms[:n]))
-        if prev is not None and abs(val - prev) <= _BERGMAN_TOL:
-            return val
-        prev = val
-    raise ConvergenceError(f"Bergman kernel series did not stabilize to {_BERGMAN_TOL} "
-                           f"by degree {n_max}")
+    polys = orthonormalize(moments(emap, n0 - 1, np.inf))
+    vals = polys.moment_table.head_basis.eval_all(pts, n0 + emap.tail_length)
+    head = polys.from_faber(vals[:n0])
+    cz, cu = companion(emap, pts)
+    step = np.eye(cz.size) - np.kron(cz, np.conj(cu))
+    once = np.linalg.solve(step, np.kron(vals[n0:, 0], np.conj(vals[n0:, 1]))[::-1])
+    tail = (n0 * once[-1] + np.linalg.solve(step, once)[-1]) / math.pi
+    return complex(np.sum(head[:, 0] * np.conj(head[:, 1])) + tail)
 
 
 # -- scaling limit machinery --------------------------------------------------------

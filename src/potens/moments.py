@@ -126,6 +126,13 @@ def _check_s(n_max: int, s: float) -> None:
         raise ValueError(f"s={s}: need s >= n_max + 2 = {n_max + 2} or s = inf")
 
 
+def _check_s_number(s: float) -> None:
+    """For the functions whose s = inf branch is taken when s is not finite:
+    nan or -inf would take it too."""
+    if not s > -math.inf:
+        raise ValueError(f"s={s}: need a real number or s = inf")
+
+
 # the diagonal model of each part, rounded as the Laurent sums round a lone
 # power w^k, so the disk's table is the one the sums give
 def _interior_model(n_max: int) -> np.ndarray:

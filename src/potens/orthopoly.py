@@ -26,7 +26,7 @@ import numpy as np
 
 from .faber import FaberBasis
 from .geometry import ExteriorMap, _ellipse_q
-from .moments import MomentTable
+from .moments import MomentTable, _check_s_number
 
 
 @dataclass(frozen=True)
@@ -164,6 +164,7 @@ def _first_bad_pivot(gram: np.ndarray) -> int:
 # -- leading-coefficient predictor ---------------------------------------------
 
 def _s_factor(n: int, s: float) -> float:
+    _check_s_number(s)
     if not np.isfinite(s):
         return 1.0
     if s <= n + 1:

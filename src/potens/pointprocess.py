@@ -340,6 +340,8 @@ def radius_cdf(n: int, s: float, r: float) -> float:
     """P(R_n <= r) for s > n + 1; at s = inf R_n is supported on [0, 1]."""
     if not s > n + 1:
         raise ValueError(f"radius law needs s > n + 1 (got n={n}, s={s})")
+    if math.isnan(r):
+        raise ValueError(f"radius_cdf needs a number r, got r={r!r}")
     if r <= 0:
         return 0.0
     if r <= 1.0:

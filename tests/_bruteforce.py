@@ -19,7 +19,10 @@ inversion is checked against the winding number of the boundary curve
 Two kernel oracles bypass the head-plus-tail polynomial set: dense_kernel
 factors the whole N x N Faber Gram of the exact sums, and
 ellipse_kernel_ratio evaluates the closed-form ellipse polynomials by their
-three-term recurrence.  faber_eval_lists runs the one-row Faber recurrence
+three-term recurrence.  Two Bergman kernel oracles bypass the
+companion-matrix tail: bergman_ellipse_mp sums the ellipse series in
+mpmath, and bergman_root_pairs sums the tail over pairs of roots of
+phi(w) = z and phi(w) = u.  faber_eval_lists runs the one-row Faber recurrence
 on a growing list, the reference that FaberBasis.eval_all matches bit for
 bit, faber_eval_joint the joint (Ftilde, Ftilde') recurrence that eval_all
 replaced, and faber_eval_mp the one-row recurrence in mpmath, the accuracy
@@ -63,7 +66,7 @@ from potens.faber import FaberBasis
 from potens.geometry import ExteriorMap, big_phi_eval
 from potens.kernels import _check_order, _faber_coords, kernel_sum
 from potens.moments import (MomentTable, _exterior_model, _interior_model, exterior_gram,
-                            interior_gram, moments)
+                            head_degree, interior_gram, moments)
 from potens.orthopoly import OrthoPolySet, _lower_inverse, orthonormalize
 from potens.pointprocess import _power_integrals
 
@@ -491,6 +494,58 @@ def ellipse_kernel_ratio(q: float, n_pts: int, s: float, theta: float, a, b) -> 
     va, vb = u[:, 1 : a.size + 1], u[:, a.size + 1 :]
     num = (va * kappa2[:, None]).T @ np.conj(vb)
     return num / np.sum(kappa2 * np.abs(u[:, 0]) ** 2)
+
+
+def bergman_ellipse_mp(q: float, z: complex, u: complex, dps: int = 40) -> complex:
+    """The Bergman kernel of phi(w) = w + q/w, the series
+    sum_n (n+1) / (pi (1 - q^(2n+2))) U_n(z) conj(U_n(u)) with the monic U_n
+    of ellipse_kernel_ratio, in mpmath to dps digits; q, z and u are
+    converted exactly.  It stops where (n+1)^3 (r_z r_u)^n, with r the
+    larger root modulus of w^2 - z w + q, is 1e-5 below dps digits: the cube
+    also covers the growth n r^n of U_n at a focus, a double root."""
+    with mpmath.workdps(dps + 10):
+        q, z, ubar = mpmath.mpf(q), mpmath.mpc(z), mpmath.conj(mpmath.mpc(u))
+
+        def r(p):
+            d = mpmath.sqrt(p * p - 4 * q)
+            return max(abs(p + d), abs(p - d)) / 2
+
+        x, stop = r(z) * r(ubar), mpmath.mpf(10) ** (-dps - 5)
+        total, n = mpmath.mpf(0), 0
+        uz, uz_prev, uu, uu_prev = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0)
+        while (n + 1) ** 3 * x ** n > stop:
+            total += (n + 1) / (mpmath.pi * (1 - q ** (2 * n + 2))) * uz * uu
+            uz, uz_prev = z * uz - q * uz_prev, uz
+            uu, uu_prev = ubar * uu - q * uu_prev, uu
+            n += 1
+        return complex(total)
+
+
+def bergman_root_pairs(emap: ExteriorMap, z: complex, u: complex) -> complex:
+    """bergman_kernel with its tail summed over root pairs instead of the
+    companion-matrix solves.  With omega_i the roots of phi(omega) = z from
+    np.roots, F_n(z) = sum_i omega_i^n / phi'(omega_i) (partial fractions of
+    1/(phi(w) - z) = sum F_n(z) w^(-n-1)), so past n0 the kernel is
+        (1/pi) sum_{i,j} conj(b_j) S(omega_i conj(omega'_j)) / phi'(omega_i),
+        S(x) = sum_{n>=n0} (n+1) x^n = x^n0 ((n0+1) - n0 x) / (1-x)^2,
+    b_j = 1/phi'(omega'_j) over the roots omega'_j at u.  The head is
+    kernel_sum of the library's set.  Dividing by phi' makes it nan at a
+    critical value of phi, where two roots meet; use it away from those."""
+    n0 = head_degree(emap)[0]
+    head = kernel_sum(orthonormalize(moments(emap, n0 - 1, np.inf)), n0, z, u)
+    c = emap.laurent_coeffs
+
+    def roots_and_weights(p):
+        omega = np.roots([emap.cap, c[0] - p, *c[1:]])
+        dphi = emap.cap - sum((k * ck * omega ** (-k - 1) for k, ck in enumerate(c[1:], 1)),
+                              np.zeros_like(omega))
+        return omega, 1.0 / dphi
+
+    wz, az = roots_and_weights(z)
+    wu, au = roots_and_weights(u)
+    x = wz[:, None] * np.conj(wu)[None, :]
+    tail = x ** n0 * ((n0 + 1) - n0 * x) / (1.0 - x) ** 2
+    return head + complex(np.sum(az[:, None] * np.conj(au)[None, :] * tail)) / math.pi
 
 
 def kernel_r1_binned_dense(polys: OrthoPolySet, N: int, edges) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import mpmath
@@ -277,3 +278,9 @@ def test_level_lines(disk, ellipse_half):
         assert equilibrium_potential(ellipse_half, complex(z)) == pytest.approx(1.7, abs=1e-9)
     with pytest.raises(ValueError):
         level_line(disk, 0.5)
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+def test_level_line_rejects_a_level_that_is_not_finite(ellipse_half, level):
+    with pytest.raises(ValueError, match=f"level={level}"):
+        level_line(ellipse_half, level)

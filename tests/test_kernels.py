@@ -3,8 +3,11 @@ import math
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from potens.kernels import (
     _h0,
@@ -23,12 +26,13 @@ from potens.kernels import (
     weight_at,
     weighted_kernel,
 )
-from potens.errors import ConvergenceError
-from potens.geometry import ExteriorMap, disk_map, ellipse_map
-from potens.moments import moments
+from potens.geometry import ExteriorMap, disk_map, ellipse_map, phi_roots
+from potens.moments import head_degree, moments
 from potens.orthopoly import orthonormalize
 
 from _bruteforce import (
+    bergman_ellipse_mp,
+    bergman_root_pairs,
     christoffel_check,
     dense_kernel,
     ellipse_kernel_ratio,
@@ -112,6 +116,25 @@ def test_kernel_asymptotic_next_to_diagonal(disk):
     assert val.real == pytest.approx(boundary_diag_asymptotic(disk, 10, 20.0, 0.0), rel=1e-6)
 
 
+@pytest.mark.parametrize("s", [math.nan, -math.inf])
+def test_weight_at_rejects_s_that_is_not_a_number_or_inf(ellipse_half, s):
+    # the s = inf indicator branch used to take these: nan gave 0.0 at z = 3
+    with pytest.raises(ValueError, match=f"s={s}"):
+        weight_at(ellipse_half, s, 3.0)
+
+
+@pytest.mark.parametrize("s", [math.nan, -math.inf])
+def test_kernel_asymptotic_rejects_s_that_is_not_a_number_or_inf(ellipse_half, s):
+    with pytest.raises(ValueError, match=f"s={s}"):
+        kernel_asymptotic(ellipse_half, 10, s, 1.6, 1.6)
+
+
+@pytest.mark.parametrize("s", [math.nan, -math.inf])
+def test_boundary_diag_asymptotic_rejects_s_that_is_not_a_number_or_inf(ellipse_half, s):
+    with pytest.raises(ValueError, match=f"s={s}"):
+        boundary_diag_asymptotic(ellipse_half, 10, s, 0.3)
+
+
 def test_kernel_asymptotic_rejects_interior(disk):
     with pytest.raises(ValueError):
         kernel_asymptotic(disk, 5, 20.0, 0.2, 1.0)
@@ -181,8 +204,10 @@ def test_bergman_series_stabilizes():
     assert abs(v1 - v2) < 1e-8
 
 
-def test_bergman_partial_sums_match_separate_tables_and_stall_raises():
-    # K_16, K_32, ... read off one set equal the kernels of sets built at each order
+def test_bergman_partial_sums_match_separate_tables_and_thin_ellipse_is_exact():
+    # K_16, K_32, ... of sets built at each order converge to bergman_kernel;
+    # on the q = 0.9 ellipse, where 512 degrees of partial sums did not
+    # settle, the kernel is the mpmath series
     emap = ellipse_map(0.5)
     z, u = 0.1, 0.05j
     prev, n = None, 16
@@ -192,8 +217,101 @@ def test_bergman_partial_sums_match_separate_tables_and_stall_raises():
             break
         prev, n = val, 2 * n
     assert abs(bergman_kernel(emap, z, u) - val) <= 1e-15 * abs(val)
-    with pytest.raises(ConvergenceError, match="by degree 512"):
-        bergman_kernel(ellipse_map(0.9), z, u)
+    want = bergman_ellipse_mp(0.9, z, u)
+    assert abs(want - (10.5388920746232 - 6.18897039016234j)) <= 1e-12
+    assert abs(bergman_kernel(ellipse_map(0.9), z, u) - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("q, z, u, rel", [
+    (0.5, 0.1, 0.05j, 1e-15),
+    (0.3, 0.0, 0.0, 1e-15),
+    (0.5, 1.2 + 0.1j, 0.9 - 0.2j, 1e-15),
+    (0.9, 0.1, 0.05j, 1e-15),
+    (0.9, 1.5, 1.4 + 0.05j, 1e-15),
+    (0.25, 1.0, 0.3, 1e-15),            # z = 2 sqrt(q), a focus: phi(w) = z has a double root
+    (0.9, 1.85, 1.88 + 0.005j, 5e-15),  # 0.05 inside the end of the major axis
+    # near the end of the minor axis, where the tail past n0 is 10% to 30%
+    (0.9, 0.095j, 0.09j, 1e-15),
+    (0.5, 0.49j, 0.45j, 1e-15),
+    (0.3, 0.65j, 0.1 + 0.6j, 1e-15),
+])
+def test_bergman_matches_the_ellipse_series_in_mpmath(q, z, u, rel):
+    want = bergman_ellipse_mp(q, z, u)
+    assert abs(bergman_kernel(ellipse_map(q), z, u) - want) <= rel * abs(want)
+
+
+@pytest.mark.parametrize("r", [0.9, 1 - 1e-4, 1 - 1e-6])
+@pytest.mark.parametrize("turn", [0.0, 0.7])
+def test_bergman_disk_near_the_circle_is_as_accurate_as_the_closed_form(disk, r, turn):
+    # both lose the rounding of |z|^2 over 1 - |z|^2; exact values in mpmath
+    z = r * cmath.exp(1j * turn)
+    with mpmath.workdps(50):
+        want = complex(1 / (mpmath.pi * (1 - abs(mpmath.mpc(z)) ** 2) ** 2))
+    closed = abs((1.0 / math.pi) / (1.0 - z * np.conj(z)) ** 2 - want) / want.real
+    got = abs(bergman_kernel(disk, z, z) - want) / want.real
+    assert got <= 2 * max(closed, 2.0 ** -53)
+
+
+@pytest.mark.parametrize("coeffs", [(0j, 0.5), (0j, 0.2, 0.1j), (0j, 0.3, 0, 0.05),
+                                    (0.1j, 0.2, 0.05 - 0.1j), (0.1 + 0.2j,)])
+@pytest.mark.parametrize("theta", [0.3, 2.0])
+def test_bergman_matches_the_root_pair_tail(coeffs, theta):
+    # z and u 3% and 5% in from the boundary, where the tail past n0 is more
+    # than 0.1% of the kernel; the root-pair sum itself rounds to about
+    # 2e-14 there, raising roots near the unit circle to the power n0
+    emap = ExteriorMap(1.5, tuple(1.5 * np.asarray(coeffs)))
+    c = emap.laurent_coeffs[0]
+    z = c + 0.97 * (complex(emap.boundary_point(theta)) - c)
+    u = c + 0.95 * (complex(emap.boundary_point(theta + 0.1)) - c)
+    want = bergman_root_pairs(emap, z, u)
+    n0 = head_degree(emap)[0]
+    head = kernel_sum(orthonormalize(moments(emap, n0 - 1, np.inf)), n0, z, u)
+    assert abs(want - head) > 1e-3 * abs(want)
+    assert abs(bergman_kernel(emap, z, u) - want) <= 1e-13 * abs(want)
+
+
+def test_bergman_rejects_a_map_that_is_not_univalent_and_points_outside_k(ellipse_half):
+    emap = ExteriorMap(1.0, (0j, 1.2))  # the roots w and 1.2/w of phi(w) = z both reach |w| >= 1
+    with pytest.raises(ValueError, match="not univalent"):
+        bergman_kernel(emap, 0.0, 0.0)
+    for z, u in [(1.6, 0.0), (0.0, 1.6j), (1.5, 0.0)]:  # 1.5 is on the boundary
+        with pytest.raises(ValueError, match="interior domain"):
+            bergman_kernel(ellipse_half, z, u)
+
+
+@st.composite
+def _interior_pairs(draw):
+    """A univalent map with m <= 3 whose head has at most 400 degrees, and two
+    points of K, each on a segment from c_0 to the boundary, whose roots of
+    phi(w) = z all lie in |w| <= 0.97."""
+    cap = draw(st.floats(0.5, 2.0))
+    parts = st.floats(-0.2, 0.2)
+    coeffs = [complex(draw(parts), draw(parts)) * cap for _ in range(draw(st.integers(0, 3)) + 1)]
+    emap = ExteriorMap(cap, tuple(coeffs))
+    try:
+        emap.validate()
+    except ValueError:
+        assume(False)
+    assume(head_degree(emap)[0] <= 400)
+    pts = np.array([coeffs[0] + draw(st.floats(0.0, 0.98))
+                    * (complex(emap.boundary_point(draw(st.floats(0.0, 2 * np.pi)))) - coeffs[0])
+                    for _ in range(2)])
+    rho = np.max(np.abs(phi_roots(emap, pts)), axis=1)
+    assume(rho.max() <= 0.97)
+    return emap, pts, rho
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=_interior_pairs())
+def test_bergman_matches_a_long_direct_sum_on_random_maps(case):
+    # the direct sum stops where (rho_z rho_u)^n is below 1e-20; the error is
+    # measured against sqrt(K(z,z) K(u,u)), which bounds |K(z,u)|, since
+    # K(z,u) itself cancels when z and u are far apart
+    emap, (z, u), rho = case
+    n = head_degree(emap)[0] + math.ceil(-46 / math.log(max(rho[0] * rho[1], 0.01)))
+    polys = orthonormalize(moments(emap, n - 1, np.inf))
+    scale = math.sqrt(kernel_sum(polys, n, z, z).real * kernel_sum(polys, n, u, u).real)
+    assert abs(bergman_kernel(emap, z, u) - kernel_sum(polys, n, z, u)) <= 2e-15 * scale
 
 
 def test_h_limit_values():

@@ -1,7 +1,8 @@
 """Every function, class and method of the library is read somewhere that
 ships or is the spec: the package itself, the benchmark, or the acceptance
 tests.  A member that only unit tests read is dead weight unless it is
-listed below with its reason."""
+listed below with its reason.  So is every name a module assigns at its top
+level, such as a constant that a deletion left behind."""
 
 import ast
 from pathlib import Path
@@ -40,6 +41,26 @@ def _definitions():
     return out
 
 
+def _assignments():
+    """(module.name, file, first line, last line) of every name assigned by a
+    top-level statement of a module in src/potens, dunders left out."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not (name.id.startswith("__")
+                                                           and name.id.endswith("__")):
+                        out.append((f"{path.stem}.{name.id}", path, node.lineno, node.end_lineno))
+    return out
+
+
 def _reads():
     """name -> [(file, line)] of every Name and attribute that is read, in
     src/ (its __init__ re-exports are imports, not reads), bench/*.py and
@@ -61,12 +82,14 @@ def _reads():
     return reads
 
 
-def _outside_reads():
-    """qualified name -> its reads outside its own definition."""
+def _outside_reads(entries=None):
+    """qualified name -> its reads outside its own lines, for each of
+    entries, (qualified name, file, first line, last line); by default every
+    definition."""
     reads = _reads()
     return {qual: [r for r in reads.get(qual.rsplit(".", 1)[-1], [])
                    if not (r[0] == path and first <= r[1] <= last)]
-            for qual, path, first, last in _definitions()}
+            for qual, path, first, last in (_definitions() if entries is None else entries)}
 
 
 def test_every_library_member_is_read_outside_its_definition():
@@ -80,3 +103,10 @@ def test_every_listed_exception_is_still_defined_and_still_test_only():
     for qual in TEST_ONLY:
         assert qual in outside, f"{qual} is gone; drop it from TEST_ONLY"
         assert not outside[qual], f"{qual} is now read at {outside[qual]}; drop it from TEST_ONLY"
+
+
+def test_every_module_level_name_is_read_outside_its_assignment():
+    outside = _outside_reads(_assignments())
+    assert {"geometry.BOUNDARY_TOL", "kernels._TAU_POWER_MAX", "moments.HEAD_TOL"} <= set(outside)
+    unread = [name for name, reads in outside.items() if not reads]
+    assert not unread, f"assigned at module level and read by no shipped code: {unread}"

@@ -133,6 +133,19 @@ def test_kappa_asymptotic_values(disk, ellipse_half):
     assert rel <= 1e-6
 
 
+@pytest.mark.parametrize("s", [math.nan, -math.inf])
+def test_kappa_asymptotic_rejects_s_that_is_not_a_number_or_inf(ellipse_half, s):
+    # nan used to give the s = inf value 1.1283791670955126 at n = 3
+    with pytest.raises(ValueError, match=f"s={s}"):
+        kappa_asymptotic(3, s, ellipse_half)
+
+
+@pytest.mark.parametrize("s", [math.nan, -math.inf])
+def test_closed_form_rejects_s_that_is_not_a_number_or_inf(ellipse_half, s):
+    with pytest.raises(ValueError, match=f"s={s}"):
+        closed_form(ellipse_half, 3, s)
+
+
 def test_exterior_asymptotic(disk, ellipse_half):
     assert exterior_asymptotic(2, np.inf, disk, 2.0) == pytest.approx(math.sqrt(3 / math.pi) * 4)
     # ratio pi_n / prediction approaches 1 as n grows

@@ -579,6 +579,12 @@ def test_radius_cdf_rejects_s_without_a_radial_law(n, s):
         radius_cdf(n, s, 0.5)
 
 
+@pytest.mark.parametrize("s", [9.0, math.inf])
+def test_radius_cdf_rejects_a_nan_radius(s):
+    with pytest.raises(ValueError, match="r=nan"):
+        radius_cdf(3, s, math.nan)
+
+
 @pytest.mark.parametrize("u", [-0.1, 1.5, 1.0, math.nan])
 def test_radius_ppf_rejects_u_outside_unit_interval(u):
     with pytest.raises(ValueError, match=r"\[0, 1\)"):
