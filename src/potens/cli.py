@@ -8,7 +8,6 @@ Exit codes: 0 ok, 2 configuration error, 3 numerical non-convergence.
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import math
 import sys
@@ -201,6 +200,11 @@ def config_from_pairs(pairs: dict, command: str | None = None) -> StudyConfig:
     return StudyConfig(**values).validate(command)
 
 
+def _reads(command: str, key: str) -> bool:
+    """Whether command reads option key, on the command line or in a config file."""
+    return key in _OPTIONS and command in _OPTIONS[key][3].split()
+
+
 def _pairs_from_text(text: str, command: str | None = None) -> dict:
     """key=value lines of a config file; blank lines and # comments skipped.
     With a command, a key that command does not read is an error."""
@@ -213,7 +217,7 @@ def _pairs_from_text(text: str, command: str | None = None) -> dict:
         key = key.strip()
         if key not in _OPTIONS:
             raise ConfigError(f"unknown config key {key!r}")
-        if command and command not in _OPTIONS[key][3].split():
+        if command and not _reads(command, key):
             raise ConfigError(f"{command} does not read config key {key!r}")
         pairs[key] = value.strip()
     return pairs
@@ -381,45 +385,85 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The potens parser.  With a known command only that subcommand is
-    registered, since argv can name no other; the metavar of the full table
-    keeps the usage line the same.  It would also rename the action in
-    "argument command:" errors, which a known command cannot raise."""
+def build_parser():
+    """The potens argparse parser, with every subcommand and the options it
+    reads.  main builds it only for an argv that _read_argv leaves to it:
+    help, a usage error, or a value token that begins with "-"."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="potens",
                                      description="potential-theoretic ensemble studies")
-    known = command in _COMMANDS
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(_COMMANDS) + "}" if known else None)
-    for name in [command] if known else _COMMANDS:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="key=value config file")
-        for key, (_, parse, help_text, readers) in _OPTIONS.items():
-            if name in readers.split():
+        for key, (_, parse, help_text, _) in _OPTIONS.items():
+            if _reads(name, key):
                 flag = {"action": "store_true", "default": None} if parse is _flag else {}
                 p.add_argument("--" + key, dest=key, help=help_text, **flag)
     return parser
 
 
-def _namespace_pairs(ns: argparse.Namespace) -> dict:
+def _namespace_pairs(ns) -> dict:
     return {key: str(value) for key, value in vars(ns).items()
             if key in _OPTIONS and value is not None}
 
 
+def _read_argv(argv):
+    """(command, config file, option key -> text) of a well-formed argv, read
+    straight from _OPTIONS; the pairs are those of _namespace_pairs, in its
+    order.  Well-formed is a known command, then only "--key value" and
+    "--key=value" for keys that command reads or --config, and a bare
+    --weighted.  Anything else gives None and is left to argparse, which
+    alone decides what a value token beginning with "-" is."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, config, found = argv[0], None, {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("--"):
+            return None
+        key, eq, value = token[2:].partition("=")
+        if key != "config" and not _reads(command, key):
+            return None
+        if key != "config" and _OPTIONS[key][1] is _flag:
+            if eq:
+                return None
+            value = "True"
+        elif not eq:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        elif value == "--":  # argparse drops it and reads the key as []
+            return None
+        if key == "config":
+            config = value
+        else:
+            found[key] = value
+    return command, config, {key: found[key] for key in _OPTIONS if key in found}
+
+
 def main(argv=None) -> int:
+    """Run the study argv names (default sys.argv[1:]) and return its exit
+    code.  A well-formed argv is read by _read_argv; argparse is built only
+    for the rest, so every help text and usage error (exit 2) is its own."""
     argv = sys.argv[1:] if argv is None else argv
-    ns = build_parser(argv[0] if argv else None).parse_args(argv)
+    read = _read_argv(argv)
+    if read is None:
+        ns = build_parser().parse_args(argv)
+        read = ns.command, ns.config, _namespace_pairs(ns)
+    command, config, argv_pairs = read
     try:
         pairs = {}
-        if ns.config:
+        if config:
             try:
-                with open(ns.config) as fh:
+                with open(config) as fh:
                     text = fh.read()
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from exc
-            pairs = _pairs_from_text(text, ns.command)
-        pairs.update(_namespace_pairs(ns))
-        _COMMANDS[ns.command](config_from_pairs(pairs, ns.command))
+            pairs = _pairs_from_text(text, command)
+        pairs.update(argv_pairs)
+        _COMMANDS[command](config_from_pairs(pairs, command))
     except ValueError as exc:  # ConfigError and the library's range checks
         print(f"config error: {exc}", file=sys.stderr)
         return 2

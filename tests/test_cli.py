@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import potens.cli as cli
 from potens.errors import ConvergenceError
@@ -245,15 +247,17 @@ def _fresh_env() -> dict:
 
 def test_cli_import_in_a_fresh_interpreter_is_quiet():
     # what a benchmark or script pays before its first call: the import must
-    # succeed silently on one BLAS thread, start no thread and load no scipy
+    # succeed silently on one BLAS thread, start no thread and load no scipy;
+    # argparse is imported only by build_parser
     code = ("import sys, threading, potens.cli; "
             "print(threading.active_count()); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print('argparse' in sys.modules)")
     res = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), capture_output=True,
                          text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stderr == ""
-    assert res.stdout.splitlines() == ["1", "[]"]
+    assert res.stdout.splitlines() == ["1", "[]", "False"]
 
 
 def test_gap_runs_in_a_fresh_interpreter_leave_numpy_polynomial_unloaded():
@@ -405,21 +409,102 @@ def readme_cli_argv() -> list:
     return [argv[1:] for argv in lines]
 
 
-def test_one_subcommand_parser_matches_the_full_parser(capsys):
-    # main builds the options of the named subcommand only; its help text,
-    # the usage line of parse errors and the parsed namespace stay the same
-    full = cli.build_parser()
-    sub = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction))
+def test_subcommand_help_is_the_full_parsers(capsys):
+    # main leaves --help to argparse, which prints the full parser's help of
+    # the subcommand
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
     argvs = readme_cli_argv()
     assert sorted(argv[0] for argv in argvs) == sorted(cli._COMMANDS)
     for argv in argvs:
-        one = cli.build_parser(argv[0])
-        assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
-        assert one.format_usage() == full.format_usage()
         with pytest.raises(SystemExit) as exc:
             cli.main([argv[0], "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out == sub.choices[argv[0]].format_help()
+
+
+def _argparse_read(argv) -> tuple:
+    ns = cli.build_parser().parse_args(argv)
+    pairs = cli._namespace_pairs(ns)
+    return ns.command, ns.config, pairs, list(pairs)
+
+
+def _reader_read(argv) -> tuple:
+    command, config, pairs = cli._read_argv(argv)
+    return command, config, pairs, list(pairs)
+
+
+def well_formed_argv() -> list:
+    """The README's CLI argv and the benchmark-shaped argv of this file."""
+    return (readme_cli_argv() + [shlex.split(SCALING_BENCH)]
+            + [shlex.split(EXACT_REFERENCE[name]) for name in sorted(EXACT_REFERENCE)])
+
+
+def test_read_argv_reads_the_readme_and_benchmark_argv_as_argparse_does():
+    for argv in well_formed_argv():
+        assert _reader_read(argv) == _argparse_read(argv), argv
+
+
+# the values and keys a well-formed argv takes are drawn more often than the
+# rest, so that about a quarter of the draws are read
+ARGV_VALUES = ["0.3", "4", "disk", "x=y", ""] * 3 + ["-0.1", "-0.1,0.2i", "-", "--"]
+ARGV_STRAYS = ["-h", "--help", "--config", "--weighted", "stray", "--", "-", "-0.1", "0.3",
+               "--bogus", "-q"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.data())
+def test_read_argv_agrees_with_argparse_whenever_it_reads(data):
+    # what the reader reads, argparse accepts and reads the same way, pairs
+    # in the same order; what it leaves (None) goes to argparse unchanged
+    command = data.draw(st.sampled_from(sorted(cli._COMMANDS) * 3 + ["bogus", "-h", "--help"]))
+    reads = [k for k in cli._OPTIONS if cli._reads(command, k)] + ["config"]
+    key = st.sampled_from(reads * 6 + list(cli._OPTIONS))
+    value = st.sampled_from(ARGV_VALUES)
+    pair = st.tuples(key, value)
+    token = st.one_of(pair.map(lambda kv: ["--" + kv[0], kv[1]]),
+                      pair.map(lambda kv: ["--" + "=".join(kv)]),
+                      pair.map(lambda kv: ["--" + kv[0], kv[1]]),
+                      pair.map(lambda kv: ["--" + "=".join(kv)]),
+                      key.map(lambda k: ["--" + k]),
+                      st.sampled_from(ARGV_STRAYS).map(lambda s: [s]))
+    argv = [command] + sum(data.draw(st.lists(token, max_size=5)), [])
+    if cli._read_argv(argv) is not None:
+        assert _reader_read(argv) == _argparse_read(argv)
+
+
+def test_read_argv_leaves_help_usage_errors_and_dash_values_to_argparse():
+    for argv in ([], ["bogus"], ["--help"], ["scaling", "-h"], ["scaling", "--help"],
+                 ["scaling", "--N"], ["scaling", "--nmax", "4"], ["scaling", "10"],
+                 ["scaling", "--b", "-0.1"], ["scaling", "--weighted=1"],
+                 ["scaling", "--weighted", "1"], ["scaling", "--", "--N", "4"]):
+        assert cli._read_argv(argv) is None, argv
+    assert cli._read_argv(["scaling", "--b=-0.1", "--weighted", "--config="]) == (
+        "scaling", "", {"b": "-0.1", "weighted": "True"})
+
+
+def test_well_formed_argv_run_without_building_argparse(tmp_path, monkeypatch, capsys):
+    # each runs once through argparse and once with build_parser refusing:
+    # the same exit code 0, stdout and --out file
+    outputs = []
+    for via_argparse in (True, False):
+        with monkeypatch.context() as patch:
+            if via_argparse:
+                patch.setattr(cli, "_read_argv", lambda argv: None)
+            else:
+                def refuse():
+                    raise AssertionError("argparse was built")
+                patch.setattr(cli, "build_parser", refuse)
+            runs = []
+            for argv in well_formed_argv():
+                if "--out" in argv:
+                    i = argv.index("--out") + 1
+                    argv[i] = str(tmp_path / f"{via_argparse}-{Path(argv[i]).name}")
+                assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
+                out = capsys.readouterr().out
+                runs.append(Path(argv[i]).read_text() if "--out" in argv else out)
+            outputs.append(runs)
+    assert outputs[0] == outputs[1]
 
 
 def test_accepted_options_are_the_table():
