@@ -405,6 +405,9 @@ def build_parser():
 
 
 def _namespace_pairs(ns) -> dict:
+    for key, value in vars(ns).items():
+        if isinstance(value, list):  # argparse reads "--key=--" as []
+            raise ConfigError(f"--{key}=--: '--' is not a value")
     return {key: str(value) for key, value in vars(ns).items()
             if key in _OPTIONS and value is not None}
 
@@ -448,12 +451,12 @@ def main(argv=None) -> int:
     code.  A well-formed argv is read by _read_argv; argparse is built only
     for the rest, so every help text and usage error (exit 2) is its own."""
     argv = sys.argv[1:] if argv is None else argv
-    read = _read_argv(argv)
-    if read is None:
-        ns = build_parser().parse_args(argv)
-        read = ns.command, ns.config, _namespace_pairs(ns)
-    command, config, argv_pairs = read
     try:
+        read = _read_argv(argv)
+        if read is None:
+            ns = build_parser().parse_args(argv)
+            read = ns.command, ns.config, _namespace_pairs(ns)
+        command, config, argv_pairs = read
         pairs = {}
         if config:
             try:

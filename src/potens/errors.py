@@ -9,9 +9,8 @@ class ConvergenceError(RuntimeError):
     """A numerical result failed to stabilize or missed its accuracy contract.
 
     Attributes carry the evidence: ``last`` holds the rejected root of the
-    exterior-map inversion and ``estimates`` the rejected values (the
-    interior Gram matrix that lost Hermitian symmetry, the gap matrix's
-    eigenvalues above 1).
+    exterior-map inversion and ``estimates`` the rejected values (the gap
+    matrix's eigenvalues above 1).
     """
 
     def __init__(self, message, last=None, estimates=None):

@@ -13,10 +13,12 @@ w phi'(w)/(phi(w)-z) = sum Ftilde_n(z) w^{-n}).  Differentiating the identity
 Ftilde_{n+1} = Phi^{n+1} + O(1/z) gives (n+1) F_n = Ftilde_{n+1}'.
 
 The same recurrence run on composed series delivers the exact Laurent
-expansion of Ftilde_n(phi(w)) in w, from which everything downstream
-(exterior grams, remainder tails, boundary L2 norms) follows without any
-cancellation-prone subtraction.  The remainder E_n = F_n - Phi^n Phi' is
-held as its series tail: remainder_series(n) is E_n(phi(w)) phi'(w).
+expansion Ftilde_n(phi(w)) = w^n + n sum_{l>=1} b_{n,l} w^(-l) (n >= 1;
+the b_{n,l} are the Grunsky coefficients), one table from which both parts
+of the Gram matrix follow (moments) without any cancellation-prone
+subtraction.  Its negative powers also hold the remainder
+E_n = F_n - Phi^n Phi': differentiating Ftilde_{n+1}(phi(w)),
+E_n(phi(w)) phi'(w) = -sum_l l b_{n+1,l} w^(-l-1).
 """
 
 from __future__ import annotations
@@ -36,12 +38,11 @@ class FaberBasis:
     """All Faber data of one map up to a fixed degree.
 
     Holds the monomial coefficients of F_0..F_nmax and the exact Laurent
-    series (in w) of Ftilde_n(phi(w)); the latter makes exterior-plane
-    evaluation stable at any radius because no large powers are subtracted.
-    Construction builds nothing: the monomial rows and the Laurent tables,
-    about (n_max+2) x ((n_max+1) m + n_max) each, are built on first read of
-    a member that needs them.  Every table is read-only, so one basis can be
-    shared.
+    series (in w) of Ftilde_0(phi(w))..Ftilde_{n_max+1}(phi(w)), from which
+    the Gram matrix is read with no large powers subtracted.  Construction
+    builds nothing: the monomial rows and the Laurent table, about
+    (n_max+2) x ((n_max+1) m + n_max), are built on first read of a member
+    that needs them.  Every table is read-only, so one basis can be shared.
     """
 
     def __init__(self, emap: ExteriorMap, n_max: int):
@@ -85,7 +86,8 @@ class FaberBasis:
 
     @cached_property
     def _comp(self) -> np.ndarray:
-        """Composed series Ftilde_0(phi(w))..Ftilde_{n_max+1}(phi(w))."""
+        """Composed series Ftilde_0(phi(w))..Ftilde_{n_max+1}(phi(w)), power p
+        at column p + offset."""
         n_max, m, cap = self.n_max, self.map.tail_length, self.map.cap
         c = np.asarray(self.map.laurent_coeffs, dtype=complex)
         width = self.offset + n_max + 3
@@ -104,39 +106,6 @@ class FaberBasis:
                 nxt[self.offset] -= (n + 1) * c[n]
             comp[n + 1] = nxt / cap
         return _frozen(comp)
-
-    @cached_property
-    def _outer(self) -> np.ndarray:
-        """A_n = F_n(phi(w)) phi'(w) = d/dw [Ftilde_{n+1}(phi(w))] / (n+1)."""
-        comp = self._comp
-        powers = np.arange(comp.shape[1]) - self.offset
-        outer = np.zeros((self.n_max + 1, comp.shape[1]), dtype=complex)
-        for n in range(self.n_max + 1):
-            deriv = comp[n + 1] * powers
-            outer[n, :-1] = deriv[1:] / (n + 1)
-        return _frozen(outer)
-
-    # -- series access --------------------------------------------------------
-
-    def outer_series(self, n: int) -> np.ndarray:
-        """Laurent coefficients of F_n(phi(w)) phi'(w), power p at index p+offset."""
-        return self._outer[n]
-
-    def outer_series_all(self) -> np.ndarray:
-        return self._outer
-
-    def antiderivative_series(self, k: int) -> np.ndarray:
-        """Laurent coefficients of G_k(phi(w)) with G_k' = F_k (constant fixed to 0)."""
-        return self._comp[k + 1] / (k + 1)
-
-    def remainder_series(self, n: int) -> np.ndarray:
-        """Strictly negative-power part of outer_series(n).
-
-        Equals E_n(phi(w)) phi'(w): the nonnegative part of A_n is exactly w^n.
-        """
-        tail = self._outer[n].copy()
-        tail[self.offset:] = 0.0
-        return tail
 
     # -- pointwise evaluation ---------------------------------------------------
 
@@ -196,7 +165,7 @@ def remainder_decay(emap: ExteriorMap) -> tuple[float, float]:
     E_n(phi(w)) phi'(w) = sum_{i>=1} omega_i^n phi'(w) / phi'(omega_i), so rho
     is the largest |omega_i| and c is m times the largest |phi'(w) / phi'(omega_i)|,
     both sampled at _DECAY_NODES boundary points.  Every Laurent coefficient of
-    remainder_series(n) is at most c rho^n.  The disk gives (0, 0).
+    E_n(phi(w)) phi'(w) is at most c rho^n.  The disk gives (0, 0).
     """
     m = emap.tail_length
     if m == 0:

@@ -4,24 +4,31 @@ The inner product splits into an interior and an exterior piece,
 
     m[k, j] = int_D F_j conj(F_k) dA + int_O F_j conj(F_k) |Phi|^{-2s} dA,
 
-and for a finite Laurent map both are finite sums of the Laurent
-coefficients held by FaberBasis.  Let A hold the rows of F_j(phi(w)) phi'(w)
-and G the rows of G_k(phi(w)) with G_k' = F_k, power p at column p + offset.
+and for a finite Laurent map both are finite sums over the Laurent powers
+q of one series per degree, G_k(phi(w)) = Ftilde_{k+1}(phi(w)) / (k+1) =
+sum_q g[k, q] w^q; G_k' = F_k, so F_j(phi(w)) phi'(w) has the coefficient
+q g[j, q] at w^(q-1).
 
 * interior: the Cauchy-Green identity turns the area integral into the
   contour integral (1/2i) oint F_j conj(G_k) dz over |w| = 1, whose angle
-  average keeps only matching powers: m_D[k, j] = pi sum_p conj(G[k, p]) A[j, p-1].
+  average keeps only matching powers: m_D[k, j] = pi sum_q q conj(g[k, q]) g[j, q].
 
 * exterior: in the w-plane the integrand is a Laurent polynomial times the
   radial weight r^(1-2s) dr.  The angle average again pairs equal powers, and
-  the radial integral of r^(2p+1-2s) over r > 1 is exactly 1/(2s-2p-2), so
-  m_O[k, j] = 2 pi sum_p conj(A[k, p]) A[j, p] / (2s-2p-2).
+  the radial integral of r^(2q-1-2s) over r > 1 is exactly 1/(2s-2q), so
+  m_O[k, j] = pi sum_q q^2 / (s-q) conj(g[k, q]) g[j, q].
+
+The one positive power of G_k, w^(k+1) / (k+1), gives the diagonal model
+pi/(k+1) + pi/(s-k-1); the negative powers q = -l pair the rows, so each
+part is its model plus one weighted product over the negative-power columns,
+
+    m[k, j] = model - pi sum_{l>=1} s l / (s+l) conj(g[k, -l]) g[j, -l].
 
 Neither sum truncates or samples anything, so every s >= n_max + 2 is
 handled alike, up to s = inf where the exterior part vanishes.
 
 On maps with m <= 1 (the disk and every ellipse) neither sum is formed: each
-row of A has the one negative power w^(-k-2), so the table is diagonal, and
+G_k has the one negative power w^(-k-1), so the table is diagonal, and
 with q = |c_1| / cap its diagonal is known in closed form,
 
     m[k, k] = pi s / ((k+1)(s-k-1)) (1 - q^(2k+2) (s-k-1)/(s+k+1)),
@@ -38,7 +45,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .faber import FaberBasis, remainder_decay
 from .geometry import ExteriorMap
 
@@ -55,7 +61,7 @@ class MomentTable:
     exact head plus a diagonal tail.
 
     Degrees below ``head_degree`` form the head: ``head`` is the exact
-    block, the interior plus the exterior Gram summed over the Faber tables
+    block, the interior plus the exterior Gram summed over the Laurent table
     of ``head_basis``.  From head_degree on the table is diagonal, ``tail``
     of degrees head_degree..n_max: the diagonal model pi/(k+1) + pi/(s-k-1)
     (eps = 0), and every entry of eps that this drops is at most
@@ -63,7 +69,7 @@ class MomentTable:
     m <= 1 the head is empty and the tail is the closed-form diagonal of
     every degree, which drops nothing.  ``head_basis`` covers at least the
     head's degrees; its tables are built only where a member reads them.
-    The dense (n_max+1)^2 ``entries`` and the Faber tables of every degree
+    The dense (n_max+1)^2 ``entries`` and the Faber basis of every degree
     are built on first read, for diagnostics.
     """
 
@@ -98,15 +104,8 @@ class MomentTable:
 
 def interior_gram(basis: FaberBasis) -> np.ndarray:
     """int_D F_j conj(F_k) dA for all j, k up to the basis degree."""
-    outer = basis.outer_series_all()                                   # F_j(phi) phi'
-    anti = np.stack([basis.antiderivative_series(k)                    # G_k(phi)
-                     for k in range(basis.n_max + 1)])
-    gram = np.pi * (np.conj(anti[:, 1:]) @ outer[:, :-1].T)
-    asym = np.max(np.abs(gram - gram.conj().T))
-    if asym > 1e-8 * max(1.0, np.max(np.abs(gram))):
-        raise ConvergenceError("interior contour sum lost Hermitian symmetry",
-                               estimates=(gram, None))
-    return 0.5 * (gram + gram.conj().T)
+    conj_g, weighted = _negative_powers(basis, lambda l: l)
+    return np.diag(_interior_model(basis.n_max)) - np.pi * (conj_g @ weighted.T)
 
 
 def exterior_gram(basis: FaberBasis, s: float) -> np.ndarray:
@@ -115,10 +114,19 @@ def exterior_gram(basis: FaberBasis, s: float) -> np.ndarray:
     _check_s(n_max, s)
     if s == np.inf:
         return np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    # F_n(phi) phi' = w^n + O(1/w): powers above n_max carry no coefficient
-    outer = basis.outer_series_all()[:, : basis.offset + n_max + 1]
-    powers = np.arange(outer.shape[1]) - basis.offset
-    return 2.0 * np.pi * np.conj(outer) @ (outer / (2.0 * s - 2.0 * powers - 2.0)).T
+    conj_g, weighted = _negative_powers(basis, lambda l: l * l / (s + l))
+    return np.diag(_exterior_model(n_max, s)) + np.pi * (conj_g @ weighted.T)
+
+
+def _negative_powers(basis: FaberBasis, weight) -> tuple[np.ndarray, np.ndarray]:
+    """(conj(g), g * weight(l)), where g[k, i] is the coefficient of w^(-l) in
+    G_k(phi(w)), l = offset - i: the negative-power columns of the Laurent
+    table divided by degree.  The conjugate overwrites g, so the two are
+    the only copies of the table's size."""
+    l = np.arange(basis.offset, 0, -1.0)   # column i holds the power i - offset
+    g = basis._comp[1:, : basis.offset] / np.arange(1.0, basis.n_max + 2)[:, None]
+    weighted = g * weight(l)
+    return np.conj(g, out=g), weighted
 
 
 def _check_s(n_max: int, s: float) -> None:
@@ -133,8 +141,7 @@ def _check_s_number(s: float) -> None:
         raise ValueError(f"s={s}: need a real number or s = inf")
 
 
-# the diagonal model of each part, rounded as the Laurent sums round a lone
-# power w^k, so the disk's table is the one the sums give
+# the diagonal model of each part, from the one positive power of G_k
 def _interior_model(n_max: int) -> np.ndarray:
     return np.pi * (1.0 / np.arange(1.0, n_max + 2))
 
@@ -250,7 +257,7 @@ def moments(emap: ExteriorMap, n_max: int, s: float) -> MomentTable:
     On maps with m <= 1 every degree is read from the closed-form diagonal,
     and nothing is summed or kept on the map.  Otherwise only the head,
     degrees below min(n0, n_max + 1) with n0 from head_degree, is summed;
-    the rest is the diagonal model.  The head's Faber tables and interior
+    the rest is the diagonal model.  The head's Laurent table and interior
     Gram do not depend on s: the map keeps them, read-only, for the last
     head size asked for, so calls that share a size build them once and a
     run over many sizes holds one head at a time.  Only the exterior Gram

@@ -101,8 +101,9 @@ def orthonormalize(mom: MomentTable) -> OrthoPolySet:
     """Cholesky-orthonormalize the Faber basis against the head of the
     moment table; the diagonal tail gives pi_n = F_n / sqrt(m[n, n]).
 
-    With a Laurent tail of length m <= 1 each row of A_n = F_n(phi) phi' has
-    one negative power, w^(-n-2), so no two rows pair: the moment table has
+    With a Laurent tail of length m <= 1 each G_n(phi(w)) =
+    Ftilde_{n+1}(phi(w)) / (n+1) has one negative power, w^(-n-1), so no two
+    rows pair: the moment table has
     no head, and every pi_n is F_n / sqrt(m[n, n]), with no factor computed
     and none inverted.
     """

@@ -37,8 +37,12 @@ orthonormalize_dense factors and inverts a dense head, with
 with_dense_head holding the first degrees of a headless table (m <= 1) as
 one, the reference for the tail rows that orthonormalize reads there, and
 summed_moments sums the interior and exterior Gram of every degree on any
-map, the reference for the closed-form diagonal that moments reads when
-m <= 1.
+map by the two-table route (interior_gram_sums, exterior_gram_sums: the
+tables A_n = F_n(phi) phi' and G_k = Ftilde_{k+1}(phi) / (k+1) paired over
+every power), the reference for the one-table head that moments sums when
+m >= 2 and for the closed-form diagonal that it reads when m <= 1; gram_mp
+sums the same Gram in 40-digit mpmath from a recurrence of its own, the
+accuracy reference for both routes.
 
 The remaining oracles are closed forms and diagnostics that no study reads:
 the disk and ellipse moments, the relative deviation eps of a moment table
@@ -46,9 +50,10 @@ from its diagonal model (epsilon_table) with its truncated determinants
 (delta_det, kappa_delta_identity), the leading-order exterior law of pi_n
 (exterior_asymptotic), and the Christoffel bound (christoffel_check).  So
 are the evaluators that only tests call: a Laurent series at w
-(eval_series), one orthonormal polynomial (ortho_eval), and the dense
-interior and exterior parts of a moment table (interior_part,
-exterior_part).
+(eval_series), the series of F_n(phi) phi' and of its remainder
+E_n(phi) phi' (outer_series, remainder_series), one orthonormal
+polynomial (ortho_eval), and the dense interior and exterior parts of a
+moment table (interior_part, exterior_part).
 """
 
 import cmath
@@ -65,8 +70,7 @@ from scipy.special import roots_jacobi, roots_legendre
 from potens.faber import FaberBasis
 from potens.geometry import ExteriorMap, big_phi_eval
 from potens.kernels import _check_order, _faber_coords, kernel_sum
-from potens.moments import (MomentTable, _exterior_model, _interior_model, exterior_gram,
-                            head_degree, interior_gram, moments)
+from potens.moments import MomentTable, _exterior_model, _interior_model, head_degree, moments
 from potens.orthopoly import OrthoPolySet, _lower_inverse, orthonormalize
 from potens.pointprocess import _power_integrals
 
@@ -213,8 +217,8 @@ def remainder_product_integral(basis, j: int, k: int, s: float,
     wv = 0.5 * wg
     theta = 2 * np.pi * np.arange(n_ang) / n_ang
     tau = np.exp(1j * theta)
-    tj = basis.remainder_series(j)
-    tk = basis.remainder_series(k)
+    tj = remainder_series(basis, j)
+    tk = remainder_series(basis, k)
     total = 0.0 + 0j
     for vi, wi in zip(v, wv):
         w = tau / vi
@@ -266,9 +270,8 @@ def interior_quadrature(basis, n_ang: int | None = None) -> np.ndarray:
     n_max = basis.n_max
     m = _default_angular_nodes(n_max, basis.map.tail_length) if n_ang is None else n_ang
     tau = np.exp(2j * np.pi * np.arange(m) / m)
-    outer = _circle_values(basis.outer_series_all(), basis.offset, m)
-    anti = np.stack([basis.antiderivative_series(k) for k in range(n_max + 1)])
-    anti_v = _circle_values(anti, basis.offset, m)
+    outer = _circle_values(outer_table(basis), basis.offset, m)
+    anti_v = _circle_values(antiderivative_table(basis), basis.offset, m)
     return (np.pi / m) * (np.conj(anti_v) @ (outer * tau).T)
 
 
@@ -286,7 +289,7 @@ def exterior_quadrature(basis, s: float, n_ang: int | None = None,
     x, v = roots_jacobi(nr, 0.0, beta)
     y = 0.5 * (x + 1.0)
     w_rad = 0.5 * v * np.exp(-(beta + 1.0) * math.log(2.0))
-    outer = basis.outer_series_all()
+    outer = outer_table(basis)
     powers = np.arange(outer.shape[1]) - basis.offset
     gram = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     for yi, wi in zip(y, w_rad):
@@ -469,7 +472,7 @@ def dense_kernel(emap: ExteriorMap, n_pts: int, s: float, z, u) -> np.ndarray:
     """K_N(z_i, u_j) from the whole N x N Faber Gram: every entry summed,
     the full Cholesky factor inverted by a triangular solve."""
     basis = FaberBasis(emap, n_pts - 1)
-    gram = np.conj(interior_gram(basis) + exterior_gram(basis, s))  # [j, k] = <F_j, F_k>
+    gram = np.conj(interior_gram_sums(basis) + exterior_gram_sums(basis, s))  # [j, k] = <F_j, F_k>
     coeffs = solve_triangular(np.linalg.cholesky(gram), np.eye(n_pts), lower=True)
     vz = coeffs @ basis.eval_all(np.atleast_1d(z))
     vu = coeffs @ basis.eval_all(np.atleast_1d(u))
@@ -594,13 +597,96 @@ def with_dense_head(mom: MomentTable, size: int) -> MomentTable:
                                tail=mom.tail[size:])
 
 
+# -- the two-table Gram route ------------------------------------------------------
+
+def outer_series(basis: FaberBasis, n: int) -> np.ndarray:
+    """Laurent coefficients of A_n = F_n(phi(w)) phi'(w), the derivative of
+    Ftilde_{n+1}(phi(w)) / (n+1), power p at index p + basis.offset."""
+    comp = basis._comp[n + 1]
+    out = np.zeros_like(comp)
+    out[:-1] = (comp * (np.arange(comp.size) - basis.offset))[1:] / (n + 1)
+    return out
+
+
+def outer_table(basis: FaberBasis) -> np.ndarray:
+    """Rows A_0..A_{n_max} of outer_series."""
+    return np.stack([outer_series(basis, n) for n in range(basis.n_max + 1)])
+
+
+def remainder_series(basis: FaberBasis, n: int) -> np.ndarray:
+    """Strictly negative-power part of outer_series(basis, n), which is
+    E_n(phi(w)) phi'(w): the nonnegative part of A_n is exactly w^n."""
+    tail = outer_series(basis, n)
+    tail[basis.offset:] = 0.0
+    return tail
+
+
+def antiderivative_table(basis: FaberBasis) -> np.ndarray:
+    """Rows G_0..G_{n_max}: G_k(phi(w)) = Ftilde_{k+1}(phi(w)) / (k+1), so
+    that G_k' = F_k (constant fixed to 0)."""
+    return np.stack([basis._comp[k + 1] / (k + 1) for k in range(basis.n_max + 1)])
+
+
+def interior_gram_sums(basis: FaberBasis) -> np.ndarray:
+    """int_D F_j conj(F_k) dA as pi sum_p conj(G[k, p]) A[j, p-1] over every
+    power of the two tables, made Hermitian: no diagonal model, and no
+    column picked by the sign of its power."""
+    gram = np.pi * (np.conj(antiderivative_table(basis)[:, 1:]) @ outer_table(basis)[:, :-1].T)
+    return 0.5 * (gram + gram.conj().T)
+
+
+def exterior_gram_sums(basis: FaberBasis, s: float) -> np.ndarray:
+    """int_O F_j conj(F_k) |Phi|^{-2s} dA as 2 pi sum_p conj(A[k, p]) A[j, p]
+    / (2s-2p-2) over every power of A up to n_max; zero at s = inf."""
+    n_max = basis.n_max
+    if s == np.inf:
+        return np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    outer = outer_table(basis)[:, : basis.offset + n_max + 1]
+    powers = np.arange(outer.shape[1]) - basis.offset
+    return 2.0 * np.pi * np.conj(outer) @ (outer / (2.0 * s - 2.0 * powers - 2.0)).T
+
+
+def gram_mp(emap: ExteriorMap, n_max: int, s: float, dps: int = 40) -> np.ndarray:
+    """m[k, j] of degrees 0..n_max at dps digits, each part rounded once:
+    the composed Faber recurrence run in mpmath on power -> coefficient
+    dicts, then pi sum_q q s / (s-q) conj(G_k[q]) G_j[q] (q at s = inf) over
+    every power q of G_k = Ftilde_{k+1}(phi) / (k+1), the positive one
+    included, so no diagonal model enters."""
+    with mpmath.workdps(dps):
+        m, cap = emap.tail_length, mpmath.mpf(emap.cap)
+        c = [mpmath.mpc(x) for x in emap.laurent_coeffs]
+        rows = [{0: mpmath.mpc(1)}]  # rows[n][p]: coefficient of w^p in Ftilde_n(phi(w))
+        for n in range(n_max + 1):
+            terms = [(p + 1, cap * v) for p, v in rows[n].items()]
+            for k in range(1, m + 1):
+                terms += [(p - k, c[k] * v) for p, v in rows[n].items()]
+                if k <= n - 1:
+                    terms += [(p, -c[k] * v) for p, v in rows[n - k].items()]
+            if 1 <= n <= m:
+                terms.append((0, -(n + 1) * c[n]))
+            nxt = {}
+            for p, v in terms:
+                nxt[p] = nxt.get(p, 0) + v
+            rows.append({p: v / cap for p, v in nxt.items()})
+        g = [{q: v / (k + 1) for q, v in rows[k + 1].items() if q} for k in range(n_max + 1)]
+        weight = {q: q if s == math.inf else q * mpmath.mpf(s) / (mpmath.mpf(s) - q)
+                  for row in g for q in row}
+        out = np.empty((n_max + 1, n_max + 1), dtype=complex)
+        for k in range(n_max + 1):
+            for j in range(n_max + 1):
+                out[k, j] = complex(mpmath.pi * mpmath.fsum(
+                    weight[q] * mpmath.conj(v) * g[j][q] for q, v in g[k].items() if q in g[j]))
+        return out
+
+
 def summed_moments(emap: ExteriorMap, n_max: int, s: float) -> MomentTable:
-    """The moment table of degrees 0..n_max as one head summed from the Laurent
-    tables, interior plus exterior Gram of FaberBasis(emap, n_max), on any
-    map: no closed form, no diagonal model and no tail."""
+    """The moment table of degrees 0..n_max as one head summed from the two
+    Laurent tables, interior_gram_sums plus exterior_gram_sums of
+    FaberBasis(emap, n_max), on any map: no closed form, no diagonal model
+    and no tail."""
     basis = FaberBasis(emap, n_max)
-    return MomentTable(emap, n_max, float(s), interior_gram(basis) + exterior_gram(basis, s),
-                       np.zeros(0), basis, 0.0)
+    head = interior_gram_sums(basis) + exterior_gram_sums(basis, s)
+    return MomentTable(emap, n_max, float(s), head, np.zeros(0), basis, 0.0)
 
 
 def poly_rows_per_degree(emap: ExteriorMap, degrees, s_of) -> list:
@@ -618,7 +704,7 @@ def poly_rows_per_degree(emap: ExteriorMap, degrees, s_of) -> list:
 # -- evaluators that only tests call ----------------------------------------------
 
 def eval_series(basis: FaberBasis, coeffs: np.ndarray, w) -> np.ndarray:
-    """Evaluate a Laurent series stored like basis.outer_series(n), power p
+    """Evaluate a Laurent series stored like outer_series(basis, n), power p
     at index p + basis.offset, at points w (|w| >= 1)."""
     w = np.asarray(w, dtype=complex)
     neg, nonneg = coeffs[: basis.offset], coeffs[basis.offset:]
@@ -641,13 +727,13 @@ def ortho_eval(polys: OrthoPolySet, n: int, z):
 def interior_part(mom: MomentTable) -> np.ndarray:
     """The dense interior part of a moment table: the interior Gram of the
     degrees of head_basis, then the diagonal model pi/(k+1)."""
-    return _block_then_model(interior_gram(mom.head_basis), _interior_model(mom.n_max))
+    return _block_then_model(interior_gram_sums(mom.head_basis), _interior_model(mom.n_max))
 
 
 def exterior_part(mom: MomentTable) -> np.ndarray:
     """The dense exterior part of a moment table: the exterior Gram of the
     degrees of head_basis, then the diagonal model pi/(s-k-1)."""
-    return _block_then_model(exterior_gram(mom.head_basis, mom.s),
+    return _block_then_model(exterior_gram_sums(mom.head_basis, mom.s),
                              _exterior_model(mom.n_max, mom.s))
 
 

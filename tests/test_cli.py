@@ -483,6 +483,21 @@ def test_read_argv_leaves_help_usage_errors_and_dash_values_to_argparse():
         "scaling", "", {"b": "-0.1", "weighted": "True"})
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["corr", "--ell", "0.5", "--bins", "3", "--out=--"], "out"),
+    (["corr", "--config=--"], "config"),
+    (["corr", "--ell=--", "--bins", "5"], "ell"),
+], ids=["out", "config", "ell"])
+def test_a_double_dash_value_is_refused(argv, key, tmp_path, monkeypatch, capsys):
+    # argparse reads an explicit "--key=--" as the list []; it is refused
+    # with exit 2 before any file is written, where a [] file or an ignored
+    # config used to follow
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    assert f"config error: --{key}=--" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_well_formed_argv_run_without_building_argparse(tmp_path, monkeypatch, capsys):
     # each runs once through argparse and once with build_parser refusing:
     # the same exit code 0, stdout and --out file

@@ -2,10 +2,10 @@
 ships or is the spec: the package itself, the benchmark, or the acceptance
 tests.  A member that only unit tests read is dead weight unless it is
 listed below with its reason.  So is every name a module assigns at its top
-level, such as a constant that a deletion left behind."""
+level, such as a constant that a deletion left behind, and every name it
+imports and never reads."""
 
 import ast
-from pathlib import Path
 
 from test_bench_bindings import BENCH, _load_spans
 
@@ -18,8 +18,6 @@ TEST_ONLY = {
     "kernels.boundary_diag_asymptotic": "its diagonal; ROADMAP item 11 decides its fate",
     "geometry.ExteriorMap.phi": "public phi(w) that checks |w| >= 1; the library calls _phi_raw",
     "geometry.ExteriorMap.phi_prime": "phi'(w), checked alike; the library calls _phi_prime_raw",
-    "faber.FaberBasis.outer_series": "a row of the outer Laurent table, for the remainder tests",
-    "faber.FaberBasis.remainder_series": "E_n(phi(w)) phi'(w), for the remainder-decay tests",
 }
 
 
@@ -110,3 +108,24 @@ def test_every_module_level_name_is_read_outside_its_assignment():
     assert {"geometry.BOUNDARY_TOL", "kernels._TAU_POWER_MAX", "moments.HEAD_TOL"} <= set(outside)
     unread = [name for name, reads in outside.items() if not reads]
     assert not unread, f"assigned at module level and read by no shipped code: {unread}"
+
+
+def test_every_imported_name_is_read_in_its_module():
+    # __init__ imports to re-export, and "from __future__ import annotations"
+    # binds nothing that is read
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.stem}.{name} (line {node.lineno})")
+    assert not unread, f"imported and never read: {unread}"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from potens.geometry import ExteriorMap, disk_map, ellipse_map
 from potens.faber import FaberBasis
-from potens.moments import exterior_gram, head_degree, interior_gram, moments
+from potens.moments import head_degree, moments
 from potens.orthopoly import _lower_inverse, closed_form, kappa_asymptotic, orthonormalize
 
 from _bruteforce import (
@@ -24,6 +24,7 @@ from _bruteforce import (
     ortho_eval,
     orthonormalize_dense,
     orthopoly_det,
+    remainder_series,
     summed_moments,
     with_dense_head,
 )
@@ -270,14 +271,14 @@ def test_tail_bound_covers_the_dropped_remainder_tails(emap, n, excess):
         assert polys.tail_bound == 0.0
         return
     basis = FaberBasis(emap, n - 1)
-    tails = [np.max(np.abs(basis.remainder_series(k))) for k in range(n0, n)]
+    tails = [np.max(np.abs(remainder_series(basis, k))) for k in range(n0, n)]
     assert max(tails) <= polys.tail_bound < 1e-17
 
 
 def test_monomial_table_builds_no_laurent_tables():
-    # mono_coeffs reads FaberBasis.mono of every degree; the composed and
-    # outer Laurent tables, about 2001 x 4001 complex each (256 MB together),
-    # are not read and not built.  Measured: 94 MiB peak, 123 MiB when the
+    # mono_coeffs reads FaberBasis.mono of every degree; the composed
+    # Laurent table, about 2001 x 4001 complex (128 MB), is not read and not
+    # built.  Measured: 94 MiB peak, 123 MiB when the
     # recurrence kept every Ftilde row, 367 MiB with the Laurent tables.
     polys = orthonormalize(moments(ellipse_map(0.5), 1999, 4000.0))
     tracemalloc.start()
@@ -287,7 +288,7 @@ def test_monomial_table_builds_no_laurent_tables():
     finally:
         tracemalloc.stop()
     assert peak < 105 * 2 ** 20
-    assert "_comp" not in vars(polys.basis) and "_outer" not in vars(polys.basis)
+    assert "_comp" not in vars(polys.basis)
 
 
 def _checked(emap):
