@@ -23,7 +23,10 @@ which is inverted in closed form.  Randomness comes from counter-based
 streams: radius/angle pair n of configuration c reads the Philox stream with
 counter block [0, 0, n, 0] at positions (2c, 2c+1), so any configuration can
 be regenerated independently and results are reproducible under parallel
-generation.
+generation.  The angle uniform u is taken to its nearest quarter turn
+j = rint(4u) before any trigonometry, and the point is
+r(u_re) * i^j * exp(2 pi i (u_im - j/4)): the same point as r exp(2 pi i u),
+with cos and sin evaluated on |t| <= pi/4 and an exact rotation.
 """
 
 from __future__ import annotations
@@ -387,6 +390,26 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, index, 0]))
 
 
+# i^j for j mod 4
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
+
+def _nearest_quarter_turns(u: np.ndarray) -> np.ndarray:
+    """The nearest quarter turn j = rint(4u) of each u in [0, 1), as int8,
+    with u reduced in place to v = u - j/4, |v| <= 1/8.
+
+    Every step is exact: 4u and j/4 are scalings by powers of 2, and for
+    j >= 1 the nearest quarter satisfies j/8 <= u <= j/2, so u - j/4 is a
+    float by Sterbenz's lemma.  j runs from 0 to 4.
+    """
+    j = u * 4.0
+    np.rint(j, out=j)
+    quarter = j.astype(np.int8)
+    j *= 0.25
+    u -= j
+    return quarter
+
+
 def sample_disk_batch(N: int, s: float, seed: int, count: int) -> np.ndarray:
     """count independent configurations, shape (count, N) complex.
 
@@ -397,12 +420,15 @@ def sample_disk_batch(N: int, s: float, seed: int, count: int) -> np.ndarray:
     writes its 2 count uniforms straight into the row, so the radius uniform
     of configuration c sits in its real part and the angle uniform in its
     imaginary part; the radial law is inverted on all count radius uniforms
-    at once, and the angles become cos and sin in place.  The values are
-    those of r(u_re) * exp(2 pi i u_im).  The result is the transposed
-    buffer, an F-ordered view; the values do not depend on the number of
-    slices.  An exception raised while filling a row reaches the caller.
-    Raises ValueError for negative N or count, s not finite or s <= N, and
-    a seed that is not an integer (bool excluded) in [0, 2**128).
+    at once.  Each angle uniform is reduced exactly to its nearest quarter
+    turn j (_nearest_quarter_turns), cos and sin of t = 2 pi (u_im - j/4),
+    |t| <= pi/4, are written in place, and the row is rotated exactly by
+    i^j, so the values are those of r(u_re) * i^j * exp(2 pi i (u_im - j/4)).
+    The result is the transposed buffer, an F-ordered view; the values do
+    not depend on the number of slices.  An exception raised while filling
+    a row reaches the caller.  Raises ValueError for negative N or count, s
+    not finite or s <= N, and a seed that is not an integer (bool excluded)
+    in [0, 2**128).
     """
     if N < 0 or count < 0:
         raise ValueError(f"sampler needs N >= 0 and count >= 0 (got N={N!r}, count={count!r})")
@@ -420,10 +446,15 @@ def sample_disk_batch(N: int, s: float, seed: int, count: int) -> np.ndarray:
             # stream positions 2c and 2c + 1 land in the real and imaginary part of point c
             _stream(seed, n).random(out=row.view(float))
             r = radius_ppf(n, s, row.real)
-            # exp(i theta) of glibc's cexp is (cos theta, sin theta) bit for bit
+            j = _nearest_quarter_turns(row.imag)
+            # |t| <= pi/4 keeps cos and sin off libm's slow argument reduction
             row.imag *= 2.0 * np.pi
             np.cos(row.imag, out=row.real)
             np.sin(row.imag, out=row.imag)
+            # i^j has one component 0 and the other +-1, so each component of
+            # the product is exactly +-cos t or +-sin t, however numpy rounds;
+            # the wrapped index gives j = 4 the factor 1
+            row *= np.take(_QUARTER_TURNS, j, mode="wrap")
             # two real products: numpy's complex multiply rounds differently in its
             # vector body and its scalar tail, so count would change the last bit
             row.real *= r

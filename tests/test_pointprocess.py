@@ -2,9 +2,13 @@ import math
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import potens.pointprocess as pp
 from potens.errors import ConvergenceError
@@ -666,10 +670,16 @@ def test_sampler_radii_against_mpmath():
 def test_sampler_angles_against_mpmath():
     # the twin of the radii test: z against r e^(2 pi i u) at 40 digits, with u
     # the angle uniforms of the documented Philox streams and r the float
-    # radius the sampler multiplies.  Measured at most 7.2e-16 on these 4,000
-    # points; the bound covers the rounding of 2 pi u (half an ulp of an
-    # angle below 2 pi is 4.4e-16, the float 2 pi is 2.4e-16 off) and
-    # about 1e-16 each for cos, sin and the product.
+    # radius the sampler multiplies.  The reduction u -> v = u - j/4 and the
+    # rotation by i^j are exact, so the error is that of r e^(i t) on
+    # t = 2 pi v, |t| <= pi/4, relative to r:
+    #   the angle: the float 2 pi is 2.45e-16 off, times |v| <= 1/8, plus
+    #     half an ulp of |t| < 1, 5.55e-17: at most 8.6e-17;
+    #   cos and sin, each within an ulp of a value below 1, 1.11e-16: at
+    #     most sqrt(2) * 1.11e-16 = 1.57e-16 in modulus;
+    #   the products by r, each rounded to half an ulp: 1.11e-16 in modulus.
+    # The sum is 3.54e-16; measured at most 1.9e-16 on these 4,000 points
+    # (7.2e-16 when the angle was 2 pi u, u < 1).
     import mpmath
 
     N, s, seed, count = 10, 12.5, 314, 400
@@ -683,7 +693,27 @@ def test_sampler_angles_against_mpmath():
             for c in range(count):
                 want = r[c] * mpmath.expjpi(2 * mpmath.mpf(u[2 * c + 1]))
                 worst = max(worst, float(abs(mpmath.mpc(z[c, n]) - want) / r[c]))
-    assert worst <= 1e-15, worst
+    assert worst <= 3.6e-16, worst
+
+
+def test_sample_golden_rows_against_mpmath():
+    # tests/data/sample_disk_readme.csv, the output of `potens sample
+    # --domain disk --N 8 --s 12 --seed 42`, holds one configuration; row n
+    # against r e^(2 pi i u) at 40 digits, u and r as in the test above.
+    # Measured at most 6.5e-17 (2.0e-16 when the angle was 2 pi u, u < 1).
+    import mpmath
+
+    lines = (Path(__file__).parent / "data" / "sample_disk_readme.csv").read_text().splitlines()
+    assert lines[0] == "index,re,im" and len(lines) == 9
+    with mpmath.workdps(40):
+        for n, line in enumerate(lines[1:]):
+            index, re, im = line.split(",")
+            assert int(index) == n
+            gen = np.random.Generator(np.random.Philox(key=42, counter=[0, 0, n, 0]))
+            u = gen.random(2)
+            r = radius_ppf(n, 12.0, u[0])
+            want = r * mpmath.expjpi(2 * mpmath.mpf(u[1]))
+            assert abs(mpmath.mpc(float(re), float(im)) - want) / r <= 2.5e-16, n
 
 
 def test_sampler_prefix_contract():
@@ -692,16 +722,70 @@ def test_sampler_prefix_contract():
         assert np.array_equal(sample_disk_batch(10, 12.5, 99, k), full[:k]), k
 
 
+# i^j for j mod 4, exact: numpy may round 1j ** j
+QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
+
 def test_sampler_matches_documented_counter_scheme():
     # point n of configuration c reads positions 2c (radius) and 2c + 1
-    # (angle) of the Philox stream with counter block [0, 0, n, 0]
+    # (angle) of the Philox stream with counter block [0, 0, n, 0], and is
+    # r(u_re) * i^j * exp(2 pi i (u_im - j/4)) with j = rint(4 u_im)
     N, s, seed, count = 10, 12.5, 99, 200
     want = np.empty((count, N), dtype=complex)
     for n in range(N):
         gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, n, 0]))
         u = gen.random(2 * count)
-        want[:, n] = radius_ppf(n, s, u[0::2]) * np.exp(2j * np.pi * u[1::2])
+        j = np.rint(4.0 * u[1::2])
+        v = u[1::2] - j / 4
+        turn = QUARTER_TURNS[j.astype(int) % 4]
+        want[:, n] = radius_ppf(n, s, u[0::2]) * (np.exp(2j * np.pi * v) * turn)
     assert np.array_equal(sample_disk_batch(N, s, seed, count), want)
+
+
+# the quarter-turn edges, 1/8 with its two neighbours, and the largest uniform
+EDGE_ANGLE_UNIFORMS = [0.0, np.nextafter(0.125, 0.0), 0.125, np.nextafter(0.125, 1.0), 0.25,
+                       0.375, 0.5, 0.625, 0.75, 0.875, 1.0 - 2.0 ** -53]
+
+
+def _check_quarter_turn_reduction(u: float) -> None:
+    v = np.array([u])
+    j = pp._nearest_quarter_turns(v)
+    assert j[0] == round(4 * Fraction(u)), u  # half to even, as rint
+    assert Fraction(float(v[0])) == Fraction(u) - Fraction(int(j[0]), 4), u
+    assert abs(Fraction(float(v[0]))) <= Fraction(1, 8), u
+
+
+@pytest.mark.parametrize("u", EDGE_ANGLE_UNIFORMS)
+def test_quarter_turn_reduction_is_exact_at_the_edges(u):
+    _check_quarter_turn_reduction(u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_max=True))
+def test_quarter_turn_reduction_is_exact(u):
+    _check_quarter_turn_reduction(u)
+
+
+class _Uniforms:
+    # a stand-in for a Philox generator that writes the given uniforms
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+
+    def random(self, out):
+        out[:] = self.uniforms
+
+
+def test_sampler_puts_quarter_turn_angles_on_the_axes(monkeypatch):
+    # angle uniforms k/4 give r * i^k exactly; u = 1/4 once gave 6.1e-17 + 1i
+    count, s = 8, 12.5
+    radius_u = np.linspace(0.05, 0.95, count)
+    angle_u = np.arange(count) / 4
+    uniforms = np.empty(2 * count)
+    uniforms[0::2], uniforms[1::2] = radius_u, angle_u
+    monkeypatch.setattr(pp, "_stream", lambda seed, n: _Uniforms(uniforms))
+    z = sample_disk_batch(1, s, 0, count)[:, 0]
+    want = radius_ppf(0, s, radius_u) * QUARTER_TURNS[np.arange(count) % 4]
+    assert np.array_equal(z, want)
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
@@ -792,6 +876,18 @@ def test_empirical_r1_matches_two_sided_bins_at_the_edge_cases(samples, edges):
     density, stderr = _two_sided_r1(samples, edges)
     assert np.array_equal(hist.density, density)
     assert np.array_equal(hist.stderr, stderr)
+
+
+def test_sampler_peak_memory_at_the_mc_disk_shape():
+    # beyond the buffer, each slice holds one row's radii, quarter turns and
+    # radius_ppf temporaries; an (N, count) temporary would hold 15 or 30 MiB
+    tracemalloc.start()
+    try:
+        samples = sample_disk_batch(100, 200.0, 1, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= samples.nbytes + 2 * 2 ** 20, (peak, samples.nbytes)
 
 
 def test_empirical_r1_peak_memory_at_the_mc_disk_shape():
